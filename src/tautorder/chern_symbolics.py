@@ -9,11 +9,14 @@ degree, zero coefficients are pruned, and equality is equality of term maps.
 Conventions fixed here and relied on throughout:
 
 * The virtual exterior-power class means the alternating sum
-  sum_i (-1)^i [Lambda^i E].  Its total Chern class is assembled by
-  multiplicativity over the line elements of each Lambda^i, with formal
-  inversion (geometric series in the truncated ring) for the odd-degree
-  summands.  The payload is the degree-g coefficient -(g-1)! c_g; the opposite
-  sign convention for the alternating sum would flip it.
+  sum_i (-1)^i [Lambda^i E].  Its total Chern class is computed in the class
+  ring c1..cg alone: Newton's identities and the Adams operations give
+  ch(lambda_{-1} E) = sum_i (-1)^i e_i(e^{x_1}, ..., e^{x_g}), and the total
+  class is exp(sum_k (-1)^{k-1} (k-1)! ch_k).  This is the multiplicative
+  product over the line elements of each Lambda^i, with the odd-degree
+  summands inverted, without expanding it over root subsets.  The payload is
+  the degree-g coefficient -(g-1)! c_g; the opposite sign convention for the
+  alternating sum would flip it.
 
 * The Todd factor attached to a root x is x/(e^x - 1) = sum_k b_k/k! x^k
   (dual convention).  This is the convention under which the product
@@ -26,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import comb, factorial
 
 from .bernoulli_zeta import todd_inverse_series
 
@@ -243,47 +247,6 @@ class GradedPolynomial:
             if bucket:
                 inv_buckets[d] = bucket
         terms = {mon: c for b in inv_buckets.values() for mon, c in b.items()}
-        return GradedPolynomial._raw(self.names, self.weights, self.truncation, terms)
-
-    # fast paths for multiplying/dividing by (1 + sum of distinct variables);
-    # the exterior-power product is nothing but a long chain of these
-    def _times_one_plus_sum(self, indices) -> "GradedPolynomial":
-        buckets = self._buckets()
-        out = {d: dict(b) for d, b in buckets.items()}
-        for d, b in buckets.items():
-            if d + 1 > self.truncation:
-                continue
-            tgt = out.setdefault(d + 1, {})
-            for mon, coeff in b.items():
-                for j in indices:
-                    m2 = mon[:j] + (mon[j] + 1,) + mon[j + 1 :]
-                    acc = tgt.get(m2, 0) + coeff
-                    if acc:
-                        tgt[m2] = acc
-                    else:
-                        tgt.pop(m2, None)
-        terms = {mon: c for b in out.values() for mon, c in b.items() if c}
-        return GradedPolynomial._raw(self.names, self.weights, self.truncation, terms)
-
-    def _div_one_plus_sum(self, indices) -> "GradedPolynomial":
-        # triangular solve for Q in Q * (1 + sum x_j) = self, degree by degree
-        pb = self._buckets()
-        qb: dict[int, dict] = {}
-        for d in range(self.truncation + 1):
-            cur = dict(pb.get(d, {}))
-            prev = qb.get(d - 1)
-            if prev:
-                for mon, coeff in prev.items():
-                    for j in indices:
-                        m2 = mon[:j] + (mon[j] + 1,) + mon[j + 1 :]
-                        acc = cur.get(m2, 0) - coeff
-                        if acc:
-                            cur[m2] = acc
-                        else:
-                            cur.pop(m2, None)
-            if cur:
-                qb[d] = cur
-        terms = {mon: c for b in qb.values() for mon, c in b.items()}
         return GradedPolynomial._raw(self.names, self.weights, self.truncation, terms)
 
     # -- structure --------------------------------------------------------
@@ -535,25 +498,105 @@ def todd_class(g: int, depth: int, dual: bool = True) -> GradedPolynomial:
 def lambda_star_class(g: int, depth: int) -> GradedPolynomial:
     """Total Chern class of sum_i (-1)^i [Lambda^i E], in c1..cg.
 
-    Multiplicative over the line elements of each Lambda^i E (Chern roots
-    x_{j1}+...+x_{ji} over i-element subsets), with formal inversion for the
-    odd exterior powers.  Vanishes in degrees 1..g-1; the degree-g term is
-    -(g-1)! c_g.
+    Computed in the class ring alone, with c_k = 0 for k > g:
+
+    1. Newton's identities give the power sums p_m of the roots.
+    2. The Adams operations give ch(psi^k E) = g + sum_m k^m p_m / m!.
+    3. Newton's identities again give e_i(e^{x_1}, ..., e^{x_g}), and
+       ch(lambda_{-1} E) = sum_i (-1)^i e_i.
+    4. The total class is exp(L), L = sum_k (-1)^{k-1} (k-1)! ch_k.
+
+    Vanishes in degrees 1..g-1; the degree-g term is -(g-1)! c_g.
     """
     if g < 1:
         raise ValueError("g must be positive")
     if depth < g:
         raise ValueError("depth must reach g: the degree-g coefficient is the payload")
-    names = tuple(f"x{i}" for i in range(1, g + 1))
-    poly = GradedPolynomial._raw(names, (1,) * g, depth, {(0,) * g: 1})
-    for size in range(1, g + 1):
-        invert = size % 2 == 1
-        for subset in combinations(range(g), size):
-            if invert:
-                poly = poly._div_one_plus_sum(subset)
+    # A homogeneous component is a dict {packed monomial: int}.  A monomial
+    # c1^a1 ... cg^ag packs to sum_i a_i * radix^(i-1); no exponent exceeds
+    # depth, so multiplying monomials is adding their packed forms.
+    radix = depth + 1
+    shift = [radix**i for i in range(g)]
+
+    # 1. p_m = sum_{i<m} (-1)^{i-1} c_i p_{m-i} + (-1)^{m-1} m c_m
+    p: list[dict] = [{}]
+    for m in range(1, depth + 1):
+        acc: dict = {}
+        for i in range(1, min(m - 1, g) + 1):
+            _add_into(acc, {mon + shift[i - 1]: c for mon, c in p[m - i].items()},
+                      1 if i % 2 else -1)
+        if m <= g:
+            acc[shift[m - 1]] = m if m % 2 else -m
+        p.append(acc)
+
+    # 2-3. Components of degree n are kept scaled by n!, which makes them
+    # integral and turns products into binomial convolutions.  Newton reads
+    # i e_i = sum_{k=1}^{i} (-1)^{k-1} e_{i-k} psi^k, with the degree-d part
+    # of psi^k equal to k^d p_d (d >= 1) and g (d = 0); the sum over k is
+    # taken before multiplying by p_d.  Dividing by i is exact: n! times the
+    # degree-n part of e_i(e^{x_1}, ...) is sum_S (x_S)^n, an integral class.
+    elem = [[{0: 1}] + [{} for _ in range(depth)]]
+    for i in range(1, g + 1):
+        e_i = []
+        for n in range(depth + 1):
+            acc = {}
+            for k in range(1, i + 1):
+                _add_into(acc, elem[i - k][n], g if k % 2 else -g)
+            for d in range(1, n + 1):
+                combo: dict = {}
+                for k in range(1, i + 1):
+                    _add_into(combo, elem[i - k][n - d], k**d if k % 2 else -(k**d))
+                _mul_into(acc, combo, p[d], comb(n, d))
+            e_i.append({mon: c // i for mon, c in acc.items()})
+        elem.append(e_i)
+    # n! ch_n(lambda_{-1} E); it vanishes below degree g
+    ch = [{} for _ in range(depth + 1)]
+    for i, e_i in enumerate(elem):
+        for n in range(g, depth + 1):
+            _add_into(ch[n], e_i[n], -1 if i % 2 else 1)
+
+    # 4. n F_n = sum_k k L_k F_{n-k}, and k L_k = (-1)^{k-1} k! ch_k.  Dividing
+    # by n is exact, as F is the Chern class of a virtual bundle.
+    total = [{0: 1}]
+    for n in range(1, depth + 1):
+        acc = {}
+        for k in range(g, n + 1):
+            _mul_into(acc, ch[k], total[n - k], 1 if k % 2 else -1)
+        total.append({mon: c // n for mon, c in acc.items()})
+
+    terms = {}
+    for comp in total:
+        for mon, c in comp.items():
+            exps = []
+            for _ in range(g):
+                mon, e = divmod(mon, radix)
+                exps.append(e)
+            terms[tuple(exps)] = c
+    names = tuple(f"c{i}" for i in range(1, g + 1))
+    return GradedPolynomial._raw(names, tuple(range(1, g + 1)), depth, terms)
+
+
+def _add_into(acc: dict, comp: dict, scale: int) -> None:
+    # acc += scale * comp, pruning zeros
+    for mon, c in comp.items():
+        v = acc.get(mon, 0) + scale * c
+        if v:
+            acc[mon] = v
+        else:
+            acc.pop(mon, None)
+
+
+def _mul_into(acc: dict, a: dict, b: dict, scale: int) -> None:
+    # acc += scale * a * b for packed components
+    for ma, ca in a.items():
+        ca *= scale
+        for mb, cb in b.items():
+            mon = ma + mb
+            v = acc.get(mon, 0) + ca * cb
+            if v:
+                acc[mon] = v
             else:
-                poly = poly._times_one_plus_sum(subset)
-    return symmetric_reduce(poly).output
+                acc.pop(mon, None)
 
 
 def borel_serre_check(g: int, depth: int) -> bool:
@@ -567,7 +610,7 @@ def borel_serre_check(g: int, depth: int) -> bool:
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     names = tuple(f"x{i}" for i in range(1, g + 1))
-    coeffs = [0] + [-Fraction(1, _factorial(k)) for k in range(1, depth + 1)]
+    coeffs = [0] + [-Fraction(1, factorial(k)) for k in range(1, depth + 1)]
     lhs = _series_in_root(g, 0, coeffs, depth)
     for i in range(1, g):
         lhs = lhs * _series_in_root(g, i, coeffs, depth)
@@ -576,13 +619,6 @@ def borel_serre_check(g: int, depth: int) -> bool:
     target_terms = {(1,) * g: sign} if g <= depth else {}
     target = GradedPolynomial._raw(names, (1,) * g, depth, target_terms)
     return lhs * td == target
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 def newton_special_case(g: int) -> bool:

@@ -16,6 +16,7 @@ import io
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
@@ -117,6 +118,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # -- payload shaping -------------------------------------------------------
+
+
+@contextmanager
+def _unlimited_int_str():
+    """Lift Python's int-to-str digit limit (4300 by default) while rendering,
+    so every integer is printed in full as promised."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # Pythons without the limit
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _payload(value):
@@ -294,16 +310,16 @@ def run(argv=None, out=None) -> int:
             result = {"l": args.l, "k": args.k, "genus": hurwitz_genus(args.l, args.k)}
         else:  # pragma: no cover - argparse enforces the choices
             raise ValueError(f"unknown command {args.command!r}")
-    except (ValueError, ZeroDivisionError) as exc:
+        with _unlimited_int_str():
+            envelope = {
+                "command": args.command,
+                "format": args.format,
+                "parameters": _payload(params),
+                "result": _payload(result),
+            }
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
         print(f"tautorder: error: {exc}", file=sys.stderr)
         return 1
-
-    envelope = {
-        "command": args.command,
-        "format": args.format,
-        "parameters": _payload(params),
-        "result": _payload(result),
-    }
     _emit(envelope, args.format, out)
     return 0
 

@@ -267,7 +267,12 @@ def run_suite(
     prime_count: int = 100,
     stabilization_window: int = 50,
 ) -> list[CheckResult]:
-    """Run one suite (or 'all'); max_g overrides the per-suite default bound."""
+    """Run one suite (or 'all'); max_g overrides the per-suite default bound.
+
+    An override below 1 is refused: it would select no case and pass vacuously.
+    """
+    if max_g is not None and max_g < 1:
+        raise ValueError(f"max_g must be at least 1, got {max_g}")
     if name == "all":
         out = []
         for sub in _SUITES:

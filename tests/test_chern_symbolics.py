@@ -217,20 +217,47 @@ def test_lambda_star_payload_small_genus() -> None:
         assert top.coefficient(mono) == -factorial(g - 1)
 
 
-def test_lambda_star_against_subset_product() -> None:
-    # independent route: multiply (1 + x_S)^{±1} over nonempty subsets S with
-    # the generic power/inverse operations, then reduce to the class basis
-    g, depth = 3, 4
+def _lambda_star_by_subset_product(g: int, depth: int) -> GradedPolynomial:
+    # slow independent route: prod over nonempty subsets S of (1 + x_S)^{±1},
+    # odd sizes inverted with the generic inverse(), reduced to c1..cg
     xs = root_variables(g, depth)
     one = xs[0].ring_constant(1)
-    acc = one
+    even = odd = one
     for size in range(1, g + 1):
         for subset in combinations(range(g), size):
             linear = one
             for i in subset:
                 linear = linear + xs[i]
-            acc = acc * (linear.inverse() if size % 2 else linear)
-    assert symmetric_reduce(acc).output == lambda_star_class(g, depth)
+            if size % 2:
+                odd = odd * linear
+            else:
+                even = even * linear
+    return symmetric_reduce(even * odd.inverse()).output
+
+
+def test_lambda_star_against_subset_product() -> None:
+    for g in range(1, 6):
+        for depth in (g, g + 1, g + 2):
+            assert lambda_star_class(g, depth) == _lambda_star_by_subset_product(g, depth)
+
+
+def test_lambda_star_goldens_beyond_the_oracle() -> None:
+    # rendered by the subset product over root variables
+    assert lambda_star_class(6, 8).render() == (
+        "1 - 120*c6 + 360*c1*c6 - 840*c1^2*c6 + 420*c2*c6"
+    )
+    assert lambda_star_class(7, 7).render() == "1 - 720*c7"
+    assert lambda_star_class(7, 9).render() == (
+        "1 - 720*c7 + 2520*c1*c7 - 6720*c1^2*c7 + 3360*c2*c7"
+    )
+
+
+def test_lambda_star_payload_beyond_the_subset_product() -> None:
+    for g in (9, 10):
+        lam = lambda_star_class(g, g)
+        cs = class_variables(g, g)
+        assert lam == cs[0].ring_constant(1) - factorial(g - 1) * cs[g - 1]
+        assert all(type(c) is int for c in lam.terms.values())
 
 
 def test_lambda_star_requires_enough_depth() -> None:

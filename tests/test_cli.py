@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import io
 import json
+import sys
 
 import pytest
 
 from tautorder.cli import PRIME_COUNT_ENV, run
 from tautorder.torsion_orders import NG_CROSS_CHECK
+from tautorder.verify import run_suite
 
 SUBCOMMAND_SAMPLES = [
     ["ng", "3"],
@@ -170,3 +172,45 @@ def test_spot_values_across_subcommands() -> None:
     assert json.loads(_run(["koblitz", "3", "3", "--format", "json"])[1])["result"]["value"] == "416"
     bounds = json.loads(_run(["bounds", "2", "--format", "json"])[1])["result"]
     assert bounds["stack_upper_bound"] == "5760"
+
+
+def test_sp_order_beyond_the_int_str_digit_limit() -> None:
+    # the order has about 30000 digits, past Python's default 4300-digit limit
+    limit = sys.get_int_max_str_digits()
+    code, text = _run(["sp-order", "50", "1000003"])
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit  # lifted only while rendering
+    p = 1000003
+    order = p ** (50 * 50)
+    for i in range(1, 51):
+        order *= p ** (2 * i) - 1
+    lines = dict(line.split(" = ") for line in text.splitlines())
+    assert len(lines["order"]) > 30000
+    sys.set_int_max_str_digits(0)
+    try:
+        assert lines["order"] == str(order)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_verify_max_g_below_one_is_a_usage_error(capsys: pytest.CaptureFixture) -> None:
+    for bound in ("-3", "0"):
+        for suite in ("chern-lemma", "von-staudt", "all"):
+            code, text = _run(["verify", suite, "--max-g", bound])
+            assert code == 1
+            assert text == ""
+            err = capsys.readouterr().err
+            assert err == f"tautorder: error: max_g must be at least 1, got {bound}\n"
+    # the fixed-list suites' own bound of 0 is not an override
+    assert all(c.ok for c in run_suite("cyclotomic"))
+    assert _run(["verify", "symplectic"])[0] == 0
+
+
+def test_rendering_failure_exits_one_with_one_line(
+    monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture
+) -> None:
+    monkeypatch.setattr("tautorder.cli.hurwitz_genus", lambda l, k: 0.5)
+    code, text = _run(["hurwitz", "3", "2"])
+    assert code == 1
+    assert text == ""
+    assert capsys.readouterr().err == "tautorder: error: floats are forbidden in output\n"
