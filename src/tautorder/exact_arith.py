@@ -2,13 +2,19 @@
 
 Everything downstream is exact: rationals are `fractions.Fraction` (re-exported
 as ExactRational), integers are Python ints.  No float ever enters or leaves
-this package.  The primes handled here are tiny (a few thousand at most), so
-primality is deterministic trial division.
+this package.  `is_prime` is deterministic trial division, adequate for the
+single primes it is asked about.  `primes_upto` lists primes from one
+process-wide sieve of Eratosthenes that grows by doubling and never shrinks,
+so the torsion tables, which ask for primes up to 2g+1 once per index, sieve
+once instead of testing every candidate.
 """
 from __future__ import annotations
 
+import threading
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import isqrt
 
 __all__ = [
@@ -108,6 +114,31 @@ def primes_above(bound: int, count: int) -> list[int]:
     return out
 
 
+# (limit, every prime <= limit); replaced whole, so a reader never sees a
+# half-built sieve.  The lock only serializes growth.
+_sieve: tuple[int, list[int]] = (1, [])
+_sieve_lock = threading.Lock()
+
+
+def _grow_sieve(bound: int) -> tuple[int, list[int]]:
+    global _sieve
+    with _sieve_lock:
+        limit = _sieve[0]
+        if bound > limit:
+            while limit < bound:
+                limit *= 2
+            flags = bytearray([1]) * (limit + 1)
+            flags[:2] = b"\0\0"
+            for n in range(2, isqrt(limit) + 1):
+                if flags[n]:
+                    flags[n * n :: n] = bytes(len(range(n * n, limit + 1, n)))
+            _sieve = (limit, list(compress(range(limit + 1), flags)))
+        return _sieve
+
+
 def primes_upto(bound: int) -> list[int]:
-    """All primes p <= bound, ascending."""
-    return [p for p in range(2, bound + 1) if is_prime(p)]
+    """All primes p <= bound, ascending, as a fresh list the caller may keep."""
+    limit, primes = _sieve
+    if bound > limit:
+        _, primes = _grow_sieve(bound)
+    return primes[: bisect_right(primes, bound)]

@@ -162,8 +162,10 @@ _CYCLOTOMIC_PAIRS = [(3, 1), (3, 2), (5, 1), (7, 1), (2, 3), (2, 4)]
 def _suite_cyclotomic(max_g: int) -> list[CheckResult]:
     out = []
     for l, k in _CYCLOTOMIC_PAIRS:
-        rep = cyclotomic_chern_check(l, k)
         genus = hurwitz_genus(l, k)
+        if genus > max_g:
+            continue
+        rep = cyclotomic_chern_check(l, k)
         ok = rep.equal and rep.top_coefficient_nonzero
         detail = (
             f"product {rep.product}; closed form {rep.closed_form}; "
@@ -181,6 +183,8 @@ _SYMPLECTIC_PAIRS = [(3, 1), (5, 1), (7, 1), (3, 2)]
 def _suite_symplectic(max_g: int) -> list[CheckResult]:
     out = []
     for l, k in _SYMPLECTIC_PAIRS:
+        if hurwitz_genus(l, k) > max_g:
+            continue
         rep = symplectic_pairing_check(l, k)
         ok = (
             rep.integral
@@ -199,9 +203,12 @@ def _suite_symplectic(max_g: int) -> list[CheckResult]:
     return out
 
 
+_VON_STAUDT_TOP = 60
+
+
 def _suite_von_staudt(max_g: int) -> list[CheckResult]:
     out = []
-    for m in range(2, 61, 2):
+    for m in range(2, min(_VON_STAUDT_TOP, 2 * max_g) + 1, 2):
         expected = von_staudt_denominator(m)
         got = bernoulli(m).denominator
         out.append(
@@ -242,7 +249,9 @@ def _suite_oracle_agreement(
     return out
 
 
-# suite -> (function, default bound); fixed-list suites ignore the bound
+# suite -> (function, default bound).  The cyclotomic and symplectic suites
+# run their listed pairs of genus <= bound, von-staudt its listed m <= 2*bound;
+# their defaults keep every listed case.
 _SUITES = {
     "chern-lemma": (_suite_chern_lemma, 8),
     "borel-serre": (_suite_borel_serre, 6),
@@ -252,9 +261,9 @@ _SUITES = {
     "denominator": (_suite_denominator, 12),
     "integrality": (_suite_integrality, 5),
     "grr-chain": (_suite_grr_chain, 10),
-    "cyclotomic": (_suite_cyclotomic, 0),
-    "symplectic": (_suite_symplectic, 0),
-    "von-staudt": (_suite_von_staudt, 0),
+    "cyclotomic": (_suite_cyclotomic, max(hurwitz_genus(*lk) for lk in _CYCLOTOMIC_PAIRS)),
+    "symplectic": (_suite_symplectic, max(hurwitz_genus(*lk) for lk in _SYMPLECTIC_PAIRS)),
+    "von-staudt": (_suite_von_staudt, _VON_STAUDT_TOP // 2),
     "oracle-agreement": (_suite_oracle_agreement, 8),
 }
 

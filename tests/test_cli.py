@@ -201,9 +201,36 @@ def test_verify_max_g_below_one_is_a_usage_error(capsys: pytest.CaptureFixture) 
             assert text == ""
             err = capsys.readouterr().err
             assert err == f"tautorder: error: max_g must be at least 1, got {bound}\n"
-    # the fixed-list suites' own bound of 0 is not an override
+    # without an override the listed-case suites run every listed case
     assert all(c.ok for c in run_suite("cyclotomic"))
     assert _run(["verify", "symplectic"])[0] == 0
+
+
+def test_verify_max_g_bounds_the_listed_cases() -> None:
+    # listed pairs of genus <= N and von-Staudt indices m <= 2N, in list order
+    expected = {
+        ("cyclotomic", "1"): ["cyclotomic l=3 k=1", "cyclotomic l=2 k=3"],
+        ("cyclotomic", "2"): [
+            "cyclotomic l=3 k=1",
+            "cyclotomic l=5 k=1",
+            "cyclotomic l=2 k=3",
+            "cyclotomic l=2 k=4",
+        ],
+        ("symplectic", "1"): ["symplectic l=3 k=1"],
+        ("symplectic", "2"): ["symplectic l=3 k=1", "symplectic l=5 k=1"],
+        ("von-staudt", "1"): ["von-staudt m=2"],
+        ("von-staudt", "2"): ["von-staudt m=2", "von-staudt m=4"],
+    }
+    for (suite, bound), names in expected.items():
+        code, text = _run(["verify", suite, "--max-g", bound])
+        assert code == 0
+        lines = text.splitlines()
+        assert lines[:-1] == [f"PASS {name}" for name in names]
+        assert lines[-1] == f"{len(names)} passed, 0 failed"
+    unbounded = {"cyclotomic": 6, "symplectic": 4, "von-staudt": 30}
+    for suite, count in unbounded.items():
+        assert len(run_suite(suite)) == count
+        assert len(run_suite(suite, max_g=100)) == count
 
 
 def test_rendering_failure_exits_one_with_one_line(

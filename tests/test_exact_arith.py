@@ -6,6 +6,7 @@ from math import factorial
 
 import pytest
 
+from tautorder import exact_arith
 from tautorder.exact_arith import (
     ExactRational,
     PrimeLocalOrder,
@@ -44,6 +45,51 @@ def test_is_prime_agrees_with_sieve() -> None:
 def test_primes_upto_matches_sieve() -> None:
     for bound in (0, 1, 2, 3, 10, 97, 98, 500):
         assert primes_upto(bound) == _sieve(bound)
+
+
+def _primes_by_is_prime(bound: int) -> list[int]:
+    return [p for p in range(2, bound + 1) if is_prime(p)]
+
+
+@pytest.fixture
+def fresh_sieve(monkeypatch: pytest.MonkeyPatch) -> None:
+    # start from the empty cache, so growth happens inside the test
+    monkeypatch.setattr(exact_arith, "_sieve", (1, []))
+
+
+def test_primes_upto_every_bound_ascending(fresh_sieve: None) -> None:
+    expected = _primes_by_is_prime(5000)
+    for bound in range(0, 5001):
+        assert primes_upto(bound) == [p for p in expected if p <= bound]
+
+
+def test_primes_upto_every_bound_descending(fresh_sieve: None) -> None:
+    expected = _primes_by_is_prime(5000)
+    for bound in range(5000, -1, -1):
+        assert primes_upto(bound) == [p for p in expected if p <= bound]
+    assert exact_arith._sieve[0] >= 5000  # grown once, never shrunk
+
+
+def test_primes_upto_just_past_a_growth_edge(fresh_sieve: None) -> None:
+    assert primes_upto(64) == _primes_by_is_prime(64)
+    edge = exact_arith._sieve[0]
+    for bound in (edge, edge + 1, edge + 2, 2 * edge, 2 * edge + 1):
+        assert primes_upto(bound) == _primes_by_is_prime(bound)
+        assert exact_arith._sieve[0] >= bound
+    assert primes_upto(-5) == []
+
+
+def test_primes_upto_returns_a_fresh_list(fresh_sieve: None) -> None:
+    first = primes_upto(100)
+    first.append(4)
+    first[0] = 9
+    first.clear()
+    assert primes_upto(100) == _primes_by_is_prime(100)
+    edge = exact_arith._sieve[0]
+    whole = primes_upto(edge)  # the slice that spans the whole cache
+    whole.extend([1, 2, 3])
+    assert primes_upto(edge) == _primes_by_is_prime(edge)
+    assert primes_upto(edge + 1) == _primes_by_is_prime(edge + 1)
 
 
 def test_primes_above_is_the_next_block_of_the_sieve() -> None:

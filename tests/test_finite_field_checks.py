@@ -15,7 +15,7 @@ from tautorder.finite_field_checks import (
     hurwitz_genus,
     symplectic_pairing_check,
 )
-from tautorder.finite_field_checks import _pairing_gram
+from tautorder.finite_field_checks import _det, _pairing_gram, _zeta_power_trace
 
 CASES = [(3, 1), (3, 2), (5, 1), (7, 1), (2, 3), (2, 4)]
 PAIRING_CASES = [(3, 1), (5, 1), (7, 1), (3, 2)]
@@ -162,6 +162,108 @@ def test_pairing_gram_rank_two_matrix() -> None:
         [Fraction(0), Fraction(-1)],
         [Fraction(1), Fraction(0)],
     ]
+
+
+# every odd (l, k) of rank <= 12
+ODD_PAIRS_TO_RANK_12 = [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1)]
+
+
+def _pairing_gram_by_matrix_traces(l: int, k: int, exponent: int) -> list[list[Fraction]]:
+    # the route the closed form replaced: each trace from CyclotomicElement.trace()
+    n = l ** (k - 1) * (l - 1)
+    zeta = CyclotomicElement.zeta_power(l, k, 1)
+    twist = ((zeta - zeta.conj()) ** exponent).inverse()
+    traces = {
+        m: (CyclotomicElement.zeta_power(l, k, m) * twist).trace()
+        for m in range(-(n - 1), n)
+    }
+    return [[traces[i - j] for j in range(n)] for i in range(n)]
+
+
+def _det_by_fraction_elimination(matrix: list[list[Fraction]]) -> Fraction:
+    # Gaussian elimination over Q, the route Bareiss replaced
+    m = [[Fraction(c) for c in row] for row in matrix]
+    n = len(m)
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = Fraction(1) / m[col][col]
+        for r in range(col + 1, n):
+            if m[r][col]:
+                factor = m[r][col] * inv
+                for c in range(col, n):
+                    m[r][c] -= factor * m[col][c]
+    return det
+
+
+def test_zeta_power_trace_against_matrix_trace() -> None:
+    for l, k in ((3, 1), (5, 1), (3, 2), (3, 3)):
+        level = l**k
+        for m in range(-level, 2 * level):
+            assert _zeta_power_trace(l, k, m) == CyclotomicElement.zeta_power(l, k, m).trace()
+
+
+def test_pairing_gram_against_matrix_traces() -> None:
+    for l, k in ODD_PAIRS_TO_RANK_12:
+        quoted = l**k - l ** (k - 1) - 1
+        for exponent in (different_exponent(l, k), quoted):
+            got = _pairing_gram(l, k, exponent)
+            assert got == _pairing_gram_by_matrix_traces(l, k, exponent)
+            assert all(type(c) is Fraction for row in got for c in row)
+
+
+def _random_matrix(rng: random.Random, n: int, rational: bool) -> list[list[Fraction]]:
+    def entry() -> Fraction:
+        den = rng.randint(1, 12) if rational else 1
+        return Fraction(rng.randint(-9, 9), den)
+
+    return [[entry() for _ in range(n)] for _ in range(n)]
+
+
+def test_bareiss_determinant_against_fraction_elimination() -> None:
+    rng = random.Random(771103)
+    for trial in range(300):
+        n = rng.randint(1, 7)
+        m = _random_matrix(rng, n, rational=trial % 2 == 1)
+        if trial % 3 == 0 and n > 1:
+            # singular: one row a rational combination of two others
+            a, b = rng.sample(range(n), 2)
+            s, t = Fraction(rng.randint(-3, 3), rng.randint(1, 4)), Fraction(rng.randint(-3, 3))
+            m[rng.randrange(n)] = [s * x + t * y for x, y in zip(m[a], m[b])]
+        if trial % 5 == 0:
+            # a zero first pivot forces a row swap
+            m[0][0] = Fraction(0)
+        got = _det(m)
+        assert type(got) is Fraction
+        assert got == _det_by_fraction_elimination(m)
+
+
+def test_bareiss_determinant_edge_cases() -> None:
+    assert _det([[Fraction(-7, 3)]]) == Fraction(-7, 3)
+    assert _det([[Fraction(0)]]) == 0
+    assert _det([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]) == -1
+    swap_then_zero = [[0, 1, 2], [0, 3, 4], [5, 6, 7]]
+    assert _det([[Fraction(c) for c in row] for row in swap_then_zero]) == -10
+    singular = [[Fraction(c) for c in row] for row in ([1, 2, 3], [2, 4, 6], [1, 0, 1])]
+    assert _det(singular) == 0
+    assert _det([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(1, 7)]]) == Fraction(
+        1, 210
+    )
+
+
+def test_pairing_determinants_against_fraction_elimination() -> None:
+    for l, k in ODD_PAIRS_TO_RANK_12:
+        quoted = l**k - l ** (k - 1) - 1
+        for exponent in (different_exponent(l, k), quoted):
+            gram = _pairing_gram(l, k, exponent)
+            assert _det(gram) == _det_by_fraction_elimination(gram)
+    assert _det(_pairing_gram(3, 2, 5)) == 81
 
 
 def test_pairing_reports_unimodular() -> None:
