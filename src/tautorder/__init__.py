@@ -26,7 +26,6 @@ from .chern_symbolics import (
     todd_class,
 )
 from .exact_arith import (
-    ExactRational,
     PrimeLocalOrder,
     factorial_p_valuation,
     is_prime,
@@ -53,7 +52,6 @@ from .torsion_orders import (
     boundary_coefficient,
     denominator_corollary_check,
     grr_chain_check,
-    lambda_square_order_note,
     ng_local,
     ng_oracle,
     product_identity_check,

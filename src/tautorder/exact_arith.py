@@ -1,24 +1,21 @@
 """Exact scalar arithmetic and small prime utilities.
 
-Everything downstream is exact: rationals are `fractions.Fraction` (re-exported
-as ExactRational), integers are Python ints.  No float ever enters or leaves
-this package.  `is_prime` is deterministic trial division, adequate for the
-single primes it is asked about.  `primes_upto` lists primes from one
-process-wide sieve of Eratosthenes that grows by doubling and never shrinks,
-so the torsion tables, which ask for primes up to 2g+1 once per index, sieve
-once instead of testing every candidate.
+Everything downstream is exact: rationals are `fractions.Fraction`, integers
+are Python ints.  No float ever enters or leaves this package.  `is_prime` is
+deterministic trial division, adequate for the single primes it is asked
+about.  `primes_upto` lists primes from one process-wide sieve of Eratosthenes
+that grows by doubling and never shrinks, so the torsion tables, which ask for
+primes up to 2g+1 once per index, sieve once instead of testing every candidate.
 """
 from __future__ import annotations
 
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import compress
 from math import isqrt
 
 __all__ = [
-    "ExactRational",
     "PrimeLocalOrder",
     "is_prime",
     "valuation",
@@ -26,10 +23,6 @@ __all__ = [
     "primes_above",
     "primes_upto",
 ]
-
-# Normalized lowest terms, positive denominator, unique zero: all guaranteed
-# by the Fraction constructor.
-ExactRational = Fraction
 
 
 def is_prime(n: int) -> bool:

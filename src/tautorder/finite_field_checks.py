@@ -18,17 +18,24 @@ zeta-invariant, and unimodular.  The exponent l^k - l^{k-1} - 1 sometimes
 quoted agrees only for k = 1; the report carries both, and for the quoted
 variant the determinant picks up a power of l (l^4 for l^k = 9).
 
-The Gram matrix takes each trace from the closed form of Tr(zeta^m) (l^{k-1}(l-1)
-when l^k | m, -l^{k-1} when only l^{k-1} | m, else 0) applied to the twist's
-coordinates, and its determinant from fraction-free Bareiss elimination.
-`CyclotomicElement.trace`, the trace of the multiplication matrix, is the
-slower independent route the tests check that closed form against.
+One dense core does all polynomial arithmetic: `_convolve` multiplies, then
+`ModPPolynomial` reduces mod l and `CyclotomicElement` mod Phi_{l^k} through
+the division-free `_reduce_cyclotomic`; the field inverse is the product of the
+other Galois conjugates over the rational norm.  The twist is in closed form:
+sum_{j<N} j eta^j = N/(eta - 1) for eta = zeta^2 of odd order N = l^k, so
+(zeta - zeta^{-1})^{-1} = u/l^k with u = sum_{j<N} j zeta^{2j+1} (Washington,
+ch. 2).  The Gram matrix applies the closed form of Tr(zeta^m) (l^{k-1}(l-1)
+when l^k | m, -l^{k-1} when only l^{k-1} | m, else 0) to the integer
+coordinates of u^d, and takes its determinant by fraction-free Bareiss
+elimination.  `CyclotomicElement.trace` and the inverse-and-power twist are
+the slower independent routes the tests check these closed forms against.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .exact_arith import is_prime
 
@@ -43,6 +50,57 @@ __all__ = [
     "symplectic_pairing_check",
     "different_exponent",
 ]
+
+# the largest rank symplectic_pairing_check accepts
+_MAX_PAIRING_RANK = 16
+
+
+# -- the polynomial core ---------------------------------------------------
+
+
+def _convolve(a, b) -> list:
+    """Dense product of two coefficient lists, constant term first."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+    return out
+
+
+def _reduce_cyclotomic(coeffs, l: int, k: int) -> list:
+    """coeffs mod Phi_{l^k}, as its n = l^{k-1}(l-1) power-basis coordinates.
+
+    Exponents fold mod l^k since x^{l^k} = 1; then, as Phi_{l^k} = sum_{j<l}
+    x^{j l^{k-1}}, x^{n+r} = -sum_{j<l-1} x^{j l^{k-1}+r} for 0 <= r < l^{k-1}.
+    """
+    step = l ** (k - 1)
+    level, n = step * l, step * (l - 1)
+    out = [0] * level
+    for i, c in enumerate(coeffs):
+        out[i % level] += c
+    for r in range(step):
+        c = out[n + r]
+        if c:
+            for j in range(r, n, step):
+                out[j] -= c
+    del out[n:]
+    return out
+
+
+def _power(base, m: int, one, times):
+    """base^m for m >= 0, by square-and-multiply under `times`."""
+    result = one
+    while m:
+        if m & 1:
+            result = times(result, base)
+        m >>= 1
+        if m:
+            base = times(base, base)
+    return result
 
 
 class ModPPolynomial:
@@ -81,28 +139,12 @@ class ModPPolynomial:
 
     def __mul__(self, other: "ModPPolynomial") -> "ModPPolynomial":
         self._check(other)
-        if not self.coeffs or not other.coeffs:
-            return ModPPolynomial(self.modulus, [])
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return ModPPolynomial(self.modulus, out)
+        return ModPPolynomial(self.modulus, _convolve(self.coeffs, other.coeffs))
 
     def __pow__(self, k: int) -> "ModPPolynomial":
         if k < 0:
             raise ValueError("negative power")
-        result = ModPPolynomial(self.modulus, [1])
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        return _power(self, k, ModPPolynomial(self.modulus, [1]), mul)
 
     def _check(self, other: "ModPPolynomial") -> None:
         if self.modulus != other.modulus:
@@ -134,29 +176,26 @@ class ModPPolynomial:
         return f"ModPPolynomial(mod {self.modulus}: {self})"
 
 
-def hurwitz_genus(l: int, k: int) -> int:
-    """Genus of the l^k cyclic cover: l^{k-1}(l-1)/2 for odd l, 2^{k-3} for l=2."""
+def _check_prime_power(l: int, k: int) -> None:
     if not is_prime(l):
         raise ValueError(f"{l} is not prime")
     if k < 1:
         raise ValueError("k must be positive")
+
+
+def hurwitz_genus(l: int, k: int) -> int:
+    """Genus of the l^k cyclic cover: l^{k-1}(l-1)/2 for odd l, 2^{k-3} for l=2."""
+    _check_prime_power(l, k)
     if l == 2:
         if k < 3:
             raise ValueError("the construction requires k > 2 when l = 2")
         return 2 ** (k - 3)
-    two_g = l ** (k - 1) * (l - 1)
-    # cover bookkeeping: 2g - 2 = -2 l^k + 2(l^k - 1) + l^{k-1}(l - 1)
-    if two_g - 2 != -2 * l**k + 2 * (l**k - 1) + l ** (k - 1) * (l - 1):
-        raise ArithmeticError("genus bookkeeping broken")
-    return two_g // 2
+    return l ** (k - 1) * (l - 1) // 2
 
 
 def cyclotomic_chern_product(l: int, k: int) -> ModPPolynomial:
     """prod over 1 <= i <= l^k with gcd(i, l) = 1 of (1 + i x), mod l."""
-    if not is_prime(l):
-        raise ValueError(f"{l} is not prime")
-    if k < 1:
-        raise ValueError("k must be positive")
+    _check_prime_power(l, k)
     out = ModPPolynomial(l, [1])
     for i in range(1, l**k + 1):
         if gcd(i, l) == 1:
@@ -201,34 +240,17 @@ def cyclotomic_chern_check(l: int, k: int) -> CyclotomicChernReport:
 # -- exact cyclotomic arithmetic -------------------------------------------
 
 
-def _cyclotomic_modulus(l: int, k: int) -> tuple[Fraction, ...]:
-    # (x^{l^k} - 1)/(x^{l^{k-1}} - 1) = sum_{j=0}^{l-1} x^{j l^{k-1}}, monic
-    step = l ** (k - 1)
-    deg = step * (l - 1)
-    coeffs = [Fraction(0)] * (deg + 1)
-    for j in range(l):
-        coeffs[j * step] = Fraction(1)
-    return tuple(coeffs)
-
-
 class CyclotomicElement:
     """Element of Q(zeta), zeta a primitive l^k-th root of unity, on the power basis."""
 
     __slots__ = ("l", "k", "coeffs")
 
     def __init__(self, l: int, k: int, coeffs) -> None:
-        if not is_prime(l):
-            raise ValueError(f"{l} is not prime")
-        if k < 1:
-            raise ValueError("k must be positive")
-        deg = l ** (k - 1) * (l - 1)
-        cs = [Fraction(c) for c in coeffs]
-        if len(cs) > deg:
-            cs = _poly_rem(cs, list(_cyclotomic_modulus(l, k)))
-        cs += [Fraction(0)] * (deg - len(cs))
+        _check_prime_power(l, k)
+        cs = tuple(Fraction(c) for c in _reduce_cyclotomic(coeffs, l, k))
         object.__setattr__(self, "l", l)
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "coeffs", cs)
 
     def __setattr__(self, name, value):
         raise AttributeError("CyclotomicElement is immutable")
@@ -264,49 +286,35 @@ class CyclotomicElement:
 
     def __mul__(self, other: "CyclotomicElement") -> "CyclotomicElement":
         self._check(other)
-        n = self.degree
-        raw = [Fraction(0)] * (2 * n - 1 if n else 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    raw[i + j] += a * b
-        return CyclotomicElement(self.l, self.k, raw)
+        return CyclotomicElement(self.l, self.k, _convolve(self.coeffs, other.coeffs))
 
     def __pow__(self, m: int) -> "CyclotomicElement":
         if m < 0:
             return (self ** (-m)).inverse()
-        result = CyclotomicElement(self.l, self.k, [1])
-        base = self
-        while m:
-            if m & 1:
-                result = result * base
-            m >>= 1
-            if m:
-                base = base * base
-        return result
+        return _power(self, m, CyclotomicElement(self.l, self.k, [1]), mul)
+
+    def _galois(self, a: int) -> "CyclotomicElement":
+        """The automorphism zeta -> zeta^a, for a prime to l."""
+        level = self.level
+        out = [0] * level
+        for i, c in enumerate(self.coeffs):
+            out[a * i % level] += c
+        return CyclotomicElement(self.l, self.k, out)
 
     def conj(self) -> "CyclotomicElement":
         """The automorphism zeta -> zeta^{-1}."""
-        n = self.level
-        out = CyclotomicElement(self.l, self.k, [0])
-        for i, c in enumerate(self.coeffs):
-            if c:
-                term = CyclotomicElement.zeta_power(self.l, self.k, (n - i) % n)
-                out = out + CyclotomicElement(
-                    self.l, self.k, [c * x for x in term.coeffs]
-                )
-        return out
+        return self._galois(-1)
 
     def inverse(self) -> "CyclotomicElement":
-        """Field inverse via the extended Euclidean algorithm over Q[x]."""
-        if all(c == 0 for c in self.coeffs):
+        """Field inverse: the product of the other Galois conjugates over the norm."""
+        if not any(self.coeffs):
             raise ZeroDivisionError("zero has no inverse")
-        a = list(self.coeffs)
-        b = list(_cyclotomic_modulus(self.l, self.k))
-        s = _poly_modinv(a, b)
-        return CyclotomicElement(self.l, self.k, s)
+        others = CyclotomicElement(self.l, self.k, [1])
+        for a in range(2, self.level):
+            if a % self.l:
+                others = others * self._galois(a)
+        norm = (self * others).coeffs[0]  # rational, so on the constant coordinate
+        return CyclotomicElement(self.l, self.k, [c / norm for c in others.coeffs])
 
     def trace(self) -> Fraction:
         """Field trace, as the trace of the multiplication-by-self matrix.
@@ -331,76 +339,6 @@ class CyclotomicElement:
 
     def __repr__(self) -> str:
         return f"CyclotomicElement(l={self.l}, k={self.k}, {list(self.coeffs)})"
-
-
-def _poly_strip(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_rem(a: list, b: list) -> list[Fraction]:
-    # remainder of a modulo monic-led b, over Q
-    a = _poly_strip([Fraction(c) for c in a])
-    b = _poly_strip([Fraction(c) for c in b])
-    if not b:
-        raise ZeroDivisionError("division by zero polynomial")
-    while len(a) >= len(b):
-        factor = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        for i, c in enumerate(b):
-            a[i + shift] -= factor * c
-        _poly_strip(a)
-    return a
-
-
-def _poly_modinv(a: list, modulus: list) -> list[Fraction]:
-    # s with s*a = 1 mod modulus, by the extended Euclidean algorithm
-    r0 = _poly_strip([Fraction(c) for c in modulus])
-    r1 = _poly_strip([Fraction(c) for c in a])
-    s0: list[Fraction] = []
-    s1: list[Fraction] = [Fraction(1)]
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-    if len(r0) != 1:
-        raise ArithmeticError("element not invertible modulo the cyclotomic polynomial")
-    lead = r0[0]
-    return [c / lead for c in s0]
-
-
-def _poly_divmod(a: list, b: list) -> tuple[list, list]:
-    a = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b) and a:
-        factor = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        q[shift] = factor
-        for i, c in enumerate(b):
-            a[i + shift] -= factor * c
-        _poly_strip(a)
-    return _poly_strip(q), a
-
-
-def _poly_mul(a: list, b: list) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _poly_strip(out)
-
-
-def _poly_sub(a: list, b: list) -> list[Fraction]:
-    n = max(len(a), len(b))
-    out = [
-        (a[i] if i < len(a) else Fraction(0)) - (b[i] if i < len(b) else Fraction(0))
-        for i in range(n)
-    ]
-    return _poly_strip(out)
 
 
 # -- the pairing -----------------------------------------------------------
@@ -436,16 +374,25 @@ def _zeta_power_trace(l: int, k: int, m: int) -> int:
     return 0
 
 
+def _twist_numerator(l: int, k: int, exponent: int) -> list[int]:
+    """u^exponent with u = sum_{j<l^k} j zeta^{2j+1} = l^k / (zeta - zeta^{-1}), odd l."""
+    level = l**k
+    u = [(p - 1) * (level + 1) // 2 % level for p in range(level)]  # 2 u_p + 1 = p mod l^k
+    return _power(
+        _reduce_cyclotomic(u, l, k), exponent, [1],
+        lambda a, b: _reduce_cyclotomic(_convolve(a, b), l, k),
+    )
+
+
 def _pairing_gram(l: int, k: int, exponent: int) -> list[list[Fraction]]:
     n = l ** (k - 1) * (l - 1)
-    zeta = CyclotomicElement.zeta_power(l, k, 1)
-    twist = ((zeta - zeta.conj()) ** exponent).inverse()
+    # the twist (zeta - zeta^{-1})^{-exponent} is num / den
+    num, den = _twist_numerator(l, k, exponent), l ** (k * exponent)
     # Gram[i][j] = Tr(zeta^i conj(zeta^j) twist) = Tr(zeta^{i-j} twist), and
-    # Tr(zeta^m twist) = sum_t twist_t Tr(zeta^{m+t}) since the trace is Q-linear
+    # Tr(zeta^m twist) = sum_t num_t Tr(zeta^{m+t}) / den since the trace is Q-linear
     traces = {
-        m: sum(
-            (w * _zeta_power_trace(l, k, m + t) for t, w in enumerate(twist.coeffs) if w),
-            Fraction(0),
+        m: Fraction(
+            sum(c * _zeta_power_trace(l, k, m + t) for t, c in enumerate(num) if c), den
         )
         for m in range(-(n - 1), n)
     }
@@ -478,7 +425,7 @@ def _det(matrix: list[list[Fraction]]) -> Fraction:
     return Fraction(sign * a[-1][-1] if n else 1, scale**n)
 
 
-def symplectic_pairing_check(l: int, k: int, max_rank: int = 16) -> SymplecticPairingReport:
+def symplectic_pairing_check(l: int, k: int) -> SymplecticPairingReport:
     """Gram matrix of B(a,b) = Tr(a conj(b) (zeta-zeta^{-1})^{-d}) on the power basis.
 
     d is the different valuation, so the form is integral, antisymmetric,
@@ -488,13 +435,10 @@ def symplectic_pairing_check(l: int, k: int, max_rank: int = 16) -> SymplecticPa
     """
     if l == 2:
         raise ValueError("the pairing is built for odd l")
-    if not is_prime(l):
-        raise ValueError(f"{l} is not prime")
-    if k < 1:
-        raise ValueError("k must be positive")
+    _check_prime_power(l, k)
     rank = l ** (k - 1) * (l - 1)
-    if rank > max_rank:
-        raise ValueError(f"rank {rank} exceeds the cap {max_rank}")
+    if rank > _MAX_PAIRING_RANK:
+        raise ValueError(f"rank {rank} exceeds the cap {_MAX_PAIRING_RANK}")
     d = different_exponent(l, k)
     quoted = l**k - l ** (k - 1) - 1
     gram = _pairing_gram(l, k, d)

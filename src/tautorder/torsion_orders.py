@@ -38,7 +38,6 @@ __all__ = [
     "torsion_report",
     "boundary_coefficient",
     "grr_chain_check",
-    "lambda_square_order_note",
 ]
 
 # Frozen anchor values for the first four indices, published independently of
@@ -191,8 +190,3 @@ def grr_chain_check(g: int) -> bool:
         raise ValueError("g must be positive")
     lhs = abs(bernoulli(2 * g) * (2 * g - 1) * factorial(2 * g - 2) / factorial(2 * g))
     return lhs == abs(zeta_neg(g))
-
-
-def lambda_square_order_note(g: int) -> int:
-    """n_g/2, the order bound relevant for square-zero statements."""
-    return ng_local(g).value // 2

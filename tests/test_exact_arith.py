@@ -8,7 +8,6 @@ import pytest
 
 from tautorder import exact_arith
 from tautorder.exact_arith import (
-    ExactRational,
     PrimeLocalOrder,
     factorial_p_valuation,
     is_prime,
@@ -146,7 +145,7 @@ def test_prime_local_order_value() -> None:
 
 
 def test_exact_rational_is_normalised_fraction() -> None:
-    q = ExactRational(24, 36)
+    q = Fraction(24, 36)
     assert q == Fraction(2, 3)
     assert (q.numerator, q.denominator) == (2, 3)
-    assert ExactRational(5) / ExactRational(7) == ExactRational(5, 7)
+    assert Fraction(5) / Fraction(7) == Fraction(5, 7)

@@ -15,7 +15,14 @@ from tautorder.finite_field_checks import (
     hurwitz_genus,
     symplectic_pairing_check,
 )
-from tautorder.finite_field_checks import _det, _pairing_gram, _zeta_power_trace
+from tautorder.finite_field_checks import (
+    _convolve,
+    _det,
+    _pairing_gram,
+    _reduce_cyclotomic,
+    _twist_numerator,
+    _zeta_power_trace,
+)
 
 CASES = [(3, 1), (3, 2), (5, 1), (7, 1), (2, 3), (2, 4)]
 PAIRING_CASES = [(3, 1), (5, 1), (7, 1), (3, 2)]
@@ -132,6 +139,34 @@ def test_cyclotomic_inverse_round_trip() -> None:
             assert u * u.inverse() == one
 
 
+def test_cyclotomic_inverse_has_fraction_coordinates() -> None:
+    rng = random.Random(771104)
+    for l, k in ((3, 1), (3, 2), (5, 1), (7, 1), (2, 3)):
+        n = l ** (k - 1) * (l - 1)
+        for _ in range(4):
+            a = CyclotomicElement(l, k, [rng.randint(-6, 6) for _ in range(n)])
+            if not any(a.coeffs):
+                continue
+            inv = a.inverse()
+            assert all(type(c) is Fraction for c in inv.coeffs)
+            assert a * inv == CyclotomicElement.zeta_power(l, k, 0)
+        with pytest.raises(ZeroDivisionError):
+            CyclotomicElement(l, k, [0]).inverse()
+
+
+def test_galois_action_is_a_ring_map() -> None:
+    rng = random.Random(771105)
+    for l, k in ((3, 2), (5, 1), (2, 3)):
+        n, level = l ** (k - 1) * (l - 1), l**k
+        for _ in range(4):
+            a = CyclotomicElement(l, k, [rng.randint(-4, 4) for _ in range(n)])
+            b = CyclotomicElement(l, k, [Fraction(rng.randint(-4, 4), 3) for _ in range(n)])
+            for s in (u for u in range(1, level) if u % l):
+                assert (a * b)._galois(s) == a._galois(s) * b._galois(s)
+                assert (a + b)._galois(s) == a._galois(s) + b._galois(s)
+            assert a.conj().conj() == a
+
+
 def test_cyclotomic_traces() -> None:
     assert CyclotomicElement.zeta_power(3, 1, 0).trace() == 2
     assert CyclotomicElement.zeta_power(3, 1, 1).trace() == -1
@@ -164,8 +199,9 @@ def test_pairing_gram_rank_two_matrix() -> None:
     ]
 
 
-# every odd (l, k) of rank <= 12
+# every odd (l, k) of rank <= 12, and of rank <= 16
 ODD_PAIRS_TO_RANK_12 = [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1)]
+ODD_PAIRS_TO_RANK_16 = ODD_PAIRS_TO_RANK_12 + [(17, 1)]
 
 
 def _pairing_gram_by_matrix_traces(l: int, k: int, exponent: int) -> list[list[Fraction]]:
@@ -210,12 +246,83 @@ def test_zeta_power_trace_against_matrix_trace() -> None:
 
 
 def test_pairing_gram_against_matrix_traces() -> None:
-    for l, k in ODD_PAIRS_TO_RANK_12:
+    for l, k in ODD_PAIRS_TO_RANK_16:
         quoted = l**k - l ** (k - 1) - 1
         for exponent in (different_exponent(l, k), quoted):
             got = _pairing_gram(l, k, exponent)
             assert got == _pairing_gram_by_matrix_traces(l, k, exponent)
             assert all(type(c) is Fraction for row in got for c in row)
+
+
+def _poly_strip(p: list[Fraction]) -> list[Fraction]:
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _poly_rem(a: list, b: list) -> list[Fraction]:
+    # remainder of a modulo b over Q by long division, the route
+    # _reduce_cyclotomic replaced
+    a = _poly_strip([Fraction(c) for c in a])
+    b = _poly_strip([Fraction(c) for c in b])
+    while len(a) >= len(b):
+        factor = a[-1] / b[-1]
+        shift = len(a) - len(b)
+        for i, c in enumerate(b):
+            a[i + shift] -= factor * c
+        _poly_strip(a)
+    return a
+
+
+def test_reduce_cyclotomic_against_long_division() -> None:
+    rng = random.Random(771106)
+    for l, k in ((3, 1), (5, 1), (7, 1), (3, 2), (3, 3), (2, 3)):
+        step, level = l ** (k - 1), l**k
+        n = step * (l - 1)
+        phi = [1 if i % step == 0 else 0 for i in range(n + 1)]  # sum_{j<l} x^{j step}
+        for trial in range(40):
+            length = rng.randint(0, 3 * level + 1)  # degree up to 3 l^k
+            if trial % 2:
+                coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(length)]
+            else:
+                coeffs = [rng.randint(-50, 50) for _ in range(length)]
+            expected = _poly_rem(coeffs, phi)
+            expected += [Fraction(0)] * (n - len(expected))
+            assert _reduce_cyclotomic(coeffs, l, k) == expected
+
+
+def test_convolve_against_coefficient_formula() -> None:
+    rng = random.Random(771107)
+    assert _convolve([], [1, 2]) == _convolve([3], []) == []
+    for _ in range(50):
+        a = [rng.randint(-5, 5) for _ in range(rng.randint(1, 8))]
+        b = [rng.randint(-5, 5) for _ in range(rng.randint(1, 8))]
+        expected = [
+            sum(a[i] * b[m - i] for i in range(len(a)) if 0 <= m - i < len(b))
+            for m in range(len(a) + len(b) - 1)
+        ]
+        assert _convolve(a, b) == expected
+
+
+def test_twist_numerator_inverts_zeta_difference() -> None:
+    # u (zeta - zeta^{-1}) = l^k with u = sum_{j<l^k} j zeta^{2j+1}
+    for l, k in ODD_PAIRS_TO_RANK_16:
+        u = CyclotomicElement(l, k, _twist_numerator(l, k, 1))
+        zeta = CyclotomicElement.zeta_power(l, k, 1)
+        assert u * (zeta - zeta.conj()) == CyclotomicElement(l, k, [l**k])
+        assert all(type(c) is int for c in _twist_numerator(l, k, 3))
+        assert CyclotomicElement(l, k, _twist_numerator(l, k, 3)) == u**3
+
+
+def test_pairing_gram_uses_no_field_inverse_or_power(monkeypatch: pytest.MonkeyPatch) -> None:
+    def forbidden(*args):
+        raise AssertionError("the closed-form twist needs no field arithmetic")
+
+    for name in ("inverse", "conj", "__pow__"):
+        monkeypatch.setattr(CyclotomicElement, name, forbidden)
+    assert _det(_pairing_gram(3, 2, 5)) == 81
+    r = symplectic_pairing_check(3, 2)
+    assert (r.gram_determinant, r.quoted_exponent_determinant) == (1, 81)
 
 
 def _random_matrix(rng: random.Random, n: int, rational: bool) -> list[list[Fraction]]:

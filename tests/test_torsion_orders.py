@@ -12,7 +12,6 @@ from tautorder.torsion_orders import (
     boundary_coefficient,
     denominator_corollary_check,
     grr_chain_check,
-    lambda_square_order_note,
     ng_local,
     ng_oracle,
     product_identity_check,
@@ -188,9 +187,9 @@ def test_boundary_coefficient_meets_half_ng_where_integral() -> None:
     # the coefficient equals n_g/2 until the numerator of B_{2g} interferes:
     # at g = 6 the two differ by the factor 691, at g = 8 by 3617
     for g in (1, 2, 3, 4, 5, 7):
-        assert boundary_coefficient(g) == lambda_square_order_note(g)
-    assert lambda_square_order_note(6) / boundary_coefficient(6) == 691
-    assert lambda_square_order_note(8) / boundary_coefficient(8) == 3617
+        assert boundary_coefficient(g) == torsion_report(g).lower_bound_lambda
+    assert torsion_report(6).lower_bound_lambda / boundary_coefficient(6) == 691
+    assert torsion_report(8).lower_bound_lambda / boundary_coefficient(8) == 3617
 
 
 def test_grr_chain_identity() -> None:
@@ -198,9 +197,10 @@ def test_grr_chain_identity() -> None:
         assert grr_chain_check(g)
 
 
-def test_lambda_square_order_note() -> None:
+def test_lambda_lower_bound_is_half_ng() -> None:
     for g in range(1, 9):
-        assert lambda_square_order_note(g) == NG_TABLE[g] // 2
+        assert torsion_report(g).lower_bound_lambda == NG_TABLE[g] // 2
+        assert ng_local(g).value // 2 == NG_TABLE[g] // 2
 
 
 def test_ng_divides_oracle_sample_gcd_structure() -> None:
