@@ -5,8 +5,8 @@ are rendered as decimal strings, rationals as num/den (text, csv) or
 {"num": ..., "den": ...} objects (json), and no float is ever produced.
 JSON output is byte-deterministic (sorted keys, fixed separators).
 
-Exit codes: 0 success, 1 usage or invalid input, 2 a verify suite found a
-violated identity.
+Exit codes: 0 success, 1 usage or invalid input (or a closed stdout), 2 a
+verify suite found a violated identity.
 """
 from __future__ import annotations
 
@@ -46,7 +46,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _default_prime_count() -> int:
+def _prime_count(flag: "int | None") -> int:
+    """The gcd oracle's sample size: the flag, else the environment, else 100.
+
+    Called only where the oracle runs, so other commands never parse the variable.
+    """
+    if flag is not None:
+        return flag
     raw = os.environ.get(PRIME_COUNT_ENV)
     if raw is None:
         return _DEFAULT_PRIME_COUNT
@@ -59,61 +65,68 @@ def _default_prime_count() -> int:
     return value
 
 
+def _ng(g: int, oracle: bool, prime_count: "int | None", window: int) -> dict:
+    if not oracle:
+        dec = ng_local(g)
+        factors = {f.prime: f.exponent for f in dec.factors}
+        return {"route": "local", "g": g, "value": dec.value, "factors": factors}
+    count = _prime_count(prime_count)
+    value = ng_oracle(g, count, window)
+    return {"route": "oracle", "g": g, "value": value, "prime_count": count,
+            "stabilization_window": window}
+
+
+def _verify(suite: str, max_g: "int | None") -> dict:
+    # only oracle-agreement (alone or within all) runs the gcd oracle
+    oracle = suite in ("oracle-agreement", "all")
+    checks = run_suite(suite, max_g, *([_prime_count(None)] if oracle else []))
+    failed = sum(not c.ok for c in checks)
+    return {
+        "suite": suite,
+        # dicts, not CheckResult: _payload sorts dict keys, the csv order relies on it
+        "checks": [{"name": c.name, "ok": c.ok, "detail": c.detail} for c in checks],
+        "passed": len(checks) - failed,
+        "failed": failed,
+    }
+
+
+# subcommand -> (help, integer positionals, compute).  compute takes the parsed
+# arguments as keywords; the lambdas look library names up when called.
+_COMMANDS = {
+    "ng": ("torsion invariant n_g with its prime factorization", ["g"], _ng),
+    "bernoulli": ("Bernoulli number B_m", ["m"], lambda m: {"m": m, "value": bernoulli(m)}),
+    "zeta": ("zeta value at 1-2g", ["g"], lambda g: {"g": g, "value": zeta_neg(g)}),
+    "prop": ("proportionality constant for index g", ["g"], lambda g: proportionality(g)),
+    "bounds": ("torsion order bounds for index g", ["g"], lambda g: torsion_report(g)),
+    "sp-order": ("order of Sp(2g, Z/n)", ["g", "n"], lambda g, n: sp_order(g, n)),
+    "degree": ("integrality of #Sp(2g, Z/n) times |proportionality|", ["g", "n"],
+               lambda g, n: degree_integrality(g, n)),
+    "koblitz": ("supersingular multiplicity prod (p^i - 1)", ["g", "p"],
+                lambda g, p: {"g": g, "p": p, "value": koblitz_coefficient(g, p)}),
+    "boundary": ("boundary coefficient (-1)^g / zeta(1-2g)", ["g"],
+                 lambda g: {"g": g, "value": boundary_coefficient(g)}),
+    "hurwitz": ("genus of the l^k cyclic cover", ["l", "k"],
+                lambda l, k: {"l": l, "k": k, "genus": hurwitz_genus(l, k)}),
+    "verify": ("run an identity verification suite", [], _verify),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="tautorder", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+    for name, (help_text, positionals, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument(
-            "--format",
-            choices=["text", "json", "csv"],
-            default="text",
-            help="output format (default text)",
-        )
-        return p
-
-    p = add("ng", "torsion invariant n_g with its prime factorization")
-    p.add_argument("g", type=int)
-    p.add_argument("--oracle", action="store_true", help="use the gcd oracle route")
-    p.add_argument("--prime-count", type=int, default=None)
-    p.add_argument("--window", type=int, default=_DEFAULT_WINDOW)
-
-    p = add("bernoulli", "Bernoulli number B_m")
-    p.add_argument("m", type=int)
-
-    p = add("zeta", "zeta value at 1-2g")
-    p.add_argument("g", type=int)
-
-    p = add("prop", "proportionality constant for index g")
-    p.add_argument("g", type=int)
-
-    p = add("bounds", "torsion order bounds for index g")
-    p.add_argument("g", type=int)
-
-    p = add("sp-order", "order of Sp(2g, Z/n)")
-    p.add_argument("g", type=int)
-    p.add_argument("n", type=int)
-
-    p = add("degree", "integrality of #Sp(2g, Z/n) times |proportionality|")
-    p.add_argument("g", type=int)
-    p.add_argument("n", type=int)
-
-    p = add("koblitz", "supersingular multiplicity prod (p^i - 1)")
-    p.add_argument("g", type=int)
-    p.add_argument("p", type=int)
-
-    p = add("boundary", "boundary coefficient (-1)^g / zeta(1-2g)")
-    p.add_argument("g", type=int)
-
-    p = add("hurwitz", "genus of the l^k cyclic cover")
-    p.add_argument("l", type=int)
-    p.add_argument("k", type=int)
-
-    p = add("verify", "run an identity verification suite")
-    p.add_argument("suite", choices=SUITE_NAMES)
-    p.add_argument("--max-g", type=int, default=None, dest="max_g")
-
+        p.add_argument("--format", choices=["text", "json", "csv"], default="text",
+                       help="output format (default text)")
+        for arg in positionals:
+            p.add_argument(arg, type=int)
+        if name == "ng":
+            p.add_argument("--oracle", action="store_true", help="use the gcd oracle route")
+            p.add_argument("--prime-count", type=int, default=None)
+            p.add_argument("--window", type=int, default=_DEFAULT_WINDOW)
+        elif name == "verify":
+            p.add_argument("suite", choices=SUITE_NAMES)
+            p.add_argument("--max-g", type=int, default=None, dest="max_g")
     return parser
 
 
@@ -172,160 +185,64 @@ def _scalar_text(value) -> str:
 
 
 def _flatten(payload, prefix: str = "") -> list[tuple[str, str]]:
-    if isinstance(payload, dict) and set(payload) == {"num", "den"}:
+    if isinstance(payload, dict) and set(payload) != {"num", "den"}:
+        items = ((f"{prefix}.{k}" if prefix else str(k), v) for k, v in payload.items())
+    elif isinstance(payload, list):
+        items = ((f"{prefix}[{i}]", v) for i, v in enumerate(payload))
+    else:
         return [(prefix or "value", _scalar_text(payload))]
-    if isinstance(payload, dict):
-        rows = []
-        for key, value in payload.items():
-            rows.extend(_flatten(value, f"{prefix}.{key}" if prefix else str(key)))
-        return rows
-    if isinstance(payload, list):
-        rows = []
-        for i, value in enumerate(payload):
-            rows.extend(_flatten(value, f"{prefix}[{i}]"))
-        return rows
-    return [(prefix or "value", _scalar_text(payload))]
+    return [row for key, value in items for row in _flatten(value, key)]
 
 
-def _emit(envelope: dict, fmt: str, out) -> None:
+def _render(envelope: dict) -> str:
+    fmt, result = envelope["format"], envelope["result"]
     if fmt == "json":
-        print(json.dumps(envelope, sort_keys=True, indent=2), file=out)
-        return
+        return json.dumps(envelope, sort_keys=True, indent=2) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        for key, value in _flatten(envelope["result"]):
-            writer.writerow([key, value])
-        out.write(buf.getvalue())
-        return
-    for key, value in _flatten(envelope["result"]):
-        print(f"{key} = {value}", file=out)
-
-
-# -- command handlers ------------------------------------------------------
-
-
-def _cmd_ng(args) -> dict:
-    if args.oracle:
-        prime_count = (
-            args.prime_count if args.prime_count is not None else _default_prime_count()
-        )
-        value = ng_oracle(args.g, prime_count, args.window)
-        return {
-            "route": "oracle",
-            "g": args.g,
-            "value": value,
-            "prime_count": prime_count,
-            "stabilization_window": args.window,
-        }
-    dec = ng_local(args.g)
-    return {
-        "route": "local",
-        "g": args.g,
-        "value": dec.value,
-        "factors": {f.prime: f.exponent for f in dec.factors},
-    }
-
-
-def _cmd_verify(args, fmt: str, out) -> int:
-    checks = run_suite(args.suite, args.max_g, _default_prime_count(), _DEFAULT_WINDOW)
-    failed = [c for c in checks if not c.ok]
-    result = {
-        "suite": args.suite,
-        "checks": [
-            {"name": c.name, "ok": c.ok, "detail": c.detail} for c in checks
-        ],
-        "passed": len(checks) - len(failed),
-        "failed": len(failed),
-    }
-    envelope = {
-        "command": "verify",
-        "format": fmt,
-        "parameters": {"suite": args.suite, "max_g": args.max_g},
-        "result": result,
-    }
-    if fmt == "text":
-        for c in checks:
-            status = "PASS" if c.ok else "FAIL"
-            line = f"{status} {c.name}"
-            if not c.ok:
-                line += f" ({c.detail})"
-            print(line, file=out)
-        print(f"{len(checks) - len(failed)} passed, {len(failed)} failed", file=out)
+        csv.writer(buf, lineterminator="\n").writerows(_flatten(result))
+        return buf.getvalue()
+    if envelope["command"] == "verify":
+        lines = [
+            f"PASS {c['name']}" if c["ok"] else f"FAIL {c['name']} ({c['detail']})"
+            for c in result["checks"]
+        ]
+        lines.append(f"{result['passed']} passed, {result['failed']} failed")
     else:
-        envelope["parameters"] = _payload(envelope["parameters"])
-        envelope["result"] = _payload(result)
-        _emit(envelope, fmt, out)
-    return 2 if failed else 0
+        lines = [f"{key} = {value}" for key, value in _flatten(result)]
+    return "".join(line + "\n" for line in lines)
 
 
 def run(argv=None, out=None) -> int:
     """Parse and execute; returns the exit code instead of raising SystemExit."""
     out = sys.stdout if out is None else out
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        params = vars(build_parser().parse_args(argv))
     except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 0
-
+        return exc.code if isinstance(exc.code, int) else 0
+    command, fmt = params.pop("command"), params.pop("format")
     try:
-        if args.command == "verify":
-            return _cmd_verify(args, args.format, out)
-
-        if args.command == "ng":
-            params = {
-                "g": args.g,
-                "oracle": args.oracle,
-                "prime_count": args.prime_count,
-                "window": args.window,
-            }
-            result = _cmd_ng(args)
-        elif args.command == "bernoulli":
-            params = {"m": args.m}
-            result = {"m": args.m, "value": bernoulli(args.m)}
-        elif args.command == "zeta":
-            params = {"g": args.g}
-            result = {"g": args.g, "value": zeta_neg(args.g)}
-        elif args.command == "prop":
-            params = {"g": args.g}
-            result = proportionality(args.g)
-        elif args.command == "bounds":
-            params = {"g": args.g}
-            result = torsion_report(args.g)
-        elif args.command == "sp-order":
-            params = {"g": args.g, "n": args.n}
-            result = sp_order(args.g, args.n)
-        elif args.command == "degree":
-            params = {"g": args.g, "n": args.n}
-            result = degree_integrality(args.g, args.n)
-        elif args.command == "koblitz":
-            params = {"g": args.g, "p": args.p}
-            result = {"g": args.g, "p": args.p, "value": koblitz_coefficient(args.g, args.p)}
-        elif args.command == "boundary":
-            params = {"g": args.g}
-            result = {"g": args.g, "value": boundary_coefficient(args.g)}
-        elif args.command == "hurwitz":
-            params = {"l": args.l, "k": args.k}
-            result = {"l": args.l, "k": args.k, "genus": hurwitz_genus(args.l, args.k)}
-        else:  # pragma: no cover - argparse enforces the choices
-            raise ValueError(f"unknown command {args.command!r}")
+        result = _COMMANDS[command][2](**params)
+        envelope = {"command": command, "format": fmt}
         with _unlimited_int_str():
-            envelope = {
-                "command": args.command,
-                "format": args.format,
-                "parameters": _payload(params),
-                "result": _payload(result),
-            }
+            envelope.update(parameters=_payload(params), result=_payload(result))
+            out.write(_render(envelope))
+        out.flush()
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         print(f"tautorder: error: {exc}", file=sys.stderr)
         return 1
-    _emit(envelope, args.format, out)
-    return 0
+    return 2 if command == "verify" and result["failed"] else 0
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+    except BrokenPipeError:
+        # the reader closed stdout; send the interpreter's final flush to
+        # devnull so it raises nothing either (the recipe in the signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

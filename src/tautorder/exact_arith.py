@@ -1,11 +1,12 @@
 """Exact scalar arithmetic and small prime utilities.
 
 Everything downstream is exact: rationals are `fractions.Fraction`, integers
-are Python ints.  No float ever enters or leaves this package.  `is_prime` is
-deterministic trial division, adequate for the single primes it is asked
-about.  `primes_upto` lists primes from one process-wide sieve of Eratosthenes
-that grows by doubling and never shrinks, so the torsion tables, which ask for
-primes up to 2g+1 once per index, sieve once instead of testing every candidate.
+are Python ints.  No float ever enters or leaves this package.  `is_prime`
+trial-divides by factors up to 1000 and runs deterministic Miller-Rabin with
+the twelve prime bases 2..37 beyond that.  `primes_upto` lists primes from one
+process-wide sieve of Eratosthenes that grows by doubling and never shrinks, so
+the torsion tables, which ask for primes up to 2g+1 once per index, sieve once
+instead of testing every candidate.
 """
 from __future__ import annotations
 
@@ -25,8 +26,19 @@ __all__ = [
 ]
 
 
+# Miller-Rabin with these bases proves primality below _MR_LIMIT, the least
+# strong pseudoprime to all twelve (Sorenson and Webster, Math. Comp. 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_LIMIT = 318665857834031151167461
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial division; adequate for the sizes this package sees."""
+    """Trial division by factors up to 1000, which alone decides every n below
+    1001^2, then deterministic Miller-Rabin.
+
+    A composite is recognised at any size; a probable prime at or beyond
+    _MR_LIMIT, where the bases prove nothing, raises ValueError.
+    """
     if n < 2:
         return False
     if n < 4:
@@ -36,9 +48,28 @@ def is_prime(n: int) -> bool:
     f = 5
     top = isqrt(n)
     while f <= top:
+        if f > 1000:  # a literal and no extra work per call: this loop is hot
+            return _miller_rabin(n)
         if n % f == 0 or n % (f + 2) == 0:
             return False
         f += 6
+    return True
+
+
+def _miller_rabin(n: int) -> bool:
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s with d odd
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+    if n >= _MR_LIMIT:
+        raise ValueError(f"{n} is beyond the range of the deterministic primality test")
     return True
 
 

@@ -443,12 +443,14 @@ def symplectic_pairing_check(l: int, k: int) -> SymplecticPairingReport:
     quoted = l**k - l ** (k - 1) - 1
     gram = _pairing_gram(l, k, d)
     integral = all(c.denominator == 1 for row in gram for c in row)
+    if integral:  # the checks below then run on ints, not Fractions
+        gram = [[c.numerator for c in row] for row in gram]
     skew = all(gram[j][i] == -gram[i][j] for i in range(rank) for j in range(rank))
     # multiplication by zeta on the power basis must preserve the form:
     # Z G Z^T == G, where row i of Z is zeta^{i+1}, sparse (a unit vector for
     # i < rank - 1, l - 1 entries for the last row)
     zrows = [
-        [(a, c) for a, c in enumerate(CyclotomicElement.zeta_power(l, k, i + 1).coeffs) if c]
+        [(a, c) for a, c in enumerate(_reduce_cyclotomic([0] * (i + 1) + [1], l, k)) if c]
         for i in range(rank)
     ]
     zg = [[sum(c * gram[a][b] for a, c in zrow) for b in range(rank)] for zrow in zrows]

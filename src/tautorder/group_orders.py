@@ -25,17 +25,23 @@ __all__ = [
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division; n here is always small."""
+    """Prime factorization by trial division, stopped once the cofactor is prime."""
     if n < 1:
         raise ValueError("n must be positive")
     out: dict[int, int] = {}
     m = n
     p = 2
-    while p * p <= m:
-        while m % p == 0:
-            out[p] = out.get(p, 0) + 1
-            m //= p
-        p += 1 if p == 2 else 2
+    # the primality test runs before the loop and after each division only:
+    # in the loop condition it would cost every candidate divisor
+    if not is_prime(m):
+        while p * p <= m:
+            if m % p == 0:
+                while m % p == 0:
+                    out[p] = out.get(p, 0) + 1
+                    m //= p
+                if is_prime(m):
+                    break
+            p += 1 if p == 2 else 2
     if m > 1:
         out[m] = out.get(m, 0) + 1
     return out

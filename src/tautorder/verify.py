@@ -41,7 +41,7 @@ class CheckResult:
     detail: str
 
 
-def _suite_chern_lemma(max_g: int) -> list[CheckResult]:
+def _suite_chern_lemma(max_g: int, _prime_count: int) -> list[CheckResult]:
     out = []
     for g in range(1, max_g + 1):
         cls = lambda_star_class(g, g)
@@ -64,7 +64,7 @@ def _suite_chern_lemma(max_g: int) -> list[CheckResult]:
     return out
 
 
-def _suite_borel_serre(max_g: int) -> list[CheckResult]:
+def _suite_borel_serre(max_g: int, _prime_count: int) -> list[CheckResult]:
     return [
         CheckResult(
             f"borel-serre g={g}",
@@ -75,7 +75,7 @@ def _suite_borel_serre(max_g: int) -> list[CheckResult]:
     ]
 
 
-def _suite_newton(max_g: int) -> list[CheckResult]:
+def _suite_newton(max_g: int, _prime_count: int) -> list[CheckResult]:
     return [
         CheckResult(
             f"newton g={g}",
@@ -86,7 +86,7 @@ def _suite_newton(max_g: int) -> list[CheckResult]:
     ]
 
 
-def _suite_fundamental_relations(max_g: int) -> list[CheckResult]:
+def _suite_fundamental_relations(max_g: int, _prime_count: int) -> list[CheckResult]:
     out = []
     for g in range(1, max_g + 1):
         comps = fundamental_relations(g, 2 * g)
@@ -104,7 +104,7 @@ def _suite_fundamental_relations(max_g: int) -> list[CheckResult]:
     return out
 
 
-def _suite_product_lemma(max_g: int) -> list[CheckResult]:
+def _suite_product_lemma(max_g: int, _prime_count: int) -> list[CheckResult]:
     out = []
     for g in range(1, max_g + 1):
         rep = product_identity_check(g)
@@ -119,7 +119,7 @@ def _suite_product_lemma(max_g: int) -> list[CheckResult]:
     return out
 
 
-def _suite_denominator(max_g: int) -> list[CheckResult]:
+def _suite_denominator(max_g: int, _prime_count: int) -> list[CheckResult]:
     return [
         CheckResult(
             f"denominator g={g}",
@@ -130,7 +130,7 @@ def _suite_denominator(max_g: int) -> list[CheckResult]:
     ]
 
 
-def _suite_integrality(max_g: int) -> list[CheckResult]:
+def _suite_integrality(max_g: int, _prime_count: int) -> list[CheckResult]:
     out = []
     for g in range(1, max_g + 1):
         for n in range(3, 8):
@@ -145,7 +145,7 @@ def _suite_integrality(max_g: int) -> list[CheckResult]:
     return out
 
 
-def _suite_grr_chain(max_g: int) -> list[CheckResult]:
+def _suite_grr_chain(max_g: int, _prime_count: int) -> list[CheckResult]:
     return [
         CheckResult(
             f"grr-chain g={g}",
@@ -159,7 +159,7 @@ def _suite_grr_chain(max_g: int) -> list[CheckResult]:
 _CYCLOTOMIC_PAIRS = [(3, 1), (3, 2), (5, 1), (7, 1), (2, 3), (2, 4)]
 
 
-def _suite_cyclotomic(max_g: int) -> list[CheckResult]:
+def _suite_cyclotomic(max_g: int, _prime_count: int) -> list[CheckResult]:
     out = []
     for l, k in _CYCLOTOMIC_PAIRS:
         genus = hurwitz_genus(l, k)
@@ -180,7 +180,7 @@ def _suite_cyclotomic(max_g: int) -> list[CheckResult]:
 _SYMPLECTIC_PAIRS = [(3, 1), (5, 1), (7, 1), (3, 2)]
 
 
-def _suite_symplectic(max_g: int) -> list[CheckResult]:
+def _suite_symplectic(max_g: int, _prime_count: int) -> list[CheckResult]:
     out = []
     for l, k in _SYMPLECTIC_PAIRS:
         if hurwitz_genus(l, k) > max_g:
@@ -206,7 +206,7 @@ def _suite_symplectic(max_g: int) -> list[CheckResult]:
 _VON_STAUDT_TOP = 60
 
 
-def _suite_von_staudt(max_g: int) -> list[CheckResult]:
+def _suite_von_staudt(max_g: int, _prime_count: int) -> list[CheckResult]:
     out = []
     for m in range(2, min(_VON_STAUDT_TOP, 2 * max_g) + 1, 2):
         expected = von_staudt_denominator(m)
@@ -221,13 +221,11 @@ def _suite_von_staudt(max_g: int) -> list[CheckResult]:
     return out
 
 
-def _suite_oracle_agreement(
-    max_g: int, prime_count: int = 100, stabilization_window: int = 50
-) -> list[CheckResult]:
+def _suite_oracle_agreement(max_g: int, prime_count: int) -> list[CheckResult]:
     out = []
     for g in range(1, max_g + 1):
         local = ng_local(g).value
-        oracle = ng_oracle(g, prime_count, stabilization_window)
+        oracle = ng_oracle(g, prime_count)
         out.append(
             CheckResult(
                 f"oracle-agreement g={g}",
@@ -249,9 +247,10 @@ def _suite_oracle_agreement(
     return out
 
 
-# suite -> (function, default bound).  The cyclotomic and symplectic suites
-# run their listed pairs of genus <= bound, von-staudt its listed m <= 2*bound;
-# their defaults keep every listed case.
+# suite -> (function, default bound); every suite is called as function(bound,
+# prime_count), and only oracle-agreement samples primes.  The cyclotomic and
+# symplectic suites run their listed pairs of genus <= bound, von-staudt its
+# listed m <= 2*bound; their defaults keep every listed case.
 _SUITES = {
     "chern-lemma": (_suite_chern_lemma, 8),
     "borel-serre": (_suite_borel_serre, 6),
@@ -271,10 +270,7 @@ SUITE_NAMES = list(_SUITES) + ["all"]
 
 
 def run_suite(
-    name: str,
-    max_g: "int | None" = None,
-    prime_count: int = 100,
-    stabilization_window: int = 50,
+    name: str, max_g: "int | None" = None, prime_count: int = 100
 ) -> list[CheckResult]:
     """Run one suite (or 'all'); max_g overrides the per-suite default bound.
 
@@ -283,14 +279,9 @@ def run_suite(
     if max_g is not None and max_g < 1:
         raise ValueError(f"max_g must be at least 1, got {max_g}")
     if name == "all":
-        out = []
-        for sub in _SUITES:
-            out.extend(run_suite(sub, max_g, prime_count, stabilization_window))
-        return out
+        # one call per suite, so a caller tracing run_suite sees each suite
+        return [c for sub in _SUITES for c in run_suite(sub, max_g, prime_count)]
     if name not in _SUITES:
         raise ValueError(f"unknown suite: {name}")
     func, default = _SUITES[name]
-    bound = default if max_g is None else max_g
-    if name == "oracle-agreement":
-        return func(bound, prime_count, stabilization_window)
-    return func(bound)
+    return func(default if max_g is None else max_g, prime_count)

@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
 import sys
+import time
 
 import pytest
 
@@ -241,3 +244,55 @@ def test_rendering_failure_exits_one_with_one_line(
     assert code == 1
     assert text == ""
     assert capsys.readouterr().err == "tautorder: error: floats are forbidden in output\n"
+
+
+def test_prime_count_env_is_read_only_where_the_oracle_runs(
+    monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture
+) -> None:
+    monkeypatch.setenv(PRIME_COUNT_ENV, "abc")
+    assert _run(["verify", "newton"])[0] == 0
+    assert _run(["ng", "3"])[0] == 0
+    monkeypatch.setenv(PRIME_COUNT_ENV, "10")
+    code, text = _run(["verify", "oracle-agreement", "--max-g", "2"])
+    assert (code, text) == (1, "")
+    err = capsys.readouterr().err
+    assert err == "tautorder: error: prime_count must be at least the stabilization window\n"
+    monkeypatch.setenv(PRIME_COUNT_ENV, "60")
+    code, text = _run(["verify", "oracle-agreement", "--max-g", "2"])
+    assert code == 0
+    assert text.splitlines()[-1] == "4 passed, 0 failed"
+
+
+def test_large_prime_moduli_answer_at_once() -> None:
+    # both trial-divided up to 10^9 before the primality test stopped them
+    p = 10**18 + 3
+    start = time.perf_counter()
+    code, text = _run(["koblitz", "2", str(p)])
+    assert code == 0
+    assert text == f"g = 2\np = {p}\nvalue = {(p - 1) * (p * p - 1)}\n"
+    code, text = _run(["sp-order", "2", str(p), "--format", "json"])
+    assert code == 0
+    order = p**4 * (p**2 - 1) * (p**4 - 1)
+    assert json.loads(text)["result"]["local_factors"] == {str(p): str(order)}
+    assert time.perf_counter() - start < 1.0
+
+
+# verify all overflows the stdout buffer while writing; ng 3 reaches the pipe
+# only when flushed
+@pytest.mark.parametrize("argv", [["verify", "all"], ["ng", "3"]], ids=" ".join)
+def test_closed_stdout_exits_one_without_traceback(argv: list[str], tmp_path) -> None:
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)  # stdout buffered, as a shell pipe has it
+    with open(tmp_path / "err", "w+") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tautorder.cli", *argv],
+            stdout=subprocess.PIPE, stderr=err, env=env,
+        )
+        proc.stdout.close()  # the reader is gone before the first write
+        code = proc.wait(timeout=60)
+        err.seek(0)
+        stderr = err.read()
+    assert code == 1
+    assert "Traceback" not in stderr
+    assert stderr == ""

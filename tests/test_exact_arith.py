@@ -149,3 +149,50 @@ def test_exact_rational_is_normalised_fraction() -> None:
     assert q == Fraction(2, 3)
     assert (q.numerator, q.denominator) == (2, 3)
     assert Fraction(5) / Fraction(7) == Fraction(5, 7)
+
+
+def _is_prime_by_trial_division(n: int) -> bool:
+    # the slow independent route is_prime is checked against
+    if n < 2:
+        return False
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 1
+    return True
+
+
+def test_is_prime_against_trial_division() -> None:
+    # every n across the switch from trial division to Miller-Rabin at 1001^2,
+    # then seeded random n up to 10^10
+    for n in list(range(0, 3000)) + list(range(1001**2 - 3000, 1001**2 + 3000)):
+        assert is_prime(n) == _is_prime_by_trial_division(n), n
+    rng = random.Random(20261018)
+    for _ in range(300):
+        n = rng.randrange(10**6, 10**10) | 1
+        assert is_prime(n) == _is_prime_by_trial_division(n), n
+
+
+def test_is_prime_rejects_strong_pseudoprimes() -> None:
+    # the least strong pseudoprimes to the first 1..11 prime bases, and the
+    # Carmichael numbers (6k+1)(12k+1)(18k+1) at k = 195 and 206; all but
+    # 2047, 1373653 and 3215031751 have no factor below 1000 and reach Miller-Rabin
+    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+              341550071728321, 3825123056546413051, 9624742921, 11346205609):
+        assert not is_prime(n), n
+    for p in (1000003, 10**9 + 7, 10**18 + 3, 2**61 - 1, 10**20 - 11, 10**23 + 117):
+        assert is_prime(p), p
+
+
+def test_is_prime_refuses_unproven_primes_beyond_its_bound() -> None:
+    # 318665857834031151167461 = 399165290221 * 798330580441 passes all twelve bases
+    limit = exact_arith._MR_LIMIT
+    assert limit == 399165290221 * 798330580441
+    with pytest.raises(ValueError, match="beyond the range"):
+        is_prime(limit)
+    with pytest.raises(ValueError, match="beyond the range"):
+        is_prime(2**89 - 1)
+    # a composite is still recognised at any size
+    assert not is_prime(1009**10)
+    assert not is_prime((2**89 - 1) * (2**61 - 1))

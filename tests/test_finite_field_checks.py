@@ -404,3 +404,15 @@ def test_pairing_input_validation() -> None:
         symplectic_pairing_check(3, 3)
     with pytest.raises(ValueError, match="k must be positive"):
         symplectic_pairing_check(3, 0)
+
+
+def test_pairing_check_builds_no_cyclotomic_element(monkeypatch: pytest.MonkeyPatch) -> None:
+    # the zeta rows come from _reduce_cyclotomic and the checks run on ints
+    def forbidden(*args):
+        raise AssertionError("the pairing check needs no CyclotomicElement")
+
+    monkeypatch.setattr(CyclotomicElement, "__init__", forbidden)
+    for l, k in PAIRING_CASES + [(17, 1)]:
+        r = symplectic_pairing_check(l, k)
+        assert r.integral and r.skew and r.invariant
+        assert abs(r.gram_determinant) == 1

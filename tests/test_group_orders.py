@@ -120,3 +120,33 @@ def test_koblitz_product_structure() -> None:
             assert value == expected
             # each factor is -1 mod p
             assert value % p == (-1) ** g % p
+
+
+def _factor_by_trial_division(n: int) -> dict[int, int]:
+    out: dict[int, int] = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def test_factorize_against_trial_division() -> None:
+    for n in range(1, 5000):
+        assert factorize(n) == _factor_by_trial_division(n), n
+    rng = random.Random(4417)
+    for _ in range(200):
+        n = rng.randint(1, 10**9)
+        assert factorize(n) == _factor_by_trial_division(n), n
+
+
+def test_factorize_stops_at_a_prime_cofactor() -> None:
+    p = 10**18 + 3  # trial division would run to 10^9
+    assert factorize(p) == {p: 1}
+    assert factorize(12 * p) == {2: 2, 3: 1, p: 1}
+    assert factorize(1009**10) == {1009: 10}
+    assert factorize(2**100 * 3) == {2: 100, 3: 1}
