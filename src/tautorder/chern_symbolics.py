@@ -6,22 +6,18 @@ a rank-g bundle into line elements), and g "class" variables c1..cg (or l1..lg)
 of weights 1..g.  Every product truncates at the ring's fixed total weighted
 degree, zero coefficients are pruned, and equality is equality of term maps.
 
-Conventions fixed here and relied on throughout:
+The identities for a rank-g bundle E run in the class ring on one engine:
+Newton's identities give the power sums p_m, the Adams operations give
+ch(lambda_{-1} E) = sum_i (-1)^i e_i(e^{x_1}, ..., e^{x_g}), and one exp
+recurrence makes a multiplicative class of a log series.  lambda_star_class is
+exp(sum_k (-1)^{k-1} (k-1)! ch_k), the total class of sum_i (-1)^i [Lambda^i E],
+with payload -(g-1)! c_g in degree g (the opposite sign convention would flip
+it).  borel_serre_check tests ch(lambda_{-1} E) Td(E) = (-1)^g c_g, where
+Td = exp(sum_k s_k p_k) and sum_k s_k t^k = log(t/(e^t - 1)).
 
-* The virtual exterior-power class means the alternating sum
-  sum_i (-1)^i [Lambda^i E].  Its total Chern class is computed in the class
-  ring c1..cg alone: Newton's identities and the Adams operations give
-  ch(lambda_{-1} E) = sum_i (-1)^i e_i(e^{x_1}, ..., e^{x_g}), and the total
-  class is exp(sum_k (-1)^{k-1} (k-1)! ch_k).  This is the multiplicative
-  product over the line elements of each Lambda^i, with the odd-degree
-  summands inverted, without expanding it over root subsets.  The payload is
-  the degree-g coefficient -(g-1)! c_g; the opposite sign convention for the
-  alternating sum would flip it.
-
-* The Todd factor attached to a root x is x/(e^x - 1) = sum_k b_k/k! x^k
-  (dual convention).  This is the convention under which the product
-  prod_i (1 - e^{x_i}) equals (-1)^g (x1...xg) Td^{-1} identically; with the
-  opposite convention x/(1 - e^{-x}) the two sides differ by a unit e^{-c1}.
+The Todd factor of a root x is x/(e^x - 1) = sum_k B_k/k! x^k (dual
+convention), under which prod_i (1 - e^{x_i}) equals (-1)^g (x1...xg) Td^{-1};
+with x/(1 - e^{-x}) the two sides differ by a unit e^{-c1}.
 """
 from __future__ import annotations
 
@@ -257,15 +253,6 @@ class GradedPolynomial:
         }
         return GradedPolynomial._raw(self.names, self.weights, self.truncation, terms)
 
-    def substitute_zero(self, indices) -> "GradedPolynomial":
-        kill = set(indices)
-        terms = {
-            mon: c
-            for mon, c in self.terms.items()
-            if all(mon[i] == 0 for i in kill)
-        }
-        return GradedPolynomial._raw(self.names, self.weights, self.truncation, terms)
-
     def coefficient(self, mon) -> "int | Fraction":
         return self.terms.get(tuple(mon), 0)
 
@@ -343,19 +330,6 @@ def class_variables(g: int, truncation: int, symbol: str = "c") -> tuple[GradedP
     weights = tuple(range(1, g + 1))
     proto = GradedPolynomial(names, weights, truncation, {})
     return tuple(proto.ring_variable(i) for i in range(g))
-
-
-def _series_in_root(g: int, index: int, coeffs, truncation: int) -> GradedPolynomial:
-    # sum_k coeffs[k] * x_index^k, directly as a term map
-    names = tuple(f"x{i}" for i in range(1, g + 1))
-    terms = {}
-    for k, c in enumerate(coeffs):
-        if k > truncation:
-            break
-        if c == 0:
-            continue
-        terms[tuple(k if i == index else 0 for i in range(g))] = c
-    return GradedPolynomial._raw(names, (1,) * g, truncation, terms)
 
 
 # -- symmetric function machinery ------------------------------------------
@@ -489,22 +463,18 @@ def todd_class(g: int, depth: int, dual: bool = True) -> GradedPolynomial:
     base = todd_inverse_series(depth)
     if not dual:
         base = [(-c if k % 2 else c) for k, c in enumerate(base)]
-    out = _series_in_root(g, 0, base, depth)
-    for i in range(1, g):
-        out = out * _series_in_root(g, i, base, depth)
+    names = tuple(f"x{i}" for i in range(1, g + 1))
+    out = None
+    for i in range(g):
+        factor = GradedPolynomial._raw(names, (1,) * g, depth, {
+            tuple(k if j == i else 0 for j in range(g)): c for k, c in enumerate(base) if c})
+        out = factor if out is None else out * factor
     return out
 
 
 def lambda_star_class(g: int, depth: int) -> GradedPolynomial:
-    """Total Chern class of sum_i (-1)^i [Lambda^i E], in c1..cg.
-
-    Computed in the class ring alone, with c_k = 0 for k > g:
-
-    1. Newton's identities give the power sums p_m of the roots.
-    2. The Adams operations give ch(psi^k E) = g + sum_m k^m p_m / m!.
-    3. Newton's identities again give e_i(e^{x_1}, ..., e^{x_g}), and
-       ch(lambda_{-1} E) = sum_i (-1)^i e_i.
-    4. The total class is exp(L), L = sum_k (-1)^{k-1} (k-1)! ch_k.
+    """Total Chern class of sum_i (-1)^i [Lambda^i E], in c1..cg: exp(L) with
+    L = sum_k (-1)^{k-1} (k-1)! ch_k(lambda_{-1} E), computed in the class ring.
 
     Vanishes in degrees 1..g-1; the degree-g term is -(g-1)! c_g.
     """
@@ -512,29 +482,47 @@ def lambda_star_class(g: int, depth: int) -> GradedPolynomial:
         raise ValueError("g must be positive")
     if depth < g:
         raise ValueError("depth must reach g: the degree-g coefficient is the payload")
-    # A homogeneous component is a dict {packed monomial: int}.  A monomial
-    # c1^a1 ... cg^ag packs to sum_i a_i * radix^(i-1); no exponent exceeds
-    # depth, so multiplying monomials is adding their packed forms.
-    radix = depth + 1
-    shift = [radix**i for i in range(g)]
+    ch = _lambda_character(g, _power_sums(g, depth))
+    # k! L_k = (-1)^{k-1} (k-1)! (k! ch_k); ch_0 is empty, as ch vanishes below degree g
+    total = _exp_scaled([{mon: (-1) ** (k - 1) * factorial(k - 1) * c for mon, c in comp.items()}
+                         for k, comp in enumerate(ch)])
+    # dividing by n! is exact, as the total class of a virtual bundle is integral
+    return _class_poly([{mon: c // factorial(n) for mon, c in comp.items()}
+                        for n, comp in enumerate(total)], g, depth)
 
-    # 1. p_m = sum_{i<m} (-1)^{i-1} c_i p_{m-i} + (-1)^{m-1} m c_m
+
+# -- the class-ring engine -------------------------------------------------
+#
+# A homogeneous component is a dict {packed monomial: coefficient}.  A
+# monomial c1^a1 ... cg^ag packs to sum_i a_i * radix^(i-1) with radix
+# depth + 1; no exponent exceeds depth, so multiplying monomials is adding
+# their packed forms.  Components of degree n are kept scaled by n! where the
+# series is exponential, which turns products into binomial convolutions.
+
+
+def _power_sums(g: int, depth: int) -> list[dict]:
+    # p_1..p_depth of the roots by Newton's identities (p_0 = g is left out):
+    # p_m = sum_{i<m} (-1)^{i-1} c_i p_{m-i} + (-1)^{m-1} m c_m
+    radix = depth + 1
     p: list[dict] = [{}]
     for m in range(1, depth + 1):
         acc: dict = {}
         for i in range(1, min(m - 1, g) + 1):
-            _add_into(acc, {mon + shift[i - 1]: c for mon, c in p[m - i].items()},
-                      1 if i % 2 else -1)
+            shift = radix ** (i - 1)
+            _add_into(acc, {mon + shift: c for mon, c in p[m - i].items()}, 1 if i % 2 else -1)
         if m <= g:
-            acc[shift[m - 1]] = m if m % 2 else -m
+            acc[radix ** (m - 1)] = m if m % 2 else -m
         p.append(acc)
+    return p
 
-    # 2-3. Components of degree n are kept scaled by n!, which makes them
-    # integral and turns products into binomial convolutions.  Newton reads
+
+def _lambda_character(g: int, p: list[dict]) -> list[dict]:
+    # n! ch_n(lambda_{-1} E) for n = 0..depth.  Newton reads
     # i e_i = sum_{k=1}^{i} (-1)^{k-1} e_{i-k} psi^k, with the degree-d part
     # of psi^k equal to k^d p_d (d >= 1) and g (d = 0); the sum over k is
     # taken before multiplying by p_d.  Dividing by i is exact: n! times the
     # degree-n part of e_i(e^{x_1}, ...) is sum_S (x_S)^n, an integral class.
+    depth = len(p) - 1
     elem = [[{0: 1}] + [{} for _ in range(depth)]]
     for i in range(1, g + 1):
         e_i = []
@@ -549,29 +537,41 @@ def lambda_star_class(g: int, depth: int) -> GradedPolynomial:
                 _mul_into(acc, combo, p[d], comb(n, d))
             e_i.append({mon: c // i for mon, c in acc.items()})
         elem.append(e_i)
-    # n! ch_n(lambda_{-1} E); it vanishes below degree g
-    ch = [{} for _ in range(depth + 1)]
+    ch: list[dict] = [{} for _ in range(depth + 1)]
     for i, e_i in enumerate(elem):
-        for n in range(g, depth + 1):
+        for n in range(g, depth + 1):  # it vanishes below degree g
             _add_into(ch[n], e_i[n], -1 if i % 2 else 1)
+    return ch
 
-    # 4. n F_n = sum_k k L_k F_{n-k}, and k L_k = (-1)^{k-1} k! ch_k.  Dividing
-    # by n is exact, as F is the Chern class of a virtual bundle.
-    total = [{0: 1}]
-    for n in range(1, depth + 1):
-        acc = {}
-        for k in range(g, n + 1):
-            _mul_into(acc, ch[k], total[n - k], 1 if k % 2 else -1)
-        total.append({mon: c // n for mon, c in acc.items()})
 
-    terms = {}
-    for comp in total:
-        for mon, c in comp.items():
-            exps = []
-            for _ in range(g):
-                mon, e = divmod(mon, radix)
-                exps.append(e)
-            terms[tuple(exps)] = c
+def _todd_scaled(p: list[dict]) -> list[dict]:
+    # n! Td_n(E) = n! exp(sum_k s_k p_k)_n, where sum_k s_k t^k is the log of
+    # t/(e^t - 1): s_1 = -1/2 and s_k = -B_k/(k k!) for k >= 2, so the exp
+    # recurrence's k! s_k is -(k-1)! B_k/k!.
+    series = todd_inverse_series(len(p) - 1)
+    scale = [Fraction(-1, 2)] + [-factorial(k - 1) * series[k] for k in range(2, len(p))]
+    return _exp_scaled([{}] + [{mon: c * s for mon, c in comp.items()} if s else {}
+                               for s, comp in zip(scale, p[1:])])
+
+
+def _exp_scaled(a: list[dict]) -> list[dict]:
+    # n!-scaled components G_n of exp(L), from a_k = k! L_k (a[0] unused):
+    # G_n = sum_k C(n-1, k-1) a_k G_{n-k}.  No division, so int and Fraction
+    # coefficients both stay exact and keep their type.
+    out = [{0: 1}]
+    for n in range(1, len(a)):
+        acc: dict = {}
+        for k in range(1, n + 1):
+            _mul_into(acc, a[k], out[n - k], comb(n - 1, k - 1))
+        out.append(acc)
+    return out
+
+
+def _class_poly(components: list[dict], g: int, depth: int) -> GradedPolynomial:
+    # unpack homogeneous components into a polynomial in c1..cg
+    radix = depth + 1
+    terms = {tuple(mon // radix**i % radix for i in range(g)): c
+             for comp in components for mon, c in comp.items()}
     names = tuple(f"c{i}" for i in range(1, g + 1))
     return GradedPolynomial._raw(names, tuple(range(1, g + 1)), depth, terms)
 
@@ -600,44 +600,34 @@ def _mul_into(acc: dict, a: dict, b: dict, scale: int) -> None:
 
 
 def borel_serre_check(g: int, depth: int) -> bool:
-    """prod_i (1 - e^{x_i}) == (-1)^g (x1...xg) Td^{-1} in the truncated ring.
+    """ch(lambda_{-1} E) * Td(E) == (-1)^g c_g in c1..cg, truncated at `depth`.
 
-    Td is the dual-convention Todd class; since it is a unit, the identity is
-    checked by cross-multiplying instead of inverting.
+    Td is the dual-convention Todd class exp(sum_k s_k p_k).  In the roots this
+    is prod_i (1 - e^{x_i}) * prod_i x_i/(e^{x_i} - 1) = (-1)^g x1...xg.
     """
     if g < 1:
         raise ValueError("g must be positive")
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    names = tuple(f"x{i}" for i in range(1, g + 1))
-    coeffs = [0] + [-Fraction(1, factorial(k)) for k in range(1, depth + 1)]
-    lhs = _series_in_root(g, 0, coeffs, depth)
-    for i in range(1, g):
-        lhs = lhs * _series_in_root(g, i, coeffs, depth)
-    td = todd_class(g, depth, dual=True)
-    sign = -1 if g % 2 else 1
-    target_terms = {(1,) * g: sign} if g <= depth else {}
-    target = GradedPolynomial._raw(names, (1,) * g, depth, target_terms)
-    return lhs * td == target
+    p = _power_sums(g, depth)
+    ch, td = _lambda_character(g, p), _todd_scaled(p)
+    top = {(depth + 1) ** (g - 1): (-1) ** g * factorial(g)}
+    for n in range(depth + 1):
+        acc: dict = {}
+        for k in range(g, n + 1):
+            _mul_into(acc, ch[k], td[n - k], comb(n, k))
+        if acc != (top if n == g else {}):
+            return False
+    return True
 
 
 def newton_special_case(g: int) -> bool:
     """With c1..c_{g-1} killed, the g-th Newton power sum is (-1)^{g-1} g c_g."""
     if g < 1:
         raise ValueError("g must be positive")
-    cs = class_variables(g, g)
-    power_sums: list[GradedPolynomial] = [cs[0].ring_constant(0)]  # index 0 unused
-    for k in range(1, g + 1):
-        acc = cs[0].ring_constant(0)
-        for i in range(1, k):
-            term = cs[i - 1] * power_sums[k - i]
-            acc = acc + (term if i % 2 else -term)
-        tail = k * cs[k - 1]
-        acc = acc + (tail if k % 2 else -tail)
-        power_sums.append(acc)
-    reduced = power_sums[g].substitute_zero(range(g - 1))
-    expected = ((-1) ** (g - 1) * g) * cs[g - 1]
-    return reduced == expected
+    c_g = (g + 1) ** (g - 1)  # packed; a multiple of it is free of c1..c_{g-1}
+    p_g = _power_sums(g, g)[g]
+    return {mon: c for mon, c in p_g.items() if mon % c_g == 0} == {c_g: g if g % 2 else -g}
 
 
 def fundamental_relations(g: int, max_degree: int) -> list[GradedPolynomial]:

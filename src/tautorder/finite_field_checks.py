@@ -430,8 +430,8 @@ def symplectic_pairing_check(l: int, k: int) -> SymplecticPairingReport:
 
     d is the different valuation, so the form is integral, antisymmetric,
     zeta-invariant and unimodular.  The quoted exponent l^k - l^{k-1} - 1 is
-    also reported (identical for k = 1); when it differs, its determinant is
-    computed for comparison.
+    also reported (identical for k = 1); when it differs, so does its
+    determinant, by the norm of the change of twist.
     """
     if l == 2:
         raise ValueError("the pairing is built for odd l")
@@ -461,10 +461,8 @@ def symplectic_pairing_check(l: int, k: int) -> SymplecticPairingReport:
     det = _det(gram)
     if det.denominator != 1:
         raise ArithmeticError("determinant of an integral form must be an integer")
-    quoted_det = None
-    if quoted != d:
-        qd = _det(_pairing_gram(l, k, quoted))
-        quoted_det = int(qd) if qd.denominator == 1 else None
+    # the quoted twist differs by (zeta - zeta^{-1})^{d - quoted}, of norm l^{d - quoted}
+    quoted_det = None if quoted == d else l ** (d - quoted) * int(det)
     return SymplecticPairingReport(
         l=l,
         k=k,

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, isqrt
 
 from .bernoulli_zeta import bernoulli, proportionality, zeta_neg
 from .exact_arith import (
     PrimeLocalOrder,
     factorial_p_valuation,
+    is_prime,
     primes_above,
     primes_upto,
     valuation,
@@ -59,16 +60,26 @@ class NgDecomposition:
 
 
 def ng_local(g: int) -> NgDecomposition:
-    """n_g from the per-prime exponent rules."""
+    """n_g from the per-prime exponent rules, over the divisors d of 2g with d + 1 prime."""
     if g < 1:
         raise ValueError("g must be positive")
     two_g = 2 * g
+    divisors, rest = [1], two_g  # of 2g, from its factorization over primes <= sqrt(2g)
+    for q in primes_upto(isqrt(two_g)):
+        if q * q > rest:
+            break
+        powers = [1]
+        while rest % q == 0:
+            rest //= q
+            powers.append(powers[-1] * q)
+        divisors = [d * e for d in divisors for e in powers]
+    if rest > 1:
+        divisors += [d * rest for d in divisors]
     factors = [PrimeLocalOrder(2, valuation(two_g, 2) + 2)]
-    for p in primes_upto(two_g + 1):
-        if p == 2 or two_g % (p - 1):
-            continue
-        # largest k with p^{k-1}(p-1) | 2g
-        factors.append(PrimeLocalOrder(p, valuation(two_g // (p - 1), p) + 1))
+    for d in sorted(divisors)[1:]:  # the odd primes p = d + 1 with (p - 1) | 2g
+        if is_prime(d + 1):
+            # largest k with p^{k-1}(p-1) | 2g
+            factors.append(PrimeLocalOrder(d + 1, valuation(two_g // d, d + 1) + 1))
     return NgDecomposition(g, tuple(factors))
 
 

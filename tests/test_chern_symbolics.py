@@ -7,6 +7,7 @@ from math import factorial
 
 import pytest
 
+import tautorder.chern_symbolics as chern
 from tautorder.chern_symbolics import (
     GradedPolynomial,
     borel_serre_check,
@@ -20,6 +21,13 @@ from tautorder.chern_symbolics import (
     substitute_elementary,
     symmetric_reduce,
     todd_class,
+)
+from tautorder.chern_symbolics import (
+    _class_poly,
+    _exp_scaled,
+    _lambda_character,
+    _power_sums,
+    _todd_scaled,
 )
 
 
@@ -106,14 +114,6 @@ def test_homogeneous_components_partition() -> None:
         for d in range(6):
             acc = acc + a.homogeneous_component(d)
         assert acc == a
-
-
-def test_substitute_zero_kills_variables() -> None:
-    xs = root_variables(3, 4)
-    p = (xs[0] + xs[1] + xs[2]) ** 2
-    q = p.substitute_zero([0])
-    assert q == (xs[1] + xs[2]) ** 2
-    assert p.substitute_zero([0, 1, 2]) == xs[0].ring_constant(0)
 
 
 def test_immutability_and_unhashability() -> None:
@@ -278,6 +278,101 @@ def test_borel_serre_one_variable_by_hand() -> None:
     x = root_variables(1, depth)[0]
     lhs = x.ring_constant(0) - _exp_minus_one(x, depth)
     assert lhs * todd_class(1, depth) == x.ring_constant(-1) * x
+
+
+def _one_minus_exp_product(g: int, depth: int) -> GradedPolynomial:
+    # prod_i (1 - e^{x_i}), which is ch(lambda_{-1} E), in the root ring
+    xs = root_variables(g, depth)
+    product = xs[0].ring_constant(1)
+    for x in xs:
+        product = product * -_exp_minus_one(x, depth)
+    return product
+
+
+def _borel_serre_in_roots(g: int, depth: int) -> bool:
+    # independent route: prod_i (1 - e^{x_i}) * Td == (-1)^g x1...xg, expanded
+    # by the generic multiply in the root ring
+    lhs = _one_minus_exp_product(g, depth)
+    target = GradedPolynomial(lhs.names, lhs.weights, depth, {(1,) * g: (-1) ** g})
+    return lhs * todd_class(g, depth) == target
+
+
+def _unscaled(components: list[dict], g: int, depth: int) -> GradedPolynomial:
+    # the class polynomial of n!-scaled components
+    return _class_poly(
+        [{mon: Fraction(c, factorial(n)) for mon, c in comp.items()}
+         for n, comp in enumerate(components)],
+        g, depth,
+    )
+
+
+def test_borel_serre_agrees_with_the_root_ring() -> None:
+    for g in range(1, 6):
+        for depth in range(2 * g + 2):
+            assert borel_serre_check(g, depth) == _borel_serre_in_roots(g, depth) is True
+    assert borel_serre_check(6, 12) == _borel_serre_in_roots(6, 12) is True
+
+
+def test_class_ring_todd_and_lambda_character_match_the_roots() -> None:
+    for g in range(1, 5):
+        for depth in range(1, 2 * g + 1):
+            p = _power_sums(g, depth)
+            assert _unscaled(_todd_scaled(p), g, depth) == symmetric_reduce(
+                todd_class(g, depth)).output
+            assert _unscaled(_lambda_character(g, p), g, depth) == symmetric_reduce(
+                _one_minus_exp_product(g, depth)).output
+
+
+def test_power_sums_match_symmetric_reduction() -> None:
+    depth = 8
+    for g in range(1, 6):
+        p = _power_sums(g, depth)
+        xs = root_variables(g, depth)
+        for m in range(1, depth + 1):
+            power_sum = xs[0] ** m
+            for x in xs[1:]:
+                power_sum = power_sum + x**m
+            assert _class_poly([p[m]], g, depth) == symmetric_reduce(power_sum).output
+
+
+def test_mutated_todd_coefficient_is_rejected_by_both_routes(monkeypatch) -> None:
+    # s_2 = -B_2/(2 2!) is read from B_2/2! = 1/12; both routes read that series
+    original = chern.todd_inverse_series
+
+    def mutated(depth: int) -> list[Fraction]:
+        series = original(depth)
+        series[2] = Fraction(1, 6)
+        return series
+
+    monkeypatch.setattr(chern, "todd_inverse_series", mutated)
+    for g in range(2, 6):
+        assert not borel_serre_check(g, 2 * g)
+    for g in range(2, 4):
+        assert not _borel_serre_in_roots(g, 2 * g)
+
+
+def test_class_ring_checks_build_no_graded_polynomial(monkeypatch) -> None:
+    def refuse(*args, **kwargs):
+        raise AssertionError("GradedPolynomial used")
+
+    for name in ("__init__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(GradedPolynomial, name, refuse)
+    monkeypatch.setattr(GradedPolynomial, "_raw", classmethod(refuse))
+    for g in range(1, 9):
+        assert borel_serre_check(g, 2 * g)
+    for g in range(1, 13):
+        assert newton_special_case(g)
+
+
+def test_engine_coefficients_are_exact() -> None:
+    for g in range(1, 6):
+        depth = 2 * g
+        p = _power_sums(g, depth)
+        exp_of_p = _exp_scaled([{}] + p[1:])
+        for components in (p, _lambda_character(g, p), exp_of_p):
+            assert all(type(c) is int for comp in components for c in comp.values())
+        assert all(type(c) in (int, Fraction) for comp in _todd_scaled(p) for c in comp.values())
+        assert all(type(c) is int for c in lambda_star_class(g, depth).terms.values())
 
 
 def test_newton_special_case_range() -> None:

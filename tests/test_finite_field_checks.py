@@ -395,6 +395,20 @@ def test_pairing_quoted_exponent_comparison() -> None:
     assert r.quoted_exponent_determinant == 81
 
 
+def test_quoted_determinant_closed_form_against_bareiss() -> None:
+    # l^(d - quoted) * det against a second elimination on the quoted Gram
+    # matrix: at every pair under the rank cap, and at (3, 3), rank 18, past it
+    for l, k in ODD_PAIRS_TO_RANK_16:
+        r = symplectic_pairing_check(l, k)
+        if r.exponent_matches_quoted:
+            assert r.quoted_exponent_determinant is None
+        else:
+            assert r.quoted_exponent_determinant == _det(_pairing_gram(l, k, r.quoted_exponent))
+    d, quoted = different_exponent(3, 3), 3**3 - 3**2 - 1
+    closed = 3 ** (d - quoted) * _det(_pairing_gram(3, 3, d))
+    assert closed == _det(_pairing_gram(3, 3, quoted)) == 3**28
+
+
 def test_pairing_input_validation() -> None:
     with pytest.raises(ValueError, match="odd l"):
         symplectic_pairing_check(2, 3)

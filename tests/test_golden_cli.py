@@ -47,6 +47,8 @@ CASES = [
     ["verify", "von-staudt", "--max-g", "3"],
     ["verify", "all"],
     ["verify", "all", "--max-g", "2"],
+    ["verify", "borel-serre", "--max-g", "7"],
+    ["verify", "newton", "--max-g", "10"],
 ]
 
 

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import time
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
 from tautorder.bernoulli_zeta import proportionality, zeta_neg
-from tautorder.exact_arith import is_prime, valuation
+from tautorder import exact_arith
+from tautorder.exact_arith import is_prime, primes_upto, valuation
 from tautorder.torsion_orders import (
     NG_CROSS_CHECK,
     boundary_coefficient,
@@ -71,6 +73,36 @@ def test_ng_local_structure() -> None:
         # the 2-part is 2^{v_2(2g)+2}, so 8 | n_g
         assert valuation(dec.value, 2) == valuation(2 * g, 2) + 2
         assert dec.value % 8 == 0
+
+
+def _ng_local_by_sieve(g: int) -> list[tuple[int, int]]:
+    # the former route: scan every prime up to 2g + 1 for (p - 1) | 2g
+    two_g = 2 * g
+    factors = [(2, valuation(two_g, 2) + 2)]
+    for p in primes_upto(two_g + 1):
+        if p > 2 and two_g % (p - 1) == 0:
+            factors.append((p, valuation(two_g // (p - 1), p) + 1))
+    return factors
+
+
+def test_ng_local_against_the_sieve_scan() -> None:
+    for g in range(1, 3001):
+        assert [(f.prime, f.exponent) for f in ng_local(g).factors] == _ng_local_by_sieve(g)
+
+
+def test_ng_local_at_a_billion_builds_no_large_sieve() -> None:
+    g = 10**9
+    primes_upto(isqrt(2 * g))  # the divisor walk factors 2g over these primes
+    limit = exact_arith._sieve[0]
+    start = time.perf_counter()
+    dec = ng_local(g)
+    assert time.perf_counter() - start < 1
+    assert exact_arith._sieve[0] == limit
+    assert [f.prime for f in dec.factors] == [
+        2, 3, 5, 11, 17, 41, 101, 251, 257, 401, 641, 1601, 4001, 16001, 25601, 62501,
+        160001, 62500001,
+    ]
+    assert all((2 * g) % (f.prime - 1) == 0 for f in dec.factors)
 
 
 def test_ng_local_rejects_nonpositive() -> None:
