@@ -6,6 +6,14 @@ a rank-g bundle into line elements), and g "class" variables c1..cg (or l1..lg)
 of weights 1..g.  Every product truncates at the ring's fixed total weighted
 degree, zero coefficients are pruned, and equality is equality of term maps.
 
+Every polynomial here has one sparse form: truncation + 1 homogeneous
+components, component d a dict from the packed monomials of weighted degree d
+to their coefficients.  A monomial v1^a1 ... vn^an packs to
+sum_i a_i radix^(i-1) with radix = truncation + 1, v1 the least significant
+digit.  No exponent within the truncation exceeds it, so multiplying monomials
+is adding their packed forms, and `_mul_into` and `_add_into` do every
+product and sum.
+
 The identities for a rank-g bundle E run in the class ring on one engine:
 Newton's identities give the power sums p_m, the Adams operations give
 ch(lambda_{-1} E) = sum_i (-1)^i e_i(e^{x_1}, ..., e^{x_g}), and one exp
@@ -26,8 +34,10 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial
+from operator import mul
 
 from .bernoulli_zeta import todd_inverse_series
+from .exact_arith import _power
 
 __all__ = [
     "GradedPolynomial",
@@ -45,17 +55,55 @@ __all__ = [
     "fundamental_relations",
 ]
 
-Coefficient = "int | Fraction"
+
+# -- packed components -----------------------------------------------------
+
+
+def _pack(exps, radix: int) -> int:
+    return sum(e * radix**i for i, e in enumerate(exps))
+
+
+def _unpack(mon: int, n: int, radix: int) -> tuple[int, ...]:
+    return tuple(mon // radix**i % radix for i in range(n))
+
+
+def _add_into(acc: dict, comp: dict, scale) -> None:
+    # acc += scale * comp, pruning zeros
+    for mon, c in comp.items():
+        v = acc.get(mon, 0) + scale * c
+        if v:
+            acc[mon] = v
+        else:
+            acc.pop(mon, None)
+
+
+def _mul_into(acc: dict, a: dict, b: dict, scale) -> None:
+    # acc += scale * a * b for packed components
+    for ma, ca in a.items():
+        ca *= scale
+        for mb, cb in b.items():
+            mon = ma + mb
+            v = acc.get(mon, 0) + ca * cb
+            if v:
+                acc[mon] = v
+            else:
+                acc.pop(mon, None)
+
+
+def _names(symbol: str, g: int) -> tuple[str, ...]:
+    return tuple(f"{symbol}{i}" for i in range(1, g + 1))
 
 
 class GradedPolynomial:
     """Sparse polynomial with weighted generators and hard degree truncation.
 
     Instances are treated as immutable; every operation returns a new object.
-    Coefficients are exact (int or Fraction, freely mixed).
+    Coefficients are exact (int or Fraction, freely mixed).  `comps[d]` holds
+    the packed monomials of weighted degree d; `terms` is the same data keyed
+    by exponent tuples, built afresh on every read.
     """
 
-    __slots__ = ("names", "weights", "truncation", "terms")
+    __slots__ = ("names", "weights", "truncation", "comps")
 
     def __init__(self, names, weights, truncation, terms):
         names = tuple(names)
@@ -66,35 +114,43 @@ class GradedPolynomial:
             raise ValueError("weights must be positive")
         if truncation < 0:
             raise ValueError("truncation must be nonnegative")
-        clean = {}
+        truncation = int(truncation)
+        comps = [{} for _ in range(truncation + 1)]
         for mon, coeff in dict(terms).items():
             mon = tuple(int(e) for e in mon)
             if len(mon) != len(names):
                 raise ValueError("exponent vector length mismatch")
             if any(e < 0 for e in mon):
                 raise ValueError("exponents must be nonnegative")
-            if coeff == 0:
-                continue
-            if sum(e * w for e, w in zip(mon, weights)) > truncation:
-                continue
-            clean[mon] = coeff
+            degree = sum(e * w for e, w in zip(mon, weights))
+            if coeff != 0 and degree <= truncation:
+                comps[degree][_pack(mon, truncation + 1)] = coeff
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "truncation", int(truncation))
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "truncation", truncation)
+        object.__setattr__(self, "comps", comps)
 
     def __setattr__(self, name, value):
         raise AttributeError("GradedPolynomial is immutable")
 
     @classmethod
-    def _raw(cls, names, weights, truncation, terms):
-        # internal: terms already normalized (no zeros, nothing over truncation)
+    def _raw(cls, names, weights, truncation, comps):
+        # internal: truncation + 1 packed components, zeros already pruned
         self = object.__new__(cls)
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "truncation", truncation)
-        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "comps", comps)
         return self
+
+    def _like(self, comps) -> "GradedPolynomial":
+        return GradedPolynomial._raw(self.names, self.weights, self.truncation, comps)
+
+    @property
+    def terms(self) -> dict:
+        """{exponent tuple: coefficient}, as a fresh dict the caller may keep."""
+        n, radix = len(self.names), self.truncation + 1
+        return {_unpack(mon, n, radix): c for comp in self.comps for mon, c in comp.items()}
 
     # -- ring bookkeeping -------------------------------------------------
 
@@ -107,30 +163,18 @@ class GradedPolynomial:
             raise ValueError("polynomials live in different rings")
 
     def ring_constant(self, value) -> "GradedPolynomial":
-        if value == 0:
-            return GradedPolynomial._raw(self.names, self.weights, self.truncation, {})
-        zero_mon = (0,) * len(self.names)
-        return GradedPolynomial._raw(
-            self.names, self.weights, self.truncation, {zero_mon: value}
-        )
+        comps = [{} for _ in self.comps]
+        if value != 0:
+            comps[0][0] = value
+        return self._like(comps)
 
     def ring_variable(self, index: int) -> "GradedPolynomial":
-        n = len(self.names)
-        if not 0 <= index < n:
+        if not 0 <= index < len(self.names):
             raise ValueError("variable index out of range")
-        if self.weights[index] > self.truncation:
-            return self.ring_constant(0)
-        mon = tuple(1 if i == index else 0 for i in range(n))
-        return GradedPolynomial._raw(self.names, self.weights, self.truncation, {mon: 1})
-
-    def _wdeg(self, mon) -> int:
-        return sum(e * w for e, w in zip(mon, self.weights))
-
-    def _buckets(self) -> dict[int, dict]:
-        out: dict[int, dict] = {}
-        for mon, coeff in self.terms.items():
-            out.setdefault(self._wdeg(mon), {})[mon] = coeff
-        return out
+        comps = [{} for _ in self.comps]
+        if self.weights[index] <= self.truncation:
+            comps[self.weights[index]][(self.truncation + 1) ** index] = 1
+        return self._like(comps)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -138,24 +182,15 @@ class GradedPolynomial:
         if isinstance(other, (int, Fraction)):
             other = self.ring_constant(other)
         self._check_ring(other)
-        terms = dict(self.terms)
-        for mon, coeff in other.terms.items():
-            acc = terms.get(mon, 0) + coeff
-            if acc:
-                terms[mon] = acc
-            else:
-                terms.pop(mon, None)
-        return GradedPolynomial._raw(self.names, self.weights, self.truncation, terms)
+        comps = [dict(comp) for comp in self.comps]
+        for acc, comp in zip(comps, other.comps):
+            _add_into(acc, comp, 1)
+        return self._like(comps)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GradedPolynomial._raw(
-            self.names,
-            self.weights,
-            self.truncation,
-            {mon: -coeff for mon, coeff in self.terms.items()},
-        )
+        return self._scaled(-1)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -165,99 +200,62 @@ class GradedPolynomial:
     def __rsub__(self, other):
         return (-self) + other
 
+    def _scaled(self, scale) -> "GradedPolynomial":
+        comps = [{} for _ in self.comps]
+        for acc, comp in zip(comps, self.comps):
+            _add_into(acc, comp, scale)
+        return self._like(comps)
+
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return self.ring_constant(0)
-            return GradedPolynomial._raw(
-                self.names,
-                self.weights,
-                self.truncation,
-                {mon: coeff * other for mon, coeff in self.terms.items()},
-            )
+            return self._scaled(other)
         self._check_ring(other)
-        res: dict = {}
-        limit = self.truncation
-        for da, ba in self._buckets().items():
-            room = limit - da
-            for db, bb in other._buckets().items():
-                if db > room:
-                    continue
-                for ma, ca in ba.items():
-                    for mb, cb in bb.items():
-                        mon = tuple(x + y for x, y in zip(ma, mb))
-                        acc = res.get(mon, 0) + ca * cb
-                        if acc:
-                            res[mon] = acc
-                        else:
-                            res.pop(mon, None)
-        return GradedPolynomial._raw(self.names, self.weights, self.truncation, res)
+        comps = [{} for _ in self.comps]
+        for da, a in enumerate(self.comps):
+            if a:
+                for db in range(len(comps) - da):
+                    _mul_into(comps[da + db], a, other.comps[db], 1)
+        return self._like(comps)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative powers go through inverse()")
-        result = self.ring_constant(1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base_needed = k >> 1
-            if base_needed:
-                base = base * base
-            k = base_needed
-        return result
+        return _power(self, k, self.ring_constant(1), mul)
 
     def inverse(self) -> "GradedPolynomial":
         """Multiplicative inverse in the truncated ring; needs a unit constant term."""
-        n = len(self.names)
-        zero_mon = (0,) * n
-        c0 = self.terms.get(zero_mon, 0)
+        c0 = self.comps[0].get(0, 0)
         if c0 == 0:
             raise ValueError("inverse requires a nonzero constant term")
-        if c0 == 1:
-            inv0 = 1
-        elif c0 == -1:
-            inv0 = -1
-        else:
-            inv0 = Fraction(1) / c0
-        sb = self._buckets()
-        inv_buckets: dict[int, dict] = {0: {zero_mon: inv0}}
-        for d in range(1, self.truncation + 1):
+        inv0 = 1 if c0 == 1 else -1 if c0 == -1 else Fraction(1) / c0
+        # the degree-d part of self * inverse vanishes for d >= 1
+        out = [{0: inv0}]
+        for d in range(1, len(self.comps)):
             acc: dict = {}
             for e in range(1, d + 1):
-                be = sb.get(e)
-                qd = inv_buckets.get(d - e)
-                if not be or not qd:
-                    continue
-                for ma, ca in be.items():
-                    for mb, cb in qd.items():
-                        mon = tuple(x + y for x, y in zip(ma, mb))
-                        prev = acc.get(mon, 0) + ca * cb
-                        if prev:
-                            acc[mon] = prev
-                        else:
-                            acc.pop(mon, None)
-            bucket = {mon: -inv0 * c for mon, c in acc.items()}
-            if bucket:
-                inv_buckets[d] = bucket
-        terms = {mon: c for b in inv_buckets.values() for mon, c in b.items()}
-        return GradedPolynomial._raw(self.names, self.weights, self.truncation, terms)
+                _mul_into(acc, self.comps[e], out[d - e], -inv0)
+            out.append(acc)
+        return self._like(out)
 
     # -- structure --------------------------------------------------------
 
     def homogeneous_component(self, degree: int) -> "GradedPolynomial":
-        terms = {
-            mon: c for mon, c in self.terms.items() if self._wdeg(mon) == degree
-        }
-        return GradedPolynomial._raw(self.names, self.weights, self.truncation, terms)
+        comps = [{} for _ in self.comps]
+        if 0 <= degree <= self.truncation:
+            comps[degree] = self.comps[degree]
+        return self._like(comps)
 
     def coefficient(self, mon) -> "int | Fraction":
-        return self.terms.get(tuple(mon), 0)
+        mon, radix = tuple(mon), self.truncation + 1
+        if len(mon) != len(self.names) or not all(0 <= e < radix for e in mon):
+            return 0  # no term has this monomial, and packing it could alias one
+        degree = sum(e * w for e, w in zip(mon, self.weights))
+        return self.comps[degree].get(_pack(mon, radix), 0) if degree < radix else 0
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not any(self.comps)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedPolynomial):
@@ -266,7 +264,7 @@ class GradedPolynomial:
             self.names == other.names
             and self.weights == other.weights
             and self.truncation == other.truncation
-            and self.terms == other.terms
+            and self.comps == other.comps
         )
 
     __hash__ = None
@@ -275,12 +273,13 @@ class GradedPolynomial:
 
     def render(self) -> str:
         """Canonical text form: terms sorted by (degree, exponents), exact coefficients."""
-        if not self.terms:
+        n, radix = len(self.names), self.truncation + 1
+        ordered = [term for comp in self.comps for term in sorted(
+            ((_unpack(m, n, radix), c) for m, c in comp.items()), reverse=True)]
+        if not ordered:
             return "0"
         pieces = []
-        order = lambda m: (self._wdeg(m), tuple(-e for e in m))
-        for mon in sorted(self.terms, key=order):
-            coeff = self.terms[mon]
+        for mon, coeff in ordered:
             factors = []
             for name, e in zip(self.names, mon):
                 if e == 1:
@@ -316,9 +315,7 @@ def root_variables(g: int, truncation: int) -> tuple[GradedPolynomial, ...]:
     """Weight-1 generators x1..xg."""
     if g < 1:
         raise ValueError("g must be positive")
-    names = tuple(f"x{i}" for i in range(1, g + 1))
-    weights = (1,) * g
-    proto = GradedPolynomial(names, weights, truncation, {})
+    proto = GradedPolynomial(_names("x", g), (1,) * g, truncation, {})
     return tuple(proto.ring_variable(i) for i in range(g))
 
 
@@ -326,9 +323,7 @@ def class_variables(g: int, truncation: int, symbol: str = "c") -> tuple[GradedP
     """Generators of weights 1..g named symbol1..symbolg."""
     if g < 1:
         raise ValueError("g must be positive")
-    names = tuple(f"{symbol}{i}" for i in range(1, g + 1))
-    weights = tuple(range(1, g + 1))
-    proto = GradedPolynomial(names, weights, truncation, {})
+    proto = GradedPolynomial(_names(symbol, g), range(1, g + 1), truncation, {})
     return tuple(proto.ring_variable(i) for i in range(g))
 
 
@@ -340,14 +335,13 @@ def elementary_symmetric(g: int, i: int, truncation: int) -> GradedPolynomial:
     """e_i(x1..xg) in the weight-1 root ring.  Cached; treat as immutable."""
     if not 0 <= i <= g:
         raise ValueError("need 0 <= i <= g")
-    names = tuple(f"x{j}" for j in range(1, g + 1))
-    if i == 0:
-        return GradedPolynomial(names, (1,) * g, truncation, {(0,) * g: 1})
-    terms = {}
+    if truncation < 0:
+        raise ValueError("truncation must be nonnegative")
+    radix = truncation + 1
+    comps = [{} for _ in range(radix)]
     if i <= truncation:
-        for subset in combinations(range(g), i):
-            terms[tuple(1 if j in subset else 0 for j in range(g))] = 1
-    return GradedPolynomial._raw(names, (1,) * g, truncation, terms)
+        comps[i] = {sum(radix**j for j in subset): 1 for subset in combinations(range(g), i)}
+    return GradedPolynomial._raw(_names("x", g), (1,) * g, truncation, comps)
 
 
 @lru_cache(maxsize=None)
@@ -371,44 +365,31 @@ class SymmetricReduction:
 def symmetric_reduce(poly: GradedPolynomial) -> SymmetricReduction:
     """Rewrite a symmetric polynomial in the roots as a polynomial in c1..cg.
 
-    Classical leading-term elimination: the lex-greatest monomial of a
-    symmetric polynomial has weakly decreasing exponents (a1 >= a2 >= ...),
-    and prod_i e_i^{a_i - a_{i+1}} has that same leading monomial with
-    coefficient 1.  Works one homogeneous component at a time, so truncation
-    never interferes.  Raises ValueError on non-symmetric input.
+    Classical leading-term elimination, one homogeneous component at a time,
+    so truncation never interferes.  Packed monomials compare x_g first, and
+    the greatest monomial x1^a1 ... xg^ag of a symmetric polynomial has
+    a1 <= ... <= ag; prod_j e_j^{a_{g-j+1} - a_{g-j}} (a_0 = 0) has that same
+    leading monomial with coefficient 1.  A falling exponent shows that the
+    input is not symmetric, and raises ValueError.
     """
     g = len(poly.names)
     if poly.weights != (1,) * g:
         raise ValueError("symmetric reduction expects weight-1 root variables")
-    out_terms: dict = {}
-    for degree, bucket in sorted(poly._buckets().items()):
+    radix = poly.truncation + 1
+    out = [{} for _ in poly.comps]
+    for degree, bucket in enumerate(poly.comps):
         comp = dict(bucket)
         while comp:
             lead = max(comp)
-            if any(lead[i] < lead[i + 1] for i in range(g - 1)):
+            a = (0,) + _unpack(lead, g, radix)
+            if any(a[i] > a[i + 1] for i in range(1, g)):
                 raise ValueError("polynomial is not symmetric in the roots")
-            coeff = comp.pop(lead)
-            exps = tuple(
-                lead[i] - (lead[i + 1] if i + 1 < g else 0) for i in range(g)
-            )
+            exps = tuple(a[g - j + 1] - a[g - j] for j in range(1, g + 1))
+            coeff = comp[lead]
             expansion = _elementary_monomial(g, exps, poly.truncation)
-            for mon, c in expansion.terms.items():
-                if mon == lead:
-                    continue
-                acc = comp.get(mon, 0) - coeff * c
-                if acc:
-                    comp[mon] = acc
-                else:
-                    comp.pop(mon, None)
-            acc = out_terms.get(exps, 0) + coeff
-            if acc:
-                out_terms[exps] = acc
-            else:
-                out_terms.pop(exps, None)
-    out_names = tuple(f"c{i}" for i in range(1, g + 1))
-    output = GradedPolynomial._raw(
-        out_names, tuple(range(1, g + 1)), poly.truncation, out_terms
-    )
+            _add_into(comp, expansion.comps[degree], -coeff)
+            out[degree][_pack(exps, radix)] = coeff
+    output = GradedPolynomial._raw(_names("c", g), tuple(range(1, g + 1)), poly.truncation, out)
     return SymmetricReduction(poly, output)
 
 
@@ -418,17 +399,12 @@ def substitute_elementary(class_poly: GradedPolynomial) -> GradedPolynomial:
     if class_poly.weights != tuple(range(1, g + 1)):
         raise ValueError("expects class variables of weights 1..g")
     trunc = class_poly.truncation
-    acc: dict = {}
-    for mon, coeff in class_poly.terms.items():
-        expansion = _elementary_monomial(g, mon, trunc)
-        for m, c in expansion.terms.items():
-            v = acc.get(m, 0) + coeff * c
-            if v:
-                acc[m] = v
-            else:
-                acc.pop(m, None)
-    names = tuple(f"x{i}" for i in range(1, g + 1))
-    return GradedPolynomial._raw(names, (1,) * g, trunc, acc)
+    out = [{} for _ in class_poly.comps]
+    for degree, comp in enumerate(class_poly.comps):
+        for mon, coeff in comp.items():
+            expansion = _elementary_monomial(g, _unpack(mon, g, trunc + 1), trunc)
+            _add_into(out[degree], expansion.comps[degree], coeff)
+    return GradedPolynomial._raw(_names("x", g), (1,) * g, trunc, out)
 
 
 # -- characteristic-class operations ---------------------------------------
@@ -440,15 +416,10 @@ def chern_character(g: int, depth: int) -> GradedPolynomial:
         raise ValueError("g must be positive")
     if depth < 1:
         raise ValueError("depth must be positive")
-    names = tuple(f"x{i}" for i in range(1, g + 1))
-    terms: dict = {(0,) * g: g}
-    fact = 1
-    for k in range(1, depth + 1):
-        fact *= k
-        c = Fraction(1, fact)
-        for i in range(g):
-            terms[tuple(k if j == i else 0 for j in range(g))] = c
-    return GradedPolynomial._raw(names, (1,) * g, depth, terms)
+    radix = depth + 1
+    comps = [{0: g}] + [{k * radix**i: Fraction(1, factorial(k)) for i in range(g)}
+                        for k in range(1, radix)]
+    return GradedPolynomial._raw(_names("x", g), (1,) * g, depth, comps)
 
 
 def todd_class(g: int, depth: int, dual: bool = True) -> GradedPolynomial:
@@ -463,11 +434,11 @@ def todd_class(g: int, depth: int, dual: bool = True) -> GradedPolynomial:
     base = todd_inverse_series(depth)
     if not dual:
         base = [(-c if k % 2 else c) for k, c in enumerate(base)]
-    names = tuple(f"x{i}" for i in range(1, g + 1))
+    names, radix = _names("x", g), depth + 1
     out = None
     for i in range(g):
-        factor = GradedPolynomial._raw(names, (1,) * g, depth, {
-            tuple(k if j == i else 0 for j in range(g)): c for k, c in enumerate(base) if c})
+        factor = GradedPolynomial._raw(names, (1,) * g, depth, [
+            {k * radix**i: c} if c else {} for k, c in enumerate(base)])
         out = factor if out is None else out * factor
     return out
 
@@ -487,17 +458,17 @@ def lambda_star_class(g: int, depth: int) -> GradedPolynomial:
     total = _exp_scaled([{mon: (-1) ** (k - 1) * factorial(k - 1) * c for mon, c in comp.items()}
                          for k, comp in enumerate(ch)])
     # dividing by n! is exact, as the total class of a virtual bundle is integral
-    return _class_poly([{mon: c // factorial(n) for mon, c in comp.items()}
-                        for n, comp in enumerate(total)], g, depth)
+    return GradedPolynomial._raw(_names("c", g), tuple(range(1, g + 1)), depth, [
+        {mon: c // factorial(n) for mon, c in comp.items()} for n, comp in enumerate(total)])
 
 
 # -- the class-ring engine -------------------------------------------------
 #
-# A homogeneous component is a dict {packed monomial: coefficient}.  A
-# monomial c1^a1 ... cg^ag packs to sum_i a_i * radix^(i-1) with radix
-# depth + 1; no exponent exceeds depth, so multiplying monomials is adding
-# their packed forms.  Components of degree n are kept scaled by n! where the
-# series is exponential, which turns products into binomial convolutions.
+# The engine works on bare lists of homogeneous components, packed as
+# GradedPolynomial packs c1..cg (radix depth + 1), so lambda_star_class hands
+# its components over without repacking.  Components of degree n are kept
+# scaled by n! where the series is exponential, which turns products into
+# binomial convolutions.
 
 
 def _power_sums(g: int, depth: int) -> list[dict]:
@@ -508,8 +479,7 @@ def _power_sums(g: int, depth: int) -> list[dict]:
     for m in range(1, depth + 1):
         acc: dict = {}
         for i in range(1, min(m - 1, g) + 1):
-            shift = radix ** (i - 1)
-            _add_into(acc, {mon + shift: c for mon, c in p[m - i].items()}, 1 if i % 2 else -1)
+            _mul_into(acc, {radix ** (i - 1): 1}, p[m - i], 1 if i % 2 else -1)
         if m <= g:
             acc[radix ** (m - 1)] = m if m % 2 else -m
         p.append(acc)
@@ -565,38 +535,6 @@ def _exp_scaled(a: list[dict]) -> list[dict]:
             _mul_into(acc, a[k], out[n - k], comb(n - 1, k - 1))
         out.append(acc)
     return out
-
-
-def _class_poly(components: list[dict], g: int, depth: int) -> GradedPolynomial:
-    # unpack homogeneous components into a polynomial in c1..cg
-    radix = depth + 1
-    terms = {tuple(mon // radix**i % radix for i in range(g)): c
-             for comp in components for mon, c in comp.items()}
-    names = tuple(f"c{i}" for i in range(1, g + 1))
-    return GradedPolynomial._raw(names, tuple(range(1, g + 1)), depth, terms)
-
-
-def _add_into(acc: dict, comp: dict, scale: int) -> None:
-    # acc += scale * comp, pruning zeros
-    for mon, c in comp.items():
-        v = acc.get(mon, 0) + scale * c
-        if v:
-            acc[mon] = v
-        else:
-            acc.pop(mon, None)
-
-
-def _mul_into(acc: dict, a: dict, b: dict, scale: int) -> None:
-    # acc += scale * a * b for packed components
-    for ma, ca in a.items():
-        ca *= scale
-        for mb, cb in b.items():
-            mon = ma + mb
-            v = acc.get(mon, 0) + ca * cb
-            if v:
-                acc[mon] = v
-            else:
-                acc.pop(mon, None)
 
 
 def borel_serre_check(g: int, depth: int) -> bool:

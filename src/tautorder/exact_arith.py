@@ -166,3 +166,19 @@ def primes_upto(bound: int) -> list[int]:
     if bound > limit:
         _, primes = _grow_sieve(bound)
     return primes[: bisect_right(primes, bound)]
+
+
+def _power(base, m: int, one, times):
+    """base^m for m >= 0, by square-and-multiply under `times`.
+
+    The one power routine of the package: the mod-l, cyclotomic and graded
+    polynomial rings all raise to powers through it.
+    """
+    result = one
+    while m:
+        if m & 1:
+            result = times(result, base)
+        m >>= 1
+        if m:
+            base = times(base, base)
+    return result

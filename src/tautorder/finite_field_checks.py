@@ -37,7 +37,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .exact_arith import is_prime
+from .exact_arith import _power, is_prime
 
 __all__ = [
     "ModPPolynomial",
@@ -89,18 +89,6 @@ def _reduce_cyclotomic(coeffs, l: int, k: int) -> list:
                 out[j] -= c
     del out[n:]
     return out
-
-
-def _power(base, m: int, one, times):
-    """base^m for m >= 0, by square-and-multiply under `times`."""
-    result = one
-    while m:
-        if m & 1:
-            result = times(result, base)
-        m >>= 1
-        if m:
-            base = times(base, base)
-    return result
 
 
 class ModPPolynomial:

@@ -23,7 +23,6 @@ from tautorder.chern_symbolics import (
     todd_class,
 )
 from tautorder.chern_symbolics import (
-    _class_poly,
     _exp_scaled,
     _lambda_character,
     _power_sums,
@@ -70,6 +69,8 @@ def test_pow_matches_repeated_multiplication() -> None:
         for k in range(5):
             assert a**k == explicit
             explicit = explicit * a
+    with pytest.raises(ValueError, match="inverse"):
+        xs[0] ** -1
 
 
 def test_truncation_discards_high_degrees() -> None:
@@ -116,6 +117,36 @@ def test_homogeneous_components_partition() -> None:
         assert acc == a
 
 
+def test_terms_is_a_fresh_dict() -> None:
+    # editing what .terms returns must not reach the polynomial, even a cached one
+    elementary_symmetric(3, 2, 4).terms[(1, 1, 0)] = 7
+    assert elementary_symmetric(3, 2, 4).render() == "x1*x2 + x1*x3 + x2*x3"
+    x1 = root_variables(2, 3)[0]
+    x1.terms.clear()
+    assert x1.terms == {(1, 0): 1}
+
+
+def test_coefficient_is_total() -> None:
+    x1 = root_variables(2, 3)[0]
+    assert x1.coefficient((1, 0)) == 1
+    assert x1.coefficient((1,)) == 0  # too short
+    assert x1.coefficient((1, 0, 0)) == 0  # too long
+    assert x1.coefficient((-3, 1)) == 0  # negative exponent; packs to 1
+    assert x1.coefficient((5, 0)) == 0  # exponent beyond the radix
+    assert x1.coefficient((0, 4)) == 0  # weighted degree beyond the truncation
+    c2 = class_variables(2, 3)[1]
+    assert c2.coefficient((0, 1)) == 1
+    assert c2.coefficient((0, 2)) == 0  # degree 4 > 3, though each exponent fits
+
+
+def test_round_trip_through_terms() -> None:
+    rng = random.Random(55106)
+    for vars_ in (root_variables(3, 5), class_variables(3, 5)):
+        for _ in range(20):
+            p = _random_poly(rng, vars_)
+            assert GradedPolynomial(p.names, p.weights, p.truncation, p.terms) == p
+
+
 def test_immutability_and_unhashability() -> None:
     x1 = root_variables(2, 3)[0]
     with pytest.raises(AttributeError, match="immutable"):
@@ -143,6 +174,9 @@ def test_elementary_symmetric_degenerate_cases() -> None:
     assert e0 == e0.ring_constant(1)
     e3 = elementary_symmetric(3, 3, 4)
     assert e3.coefficient((1, 1, 1)) == 1
+    for i in range(4):
+        with pytest.raises(ValueError, match="truncation"):
+            elementary_symmetric(3, i, -1)
 
 
 def test_symmetric_reduce_round_trip() -> None:
@@ -169,8 +203,56 @@ def test_symmetric_reduce_power_sums() -> None:
 
 def test_symmetric_reduce_rejects_asymmetric_input() -> None:
     xs = root_variables(2, 3)
-    with pytest.raises(ValueError, match="not symmetric"):
-        symmetric_reduce(xs[0])
+    # x1*x2^2 passes as a first leading term, x1^2*x2 does not
+    for poly in (xs[0], xs[0] * xs[1] ** 2, xs[0] ** 2 * xs[1]):
+        with pytest.raises(ValueError, match="not symmetric"):
+            symmetric_reduce(poly)
+
+
+# rendered before the polynomials changed their internal representation
+PARITY = {
+    "todd_class(3, 4)": (
+        lambda: todd_class(3, 4),
+        "1 - 1/2*x1 - 1/2*x2 - 1/2*x3 + 1/12*x1^2 + 1/4*x1*x2 + 1/4*x1*x3 + 1/12*x2^2"
+        " + 1/4*x2*x3 + 1/12*x3^2 - 1/24*x1^2*x2 - 1/24*x1^2*x3 - 1/24*x1*x2^2"
+        " - 1/8*x1*x2*x3 - 1/24*x1*x3^2 - 1/24*x2^2*x3 - 1/24*x2*x3^2 - 1/720*x1^4"
+        " + 1/144*x1^2*x2^2 + 1/48*x1^2*x2*x3 + 1/144*x1^2*x3^2 + 1/48*x1*x2^2*x3"
+        " + 1/48*x1*x2*x3^2 - 1/720*x2^4 + 1/144*x2^2*x3^2 - 1/720*x3^4",
+    ),
+    "todd_class(2, 3, dual=False)": (
+        lambda: todd_class(2, 3, dual=False),
+        "1 + 1/2*x1 + 1/2*x2 + 1/12*x1^2 + 1/4*x1*x2 + 1/12*x2^2 + 1/24*x1^2*x2"
+        " + 1/24*x1*x2^2",
+    ),
+    "chern_character(3, 3)": (
+        lambda: chern_character(3, 3),
+        "3 + x1 + x2 + x3 + 1/2*x1^2 + 1/2*x2^2 + 1/2*x3^2 + 1/6*x1^3 + 1/6*x2^3"
+        " + 1/6*x3^3",
+    ),
+    "symmetric_reduce(chern_character(3, 4))": (
+        lambda: symmetric_reduce(chern_character(3, 4)).output,
+        "3 + c1 + 1/2*c1^2 - c2 + 1/6*c1^3 - 1/2*c1*c2 + 1/2*c3 + 1/24*c1^4"
+        " - 1/6*c1^2*c2 + 1/6*c1*c3 + 1/12*c2^2",
+    ),
+    "substitute_elementary(c1*c2 + c3)": (
+        lambda: (lambda c1, c2, c3: substitute_elementary(c1 * c2 + c3))(*class_variables(3, 5)),
+        "x1^2*x2 + x1^2*x3 + x1*x2^2 + 4*x1*x2*x3 + x1*x3^2 + x2^2*x3 + x2*x3^2",
+    ),
+    "elementary_symmetric(4, 2, 4)": (
+        lambda: elementary_symmetric(4, 2, 4),
+        "x1*x2 + x1*x3 + x1*x4 + x2*x3 + x2*x4 + x3*x4",
+    ),
+    "lambda_star_class(5, 7)": (
+        lambda: lambda_star_class(5, 7),
+        "1 - 24*c5 + 60*c1*c5 - 120*c1^2*c5 + 60*c2*c5",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARITY))
+def test_render_parity(name: str) -> None:
+    build, text = PARITY[name]
+    assert build().render() == text
 
 
 def test_chern_character_is_sum_of_exponentials() -> None:
@@ -297,6 +379,15 @@ def _borel_serre_in_roots(g: int, depth: int) -> bool:
     return lhs * todd_class(g, depth) == target
 
 
+def _class_poly(components: list[dict], g: int, depth: int) -> GradedPolynomial:
+    # the polynomial in c1..cg of packed components (c1 the least significant
+    # digit, radix depth + 1), built through the public constructor
+    radix = depth + 1
+    terms = {tuple(mon // radix**i % radix for i in range(g)): c
+             for comp in components for mon, c in comp.items()}
+    return GradedPolynomial([f"c{i}" for i in range(1, g + 1)], range(1, g + 1), depth, terms)
+
+
 def _unscaled(components: list[dict], g: int, depth: int) -> GradedPolynomial:
     # the class polynomial of n!-scaled components
     return _class_poly(
@@ -405,6 +496,8 @@ def test_fundamental_relations_match_direct_expansion() -> None:
         assert components[d - 1].is_zero()
     assert components[3].render() == "-2*l1*l3 + l2^2"
     assert components[5].render() == "-l3^2"
+    assert [comp.render() for comp in components] == [
+        "0", "-l1^2 + 2*l2", "0", "-2*l1*l3 + l2^2", "0", "-l3^2"]
 
 
 def test_fundamental_relations_degree_window() -> None:
