@@ -98,12 +98,12 @@ class GradedPolynomial:
     """Sparse polynomial with weighted generators and hard degree truncation.
 
     Instances are treated as immutable; every operation returns a new object.
-    Coefficients are exact (int or Fraction, freely mixed).  `comps[d]` holds
-    the packed monomials of weighted degree d; `terms` is the same data keyed
-    by exponent tuples, built afresh on every read.
+    Coefficients are exact (int or Fraction, freely mixed).  The private
+    `_comps[d]`, shared with cached instances, holds the packed monomials of
+    degree d; `terms` is the same data by exponent tuples, fresh on each read.
     """
 
-    __slots__ = ("names", "weights", "truncation", "comps")
+    __slots__ = ("names", "weights", "truncation", "_comps")
 
     def __init__(self, names, weights, truncation, terms):
         names = tuple(names)
@@ -128,7 +128,7 @@ class GradedPolynomial:
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "truncation", truncation)
-        object.__setattr__(self, "comps", comps)
+        object.__setattr__(self, "_comps", comps)
 
     def __setattr__(self, name, value):
         raise AttributeError("GradedPolynomial is immutable")
@@ -140,7 +140,7 @@ class GradedPolynomial:
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "truncation", truncation)
-        object.__setattr__(self, "comps", comps)
+        object.__setattr__(self, "_comps", comps)
         return self
 
     def _like(self, comps) -> "GradedPolynomial":
@@ -150,7 +150,7 @@ class GradedPolynomial:
     def terms(self) -> dict:
         """{exponent tuple: coefficient}, as a fresh dict the caller may keep."""
         n, radix = len(self.names), self.truncation + 1
-        return {_unpack(mon, n, radix): c for comp in self.comps for mon, c in comp.items()}
+        return {_unpack(mon, n, radix): c for comp in self._comps for mon, c in comp.items()}
 
     # -- ring bookkeeping -------------------------------------------------
 
@@ -163,7 +163,7 @@ class GradedPolynomial:
             raise ValueError("polynomials live in different rings")
 
     def ring_constant(self, value) -> "GradedPolynomial":
-        comps = [{} for _ in self.comps]
+        comps = [{} for _ in self._comps]
         if value != 0:
             comps[0][0] = value
         return self._like(comps)
@@ -171,7 +171,7 @@ class GradedPolynomial:
     def ring_variable(self, index: int) -> "GradedPolynomial":
         if not 0 <= index < len(self.names):
             raise ValueError("variable index out of range")
-        comps = [{} for _ in self.comps]
+        comps = [{} for _ in self._comps]
         if self.weights[index] <= self.truncation:
             comps[self.weights[index]][(self.truncation + 1) ** index] = 1
         return self._like(comps)
@@ -182,8 +182,8 @@ class GradedPolynomial:
         if isinstance(other, (int, Fraction)):
             other = self.ring_constant(other)
         self._check_ring(other)
-        comps = [dict(comp) for comp in self.comps]
-        for acc, comp in zip(comps, other.comps):
+        comps = [dict(comp) for comp in self._comps]
+        for acc, comp in zip(comps, other._comps):
             _add_into(acc, comp, 1)
         return self._like(comps)
 
@@ -201,8 +201,8 @@ class GradedPolynomial:
         return (-self) + other
 
     def _scaled(self, scale) -> "GradedPolynomial":
-        comps = [{} for _ in self.comps]
-        for acc, comp in zip(comps, self.comps):
+        comps = [{} for _ in self._comps]
+        for acc, comp in zip(comps, self._comps):
             _add_into(acc, comp, scale)
         return self._like(comps)
 
@@ -210,11 +210,11 @@ class GradedPolynomial:
         if isinstance(other, (int, Fraction)):
             return self._scaled(other)
         self._check_ring(other)
-        comps = [{} for _ in self.comps]
-        for da, a in enumerate(self.comps):
+        comps = [{} for _ in self._comps]
+        for da, a in enumerate(self._comps):
             if a:
                 for db in range(len(comps) - da):
-                    _mul_into(comps[da + db], a, other.comps[db], 1)
+                    _mul_into(comps[da + db], a, other._comps[db], 1)
         return self._like(comps)
 
     __rmul__ = __mul__
@@ -226,25 +226,25 @@ class GradedPolynomial:
 
     def inverse(self) -> "GradedPolynomial":
         """Multiplicative inverse in the truncated ring; needs a unit constant term."""
-        c0 = self.comps[0].get(0, 0)
+        c0 = self._comps[0].get(0, 0)
         if c0 == 0:
             raise ValueError("inverse requires a nonzero constant term")
         inv0 = 1 if c0 == 1 else -1 if c0 == -1 else Fraction(1) / c0
         # the degree-d part of self * inverse vanishes for d >= 1
         out = [{0: inv0}]
-        for d in range(1, len(self.comps)):
+        for d in range(1, len(self._comps)):
             acc: dict = {}
             for e in range(1, d + 1):
-                _mul_into(acc, self.comps[e], out[d - e], -inv0)
+                _mul_into(acc, self._comps[e], out[d - e], -inv0)
             out.append(acc)
         return self._like(out)
 
     # -- structure --------------------------------------------------------
 
     def homogeneous_component(self, degree: int) -> "GradedPolynomial":
-        comps = [{} for _ in self.comps]
+        comps = [{} for _ in self._comps]
         if 0 <= degree <= self.truncation:
-            comps[degree] = self.comps[degree]
+            comps[degree] = self._comps[degree]
         return self._like(comps)
 
     def coefficient(self, mon) -> "int | Fraction":
@@ -252,10 +252,10 @@ class GradedPolynomial:
         if len(mon) != len(self.names) or not all(0 <= e < radix for e in mon):
             return 0  # no term has this monomial, and packing it could alias one
         degree = sum(e * w for e, w in zip(mon, self.weights))
-        return self.comps[degree].get(_pack(mon, radix), 0) if degree < radix else 0
+        return self._comps[degree].get(_pack(mon, radix), 0) if degree < radix else 0
 
     def is_zero(self) -> bool:
-        return not any(self.comps)
+        return not any(self._comps)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedPolynomial):
@@ -264,7 +264,7 @@ class GradedPolynomial:
             self.names == other.names
             and self.weights == other.weights
             and self.truncation == other.truncation
-            and self.comps == other.comps
+            and self._comps == other._comps
         )
 
     __hash__ = None
@@ -274,7 +274,7 @@ class GradedPolynomial:
     def render(self) -> str:
         """Canonical text form: terms sorted by (degree, exponents), exact coefficients."""
         n, radix = len(self.names), self.truncation + 1
-        ordered = [term for comp in self.comps for term in sorted(
+        ordered = [term for comp in self._comps for term in sorted(
             ((_unpack(m, n, radix), c) for m, c in comp.items()), reverse=True)]
         if not ordered:
             return "0"
@@ -376,8 +376,8 @@ def symmetric_reduce(poly: GradedPolynomial) -> SymmetricReduction:
     if poly.weights != (1,) * g:
         raise ValueError("symmetric reduction expects weight-1 root variables")
     radix = poly.truncation + 1
-    out = [{} for _ in poly.comps]
-    for degree, bucket in enumerate(poly.comps):
+    out = [{} for _ in poly._comps]
+    for degree, bucket in enumerate(poly._comps):
         comp = dict(bucket)
         while comp:
             lead = max(comp)
@@ -387,7 +387,7 @@ def symmetric_reduce(poly: GradedPolynomial) -> SymmetricReduction:
             exps = tuple(a[g - j + 1] - a[g - j] for j in range(1, g + 1))
             coeff = comp[lead]
             expansion = _elementary_monomial(g, exps, poly.truncation)
-            _add_into(comp, expansion.comps[degree], -coeff)
+            _add_into(comp, expansion._comps[degree], -coeff)
             out[degree][_pack(exps, radix)] = coeff
     output = GradedPolynomial._raw(_names("c", g), tuple(range(1, g + 1)), poly.truncation, out)
     return SymmetricReduction(poly, output)
@@ -399,11 +399,11 @@ def substitute_elementary(class_poly: GradedPolynomial) -> GradedPolynomial:
     if class_poly.weights != tuple(range(1, g + 1)):
         raise ValueError("expects class variables of weights 1..g")
     trunc = class_poly.truncation
-    out = [{} for _ in class_poly.comps]
-    for degree, comp in enumerate(class_poly.comps):
+    out = [{} for _ in class_poly._comps]
+    for degree, comp in enumerate(class_poly._comps):
         for mon, coeff in comp.items():
             expansion = _elementary_monomial(g, _unpack(mon, g, trunc + 1), trunc)
-            _add_into(out[degree], expansion.comps[degree], coeff)
+            _add_into(out[degree], expansion._comps[degree], coeff)
     return GradedPolynomial._raw(_names("x", g), (1,) * g, trunc, out)
 
 

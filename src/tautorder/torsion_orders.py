@@ -7,6 +7,9 @@ divide 2g, which confines candidates to p <= 2g+1); the prime 2 contributes
 2^k where k is the largest exponent with 2^{k-2} dividing 2g, so 8 always
 divides n_g.
 
+`ng_local(g)` walks the divisors of 2g, O(sqrt(g)) for one n_g near 10^9; the
+tables n_1..n_g behind the reports come from one sieve pass, `_ng_values(g)`.
+
 The independent oracle computes the same number as a stabilized running gcd of
 p^{2g} - 1 over primes p > 2g+1.  The two routes share no code.
 """
@@ -14,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, isqrt
+from math import factorial, gcd, isqrt, prod
 
 from .bernoulli_zeta import bernoulli, proportionality, zeta_neg
 from .exact_arith import (
@@ -53,10 +56,7 @@ class NgDecomposition:
 
     @property
     def value(self) -> int:
-        out = 1
-        for f in self.factors:
-            out *= f.value
-        return out
+        return prod(f.value for f in self.factors)
 
 
 def ng_local(g: int) -> NgDecomposition:
@@ -81,6 +81,20 @@ def ng_local(g: int) -> NgDecomposition:
             # largest k with p^{k-1}(p-1) | 2g
             factors.append(PrimeLocalOrder(d + 1, valuation(two_g // d, d + 1) + 1))
     return NgDecomposition(g, tuple(factors))
+
+
+def _ng_values(g: int) -> list[int]:
+    """[n_1, ..., n_g]: (p-1) | 2i exactly when h = (p-1)/2 divides i, and then the
+    odd prime p contributes p^(1 + v_p(i/h)), one factor p at each multiple of
+    h, h p, h p^2, ...  The 2-part of n_i is 2^(v_2(2i) + 2)."""
+    values = [1 << ((i & -i).bit_length() + 2) for i in range(1, g + 1)]
+    for p in primes_upto(2 * g + 1)[1:]:
+        step = (p - 1) // 2
+        while step <= g:
+            for i in range(step - 1, g, step):
+                values[i] *= p
+            step *= p
+    return values
 
 
 def ng_oracle(g: int, prime_count: int = 100, stabilization_window: int = 50) -> int:
@@ -121,12 +135,9 @@ def product_identity_check(g: int) -> ProductIdentityReport:
     """
     if g < 1:
         raise ValueError("g must be positive")
-    lhs = 1
-    for i in range(1, g + 1):
-        lhs *= ng_local(i).value
-    rhs = 1
-    for p in primes_upto(2 * g + 1):
-        rhs *= p ** factorial_p_valuation((2 * g * p) // (p - 1), p)
+    lhs = prod(_ng_values(g))
+    primes = primes_upto(2 * g + 1)
+    rhs = prod(p ** factorial_p_valuation((2 * g * p) // (p - 1), p) for p in primes)
     return ProductIdentityReport(g, lhs, rhs, lhs == rhs)
 
 
@@ -142,10 +153,7 @@ def product_identity_tail_is_trivial(g: int) -> bool:
 
 def denominator_corollary_check(g: int) -> bool:
     """Denominator of |proportionality constant| divides prod_{i<=g} n_i."""
-    prod = 1
-    for i in range(1, g + 1):
-        prod *= ng_local(i).value
-    return prod % proportionality(g).absolute_value.denominator == 0
+    return prod(_ng_values(g)) % proportionality(g).absolute_value.denominator == 0
 
 
 @dataclass(frozen=True)
@@ -167,17 +175,14 @@ def torsion_report(g: int) -> TorsionReport:
     """
     if g < 1:
         raise ValueError("g must be positive")
-    values = [ng_local(i).value for i in range(1, g + 1)]
+    values = _ng_values(g)
     n_g = values[-1]
-    prod = 1
-    for v in values:
-        prod *= v
     return TorsionReport(
         g=g,
         n_g=n_g,
         lower_bound_lambda=n_g // 2,
         scheme_upper_bound=factorial(g - 1) * n_g,
-        stack_upper_bound=factorial(g - 1) * prod,
+        stack_upper_bound=factorial(g - 1) * prod(values),
         r_orders={i: values[i - 1] // 2 for i in range(1, g + 1)},
     )
 

@@ -126,6 +126,30 @@ def test_terms_is_a_fresh_dict() -> None:
     assert x1.terms == {(1, 0): 1}
 
 
+def test_no_public_accessor_reaches_the_cached_components() -> None:
+    # the packed components are shared with the cache, so every public accessor
+    # must hand out a copy or an immutable value; a new accessor joins this list
+    e2 = elementary_symmetric(3, 2, 4)
+    assert sorted(n for n in dir(e2) if not n.startswith("_")) == [
+        "coefficient", "homogeneous_component", "inverse", "is_zero", "names", "render",
+        "ring_constant", "ring_variable", "terms", "truncation", "weights",
+    ]
+    with pytest.raises(AttributeError):
+        e2.comps[2][6] = 7
+    parts = [e2.homogeneous_component(d) for d in range(5)] + [e2.ring_constant(1), e2.ring_variable(0)]
+    for value in [e2.names, e2.weights, e2.truncation, e2.terms, e2.coefficient((1, 1, 0)), e2.is_zero(),
+                  e2.render()] + [p.terms for p in parts]:
+        if isinstance(value, dict):
+            value[(1, 1, 0)] = 7
+            value[(0, 0, 2)] = 1
+        else:
+            assert isinstance(value, (tuple, int, str))
+    with pytest.raises(ValueError):
+        e2.inverse()  # no unit constant term, so no result to edit
+    assert elementary_symmetric(3, 2, 4).render() == "x1*x2 + x1*x3 + x2*x3"
+    assert elementary_symmetric(3, 2, 4).terms == {(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1}
+
+
 def test_coefficient_is_total() -> None:
     x1 = root_variables(2, 3)[0]
     assert x1.coefficient((1, 0)) == 1

@@ -277,6 +277,20 @@ def test_large_prime_moduli_answer_at_once() -> None:
     assert time.perf_counter() - start < 1.0
 
 
+def test_product_of_two_primes_near_a_billion_answers_at_once() -> None:
+    # 999999937 * 1000000007: about 5 * 10^8 trial divisions, a few 10^4 rho steps
+    p, q = 999999937, 1000000007
+    start = time.perf_counter()
+    code, text = _run(["sp-order", "1", str(p * q)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    local = {r: r * (r * r - 1) for r in (p, q)}
+    assert text == (
+        f"g = 1\nn = 999999943999999559\norder = {local[p] * local[q]}\n"
+        f"local_factors.{p} = {local[p]}\nlocal_factors.{q} = {local[q]}\n"
+    )
+
+
 # verify all overflows the stdout buffer while writing; ng 3 reaches the pipe
 # only when flushed
 @pytest.mark.parametrize("argv", [["verify", "all"], ["ng", "3"]], ids=" ".join)

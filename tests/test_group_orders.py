@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -150,3 +151,75 @@ def test_factorize_stops_at_a_prime_cofactor() -> None:
     assert factorize(12 * p) == {2: 2, 3: 1, p: 1}
     assert factorize(1009**10) == {1009: 10}
     assert factorize(2**100 * 3) == {2: 100, 3: 1}
+
+
+# primes known from outside the code under test; each is re-proved by trial division below
+NEAR_A_MILLION = (1000003, 1000033, 1000037)
+NEAR_A_BILLION = (999999929, 999999937, 1000000007)
+
+
+def test_factorize_oracle_primes_are_prime() -> None:
+    for p in NEAR_A_MILLION + NEAR_A_BILLION + (1009, 1013):
+        assert _factor_by_trial_division(p) == {p: 1}
+
+
+def test_factorize_prime_squares_and_cubes_above_the_trial_bound() -> None:
+    for p in (1009, 1013) + NEAR_A_MILLION + NEAR_A_BILLION:
+        assert factorize(p**2) == {p: 2}
+        assert factorize(p**3) == {p: 3}
+    assert factorize(1009**2 * 1013**3) == {1009: 2, 1013: 3}
+    assert factorize(720 * 1000003**2) == {2: 4, 3: 2, 5: 1, 1000003: 2}
+
+
+@pytest.mark.parametrize("primes", [NEAR_A_MILLION, NEAR_A_BILLION], ids=["1e6", "1e9"])
+def test_factorize_products_of_two_and_three_large_primes(primes: tuple) -> None:
+    a, b, c = primes
+    assert factorize(a * b) == {a: 1, b: 1}
+    assert factorize(b * c) == {b: 1, c: 1}
+    assert factorize(a * c) == {a: 1, c: 1}
+    assert factorize(a * b * c) == {a: 1, b: 1, c: 1}
+    assert factorize(30 * a * b * c) == {2: 1, 3: 1, 5: 1, a: 1, b: 1, c: 1}
+
+
+def test_factorize_every_product_of_two_primes_from_1000_to_1500() -> None:
+    # small enough that both rho cycles often close inside one gcd batch: those
+    # splits need the one-step retrace, and some need a second constant c
+    primes = [p for p in range(1001, 1500, 2) if _factor_by_trial_division(p) == {p: 1}]
+    for i, p in enumerate(primes):
+        for q in primes[i + 1 :]:
+            assert factorize(p * q) == {p: 1, q: 1}
+
+
+def test_factorize_carmichael_numbers_with_large_factors() -> None:
+    # Chernick's (6k+1)(12k+1)(18k+1) with all three prime: Fermat-liars to every coprime base
+    for k in (195, 206, 216, 255):
+        primes = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+        n = primes[0] * primes[1] * primes[2]
+        assert pow(2, n - 1, n) == 1
+        assert factorize(n) == dict.fromkeys(primes, 1)
+
+
+def test_factorize_mersenne_prime_and_composite_cofactors() -> None:
+    m61 = 2**61 - 1
+    assert factorize(m61) == {m61: 1}
+    assert factorize(12 * m61) == {2: 2, 3: 1, m61: 1}
+    assert factorize(m61 * 1000000007) == {1000000007: 1, m61: 1}
+    assert factorize(2**62 - 1) == {3: 1, 715827883: 1, 2147483647: 1}
+
+
+def test_factorize_keys_ascend() -> None:
+    for n in (1000000007 * 1000003 * 12, 999999937 * 1009**2 * 7, 2**61 - 1, 1000037 * 1000003 * 1000033):
+        fac = factorize(n)
+        assert list(fac) == sorted(fac)
+        prod = 1
+        for p, e in fac.items():
+            prod *= p**e
+        assert prod == n
+
+
+def test_factorize_refuses_the_strong_pseudoprime_to_every_base() -> None:
+    # 399165290221 * 798330580441, past the proven range of is_prime: refused, not split
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="beyond the range"):
+        factorize(318665857834031151167461)
+    assert time.perf_counter() - start < 1.0

@@ -2,15 +2,16 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
-from math import gcd, isqrt
+from math import factorial, gcd, isqrt, prod
 
 import pytest
 
 from tautorder.bernoulli_zeta import proportionality, zeta_neg
-from tautorder import exact_arith
+from tautorder import exact_arith, torsion_orders
 from tautorder.exact_arith import is_prime, primes_upto, valuation
 from tautorder.torsion_orders import (
     NG_CROSS_CHECK,
+    _ng_values,
     boundary_coefficient,
     denominator_corollary_check,
     grr_chain_check,
@@ -103,6 +104,29 @@ def test_ng_local_at_a_billion_builds_no_large_sieve() -> None:
         160001, 62500001,
     ]
     assert all((2 * g) % (f.prime - 1) == 0 for f in dec.factors)
+
+
+def test_ng_values_against_ng_local() -> None:
+    # the per-g divisor walk is the oracle for the one-pass table
+    assert _ng_values(3000) == [ng_local(i).value for i in range(1, 3001)]
+    assert _ng_values(1) == [24] and _ng_values(0) == []
+
+
+def test_tables_make_no_ng_local_call(monkeypatch) -> None:
+    values = [ng_local(i).value for i in range(1, 301)]  # the tables as ng_local built them
+
+    def refuse(g: int):
+        raise AssertionError("ng_local called from a table")
+
+    monkeypatch.setattr(torsion_orders, "ng_local", refuse)
+    report = torsion_report(300)
+    assert (report.n_g, report.lower_bound_lambda) == (values[-1], values[-1] // 2)
+    assert report.scheme_upper_bound == factorial(299) * values[-1]
+    assert report.stack_upper_bound == factorial(299) * prod(values)
+    assert report.r_orders == {i: v // 2 for i, v in enumerate(values, start=1)}
+    identity = product_identity_check(30)
+    assert (identity.lhs, identity.rhs, identity.equal) == (prod(values[:30]), prod(values[:30]), True)
+    assert denominator_corollary_check(30) is True
 
 
 def test_ng_local_rejects_nonpositive() -> None:
