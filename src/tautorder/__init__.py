@@ -33,7 +33,6 @@ from .exact_arith import (
     valuation,
 )
 from .finite_field_checks import (
-    CyclotomicElement,
     ModPPolynomial,
     cyclotomic_chern_check,
     cyclotomic_chern_product,

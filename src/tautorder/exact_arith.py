@@ -5,7 +5,7 @@ are Python ints.  No float ever enters or leaves this package.  `is_prime`
 trial-divides by factors up to 1000 and runs deterministic Miller-Rabin with
 the twelve prime bases 2..37 beyond that.  `primes_upto` lists primes from one
 process-wide sieve of Eratosthenes that grows by doubling and never shrinks, so
-the torsion tables, which ask for primes up to 2g+1 once per index, sieve once
+the torsion tables, which ask for primes up to 2g+1 once per table, sieve once
 instead of testing every candidate.
 """
 from __future__ import annotations
@@ -171,8 +171,8 @@ def primes_upto(bound: int) -> list[int]:
 def _power(base, m: int, one, times):
     """base^m for m >= 0, by square-and-multiply under `times`.
 
-    The one power routine of the package: the mod-l, cyclotomic and graded
-    polynomial rings all raise to powers through it.
+    The one power routine of the package: the mod-l and graded polynomial
+    rings raise to powers through it.
     """
     result = one
     while m:

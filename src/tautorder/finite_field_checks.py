@@ -11,37 +11,43 @@ so the constant in each degree-(l-1) block is -1, not +1.  The +1 variant
 (which coincides mod 2) is reported alongside for comparison.
 
 The trace pairing B(a, b) = Tr(a * conj(b) * w) on Z[zeta], zeta of order
-l^k, twists by w = (zeta - zeta^{-1})^{-d} where d = l^{k-1}(k(l-1)-1) is the
-valuation of the different (for k = 1 this is the familiar l - 2).  With that
-twist the Gram matrix on the power basis is integral, antisymmetric,
-zeta-invariant, and unimodular.  The exponent l^k - l^{k-1} - 1 sometimes
-quoted agrees only for k = 1; the report carries both, and for the quoted
-variant the determinant picks up a power of l (l^4 for l^k = 9).
+l^k, needs a twist w that generates the inverse different lambda^{-d}, where
+d = l^{k-1}(k(l-1)-1) is the valuation of the different (for k = 1 this is the
+familiar l - 2).  With such a twist the Gram matrix on the power basis is
+integral, antisymmetric, zeta-invariant, and unimodular.  The exponent
+l^k - l^{k-1} - 1 sometimes quoted agrees only for k = 1; the report carries
+both, and for the quoted variant the determinant picks up a power of l (l^4
+for l^k = 9).
 
-One dense core does all polynomial arithmetic: `_convolve` multiplies, then
-`ModPPolynomial` reduces mod l and `CyclotomicElement` mod Phi_{l^k} through
-the division-free `_reduce_cyclotomic`; the field inverse is the product of the
-other Galois conjugates over the rational norm.  The twist is in closed form:
-sum_{j<N} j eta^j = N/(eta - 1) for eta = zeta^2 of odd order N = l^k, so
-(zeta - zeta^{-1})^{-1} = u/l^k with u = sum_{j<N} j zeta^{2j+1} (Washington,
-ch. 2).  The Gram matrix applies the closed form of Tr(zeta^m) (l^{k-1}(l-1)
-when l^k | m, -l^{k-1} when only l^{k-1} | m, else 0) to the integer
-coordinates of u^d, and takes its determinant by fraction-free Bareiss
-elimination.  `CyclotomicElement.trace` and the inverse-and-power twist are
-the slower independent routes the tests check these closed forms against.
+The twist is the small generator w0 = (zeta^s - zeta^{-s}) / l^k, s = l^{k-1}:
+lambda^s is associate to 1 - zeta^s and v_lambda(l^k) = k l^{k-1}(l-1), so w0
+generates lambda^{s - k l^{k-1}(l-1)} = lambda^{-d} (Washington, ch. 2-3;
+Neukirch, III.2).  The classical twist (zeta - zeta^{-1})^{-d} generates the
+same ideal, so it is eps * w0 with eps a unit; both twists are negated by
+complex conjugation, so eps is real, and a real unit of a CM field has norm 1.
+The determinant, the four flags and the quoted determinant are therefore those
+of the classical twist, while the Gram entries stay in {-1, 0, 1}: by the
+closed form of Tr(zeta^m) (l^{k-1}(l-1) when l^k | m, -l^{k-1} when only
+l^{k-1} | m, else 0, Washington, ch. 2), the entry at i - j = m is
+(Tr zeta^{m+s} - Tr zeta^{m-s}) / l^k.  The determinant comes from
+fraction-free Bareiss elimination on integers.  The classical twist, the field
+arithmetic it needs and the matrix trace live on in the tests as the
+independent route these closed forms are checked against.
+
+One dense core does the polynomial arithmetic: `_convolve` multiplies, then
+`ModPPolynomial` reduces mod l, and `_reduce_cyclotomic` reduces mod
+Phi_{l^k} without division, which gives the rows of multiplication by zeta.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 from .exact_arith import _power, is_prime
 
 __all__ = [
     "ModPPolynomial",
-    "CyclotomicElement",
     "CyclotomicChernReport",
     "SymplecticPairingReport",
     "hurwitz_genus",
@@ -50,10 +56,6 @@ __all__ = [
     "symplectic_pairing_check",
     "different_exponent",
 ]
-
-# the largest rank symplectic_pairing_check accepts
-_MAX_PAIRING_RANK = 16
-
 
 # -- the polynomial core ---------------------------------------------------
 
@@ -225,110 +227,6 @@ def cyclotomic_chern_check(l: int, k: int) -> CyclotomicChernReport:
     )
 
 
-# -- exact cyclotomic arithmetic -------------------------------------------
-
-
-class CyclotomicElement:
-    """Element of Q(zeta), zeta a primitive l^k-th root of unity, on the power basis."""
-
-    __slots__ = ("l", "k", "coeffs")
-
-    def __init__(self, l: int, k: int, coeffs) -> None:
-        _check_prime_power(l, k)
-        cs = tuple(Fraction(c) for c in _reduce_cyclotomic(coeffs, l, k))
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "coeffs", cs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CyclotomicElement is immutable")
-
-    @property
-    def level(self) -> int:
-        return self.l ** self.k
-
-    @property
-    def degree(self) -> int:
-        return self.l ** (self.k - 1) * (self.l - 1)
-
-    @classmethod
-    def zeta_power(cls, l: int, k: int, m: int) -> "CyclotomicElement":
-        m = m % (l**k)
-        return cls(l, k, [0] * m + [1])
-
-    def _check(self, other: "CyclotomicElement") -> None:
-        if (self.l, self.k) != (other.l, other.k):
-            raise ValueError("mismatched cyclotomic fields")
-
-    def __add__(self, other: "CyclotomicElement") -> "CyclotomicElement":
-        self._check(other)
-        return CyclotomicElement(
-            self.l, self.k, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def __sub__(self, other: "CyclotomicElement") -> "CyclotomicElement":
-        self._check(other)
-        return CyclotomicElement(
-            self.l, self.k, [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def __mul__(self, other: "CyclotomicElement") -> "CyclotomicElement":
-        self._check(other)
-        return CyclotomicElement(self.l, self.k, _convolve(self.coeffs, other.coeffs))
-
-    def __pow__(self, m: int) -> "CyclotomicElement":
-        if m < 0:
-            return (self ** (-m)).inverse()
-        return _power(self, m, CyclotomicElement(self.l, self.k, [1]), mul)
-
-    def _galois(self, a: int) -> "CyclotomicElement":
-        """The automorphism zeta -> zeta^a, for a prime to l."""
-        level = self.level
-        out = [0] * level
-        for i, c in enumerate(self.coeffs):
-            out[a * i % level] += c
-        return CyclotomicElement(self.l, self.k, out)
-
-    def conj(self) -> "CyclotomicElement":
-        """The automorphism zeta -> zeta^{-1}."""
-        return self._galois(-1)
-
-    def inverse(self) -> "CyclotomicElement":
-        """Field inverse: the product of the other Galois conjugates over the norm."""
-        if not any(self.coeffs):
-            raise ZeroDivisionError("zero has no inverse")
-        others = CyclotomicElement(self.l, self.k, [1])
-        for a in range(2, self.level):
-            if a % self.l:
-                others = others * self._galois(a)
-        norm = (self * others).coeffs[0]  # rational, so on the constant coordinate
-        return CyclotomicElement(self.l, self.k, [c / norm for c in others.coeffs])
-
-    def trace(self) -> Fraction:
-        """Field trace, as the trace of the multiplication-by-self matrix.
-
-        O(n^3) through n multiplications; the pairing uses the closed form in
-        `_zeta_power_trace` instead, and this route is its test oracle.
-        """
-        n = self.degree
-        total = Fraction(0)
-        for j in range(n):
-            col = self * CyclotomicElement.zeta_power(self.l, self.k, j)
-            total += col.coeffs[j]
-        return total
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CyclotomicElement):
-            return NotImplemented
-        return (self.l, self.k, self.coeffs) == (other.l, other.k, other.coeffs)
-
-    def __hash__(self) -> int:
-        return hash((self.l, self.k, self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"CyclotomicElement(l={self.l}, k={self.k}, {list(self.coeffs)})"
-
-
 # -- the pairing -----------------------------------------------------------
 
 
@@ -362,45 +260,31 @@ def _zeta_power_trace(l: int, k: int, m: int) -> int:
     return 0
 
 
-def _twist_numerator(l: int, k: int, exponent: int) -> list[int]:
-    """u^exponent with u = sum_{j<l^k} j zeta^{2j+1} = l^k / (zeta - zeta^{-1}), odd l."""
-    level = l**k
-    u = [(p - 1) * (level + 1) // 2 % level for p in range(level)]  # 2 u_p + 1 = p mod l^k
-    return _power(
-        _reduce_cyclotomic(u, l, k), exponent, [1],
-        lambda a, b: _reduce_cyclotomic(_convolve(a, b), l, k),
-    )
+def _pairing_gram(l: int, k: int) -> tuple[list[list[int]], bool]:
+    """Gram matrix of B(a, b) = Tr(a conj(b) w0) on the power basis, and
+    whether every entry came out integral.
 
-
-def _pairing_gram(l: int, k: int, exponent: int) -> list[list[Fraction]]:
-    n = l ** (k - 1) * (l - 1)
-    # the twist (zeta - zeta^{-1})^{-exponent} is num / den
-    num, den = _twist_numerator(l, k, exponent), l ** (k * exponent)
-    # Gram[i][j] = Tr(zeta^i conj(zeta^j) twist) = Tr(zeta^{i-j} twist), and
-    # Tr(zeta^m twist) = sum_t num_t Tr(zeta^{m+t}) / den since the trace is Q-linear
-    traces = {
-        m: Fraction(
-            sum(c * _zeta_power_trace(l, k, m + t) for t, c in enumerate(num) if c), den
-        )
-        for m in range(-(n - 1), n)
-    }
-    return [[traces[i - j] for j in range(n)] for i in range(n)]
-
-
-def _det(matrix: list[list[Fraction]]) -> Fraction:
-    """Determinant by fraction-free Bareiss elimination (Bareiss, 1968).
-
-    The matrix is scaled to integers by the lcm L of its denominators; every
-    division below is exact, and det(matrix) = det(L * matrix) / L^n.
+    With s = l^{k-1}, B(zeta^i, zeta^j) = Tr(zeta^{i-j} w0) = t(i - j) where
+    t(m) = (Tr zeta^{m+s} - Tr zeta^{m-s}) / l^k, since the trace is Q-linear.
     """
+    n, s, level = l ** (k - 1) * (l - 1), l ** (k - 1), l**k
+    t, integral = {}, True
+    for m in range(-(n - 1), n):
+        t[m], rem = divmod(_zeta_power_trace(l, k, m + s) - _zeta_power_trace(l, k, m - s), level)
+        integral = integral and rem == 0
+    return [[t[i - j] for j in range(n)] for i in range(n)], integral
+
+
+def _det(matrix: list[list[int]]) -> int:
+    """Determinant of an integer matrix by fraction-free Bareiss elimination
+    (Bareiss, 1968); every division below is exact."""
     n = len(matrix)
-    scale = lcm(*(c.denominator for row in matrix for c in row))
-    a = [[c.numerator * (scale // c.denominator) for c in row] for row in matrix]
+    a = [list(row) for row in matrix]
     sign, prev = 1, 1
     for col in range(n - 1):
         pivot = next((r for r in range(col, n) if a[r][col]), None)
         if pivot is None:
-            return Fraction(0)
+            return 0
         if pivot != col:
             a[col], a[pivot] = a[pivot], a[col]
             sign = -sign
@@ -410,29 +294,27 @@ def _det(matrix: list[list[Fraction]]) -> Fraction:
             for c in range(col + 1, n):
                 row[c] = (row[c] * p - f * top[c]) // prev
         prev = p
-    return Fraction(sign * a[-1][-1] if n else 1, scale**n)
+    return sign * a[-1][-1] if n else 1
 
 
 def symplectic_pairing_check(l: int, k: int) -> SymplecticPairingReport:
-    """Gram matrix of B(a,b) = Tr(a conj(b) (zeta-zeta^{-1})^{-d}) on the power basis.
+    """Gram matrix of B(a,b) = Tr(a conj(b) w0) on the power basis, w0 the
+    small generator (zeta^s - zeta^{-s}) / l^k of the inverse different.
 
-    d is the different valuation, so the form is integral, antisymmetric,
-    zeta-invariant and unimodular.  The quoted exponent l^k - l^{k-1} - 1 is
-    also reported (identical for k = 1); when it differs, so does its
-    determinant, by the norm of the change of twist.
+    w0 generates lambda^{-d}, d the different valuation, so the form is
+    integral, antisymmetric, zeta-invariant and unimodular.  The quoted
+    exponent l^k - l^{k-1} - 1 is also reported (identical for k = 1); when it
+    differs, so does its determinant, by the norm of the change of twist.
     """
     if l == 2:
         raise ValueError("the pairing is built for odd l")
     _check_prime_power(l, k)
     rank = l ** (k - 1) * (l - 1)
-    if rank > _MAX_PAIRING_RANK:
-        raise ValueError(f"rank {rank} exceeds the cap {_MAX_PAIRING_RANK}")
     d = different_exponent(l, k)
     quoted = l**k - l ** (k - 1) - 1
-    gram = _pairing_gram(l, k, d)
-    integral = all(c.denominator == 1 for row in gram for c in row)
-    if integral:  # the checks below then run on ints, not Fractions
-        gram = [[c.numerator for c in row] for row in gram]
+    gram, integral = _pairing_gram(l, k)
+    if not integral:
+        raise ArithmeticError("the trace pairing twisted by the inverse different must be integral")
     skew = all(gram[j][i] == -gram[i][j] for i in range(rank) for j in range(rank))
     # multiplication by zeta on the power basis must preserve the form:
     # Z G Z^T == G, where row i of Z is zeta^{i+1}, sparse (a unit vector for
@@ -447,15 +329,14 @@ def symplectic_pairing_check(l: int, k: int) -> SymplecticPairingReport:
     ]
     invariant = transformed == [list(row) for row in gram]
     det = _det(gram)
-    if det.denominator != 1:
-        raise ArithmeticError("determinant of an integral form must be an integer")
-    # the quoted twist differs by (zeta - zeta^{-1})^{d - quoted}, of norm l^{d - quoted}
-    quoted_det = None if quoted == d else l ** (d - quoted) * int(det)
+    # the quoted twist differs by a real unit times (zeta - zeta^{-1})^{d - quoted},
+    # of norm l^{d - quoted}
+    quoted_det = None if quoted == d else l ** (d - quoted) * det
     return SymplecticPairingReport(
         l=l,
         k=k,
         rank=rank,
-        gram_determinant=int(det),
+        gram_determinant=det,
         integral=integral,
         skew=skew,
         invariant=invariant,

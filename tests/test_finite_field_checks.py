@@ -6,8 +6,15 @@ from math import gcd
 
 import pytest
 
-from tautorder.finite_field_checks import (
+from cyclotomic_oracle import (
     CyclotomicElement,
+    classical_gram,
+    classical_pairing,
+    rational_det,
+    twist_numerator,
+)
+from tautorder import finite_field_checks
+from tautorder.finite_field_checks import (
     ModPPolynomial,
     cyclotomic_chern_check,
     cyclotomic_chern_product,
@@ -20,7 +27,6 @@ from tautorder.finite_field_checks import (
     _det,
     _pairing_gram,
     _reduce_cyclotomic,
-    _twist_numerator,
     _zeta_power_trace,
 )
 
@@ -192,28 +198,43 @@ def test_different_exponent_values() -> None:
 
 
 def test_pairing_gram_rank_two_matrix() -> None:
-    gram = _pairing_gram(3, 1, different_exponent(3, 1))
-    assert gram == [
+    # at (3, 1) the classical twist (zeta - zeta^{-1})^{-1} is -w0
+    assert classical_gram(3, 1, different_exponent(3, 1)) == [
         [Fraction(0), Fraction(-1)],
         [Fraction(1), Fraction(0)],
     ]
+    assert _pairing_gram(3, 1) == ([[0, 1], [-1, 0]], True)
 
 
-# every odd (l, k) of rank <= 12, and of rank <= 16
+# every odd (l, k) of rank <= 12, of rank <= 16, and of rank <= 22
 ODD_PAIRS_TO_RANK_12 = [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1)]
 ODD_PAIRS_TO_RANK_16 = ODD_PAIRS_TO_RANK_12 + [(17, 1)]
+ODD_PAIRS_TO_RANK_22 = ODD_PAIRS_TO_RANK_16 + [(3, 3), (19, 1), (5, 2), (23, 1)]
+# every pair the old rank cap of 16 refused that the tests reach, up to rank 162
+PAIRS_PAST_RANK_16 = [(3, 3), (19, 1), (5, 2), (23, 1), (7, 2), (3, 4), (5, 3), (11, 2), (3, 5)]
 
 
-def _pairing_gram_by_matrix_traces(l: int, k: int, exponent: int) -> list[list[Fraction]]:
-    # the route the closed form replaced: each trace from CyclotomicElement.trace()
-    n = l ** (k - 1) * (l - 1)
-    zeta = CyclotomicElement.zeta_power(l, k, 1)
-    twist = ((zeta - zeta.conj()) ** exponent).inverse()
+def _small_twist(l: int, k: int) -> CyclotomicElement:
+    # w0 = (zeta^s - zeta^{-s}) / l^k, s = l^{k-1}
+    s = l ** (k - 1)
+    diff = CyclotomicElement.zeta_power(l, k, s) - CyclotomicElement.zeta_power(l, k, -s)
+    return CyclotomicElement(l, k, [c / l**k for c in diff.coeffs])
+
+
+def _traces_to_gram(n: int, twist: CyclotomicElement) -> list[list[Fraction]]:
+    l, k = twist.l, twist.k
     traces = {
         m: (CyclotomicElement.zeta_power(l, k, m) * twist).trace()
         for m in range(-(n - 1), n)
     }
     return [[traces[i - j] for j in range(n)] for i in range(n)]
+
+
+def _pairing_gram_by_matrix_traces(l: int, k: int, exponent: int) -> list[list[Fraction]]:
+    # the route the closed form replaced: each trace from CyclotomicElement.trace()
+    zeta = CyclotomicElement.zeta_power(l, k, 1)
+    twist = ((zeta - zeta.conj()) ** exponent).inverse()
+    return _traces_to_gram(l ** (k - 1) * (l - 1), twist)
 
 
 def _det_by_fraction_elimination(matrix: list[list[Fraction]]) -> Fraction:
@@ -249,9 +270,12 @@ def test_pairing_gram_against_matrix_traces() -> None:
     for l, k in ODD_PAIRS_TO_RANK_16:
         quoted = l**k - l ** (k - 1) - 1
         for exponent in (different_exponent(l, k), quoted):
-            got = _pairing_gram(l, k, exponent)
+            got = classical_gram(l, k, exponent)
             assert got == _pairing_gram_by_matrix_traces(l, k, exponent)
             assert all(type(c) is Fraction for row in got for c in row)
+        gram, integral = _pairing_gram(l, k)
+        assert integral
+        assert gram == _traces_to_gram(l ** (k - 1) * (l - 1), _small_twist(l, k))
 
 
 def _poly_strip(p: list[Fraction]) -> list[Fraction]:
@@ -307,20 +331,19 @@ def test_convolve_against_coefficient_formula() -> None:
 def test_twist_numerator_inverts_zeta_difference() -> None:
     # u (zeta - zeta^{-1}) = l^k with u = sum_{j<l^k} j zeta^{2j+1}
     for l, k in ODD_PAIRS_TO_RANK_16:
-        u = CyclotomicElement(l, k, _twist_numerator(l, k, 1))
+        u = CyclotomicElement(l, k, twist_numerator(l, k, 1))
         zeta = CyclotomicElement.zeta_power(l, k, 1)
         assert u * (zeta - zeta.conj()) == CyclotomicElement(l, k, [l**k])
-        assert all(type(c) is int for c in _twist_numerator(l, k, 3))
-        assert CyclotomicElement(l, k, _twist_numerator(l, k, 3)) == u**3
+        assert all(type(c) is int for c in twist_numerator(l, k, 3))
+        assert CyclotomicElement(l, k, twist_numerator(l, k, 3)) == u**3
 
 
-def test_pairing_gram_uses_no_field_inverse_or_power(monkeypatch: pytest.MonkeyPatch) -> None:
-    def forbidden(*args):
-        raise AssertionError("the closed-form twist needs no field arithmetic")
-
-    for name in ("inverse", "conj", "__pow__"):
-        monkeypatch.setattr(CyclotomicElement, name, forbidden)
-    assert _det(_pairing_gram(3, 2, 5)) == 81
+def test_pairing_gram_uses_no_field_inverse_or_power() -> None:
+    # the field arithmetic lives in the test oracle only; the Gram is built on ints
+    assert not hasattr(finite_field_checks, "CyclotomicElement")
+    for l, k in ODD_PAIRS_TO_RANK_22:
+        gram, _ = _pairing_gram(l, k)
+        assert all(type(c) is int for row in gram for c in row)
     r = symplectic_pairing_check(3, 2)
     assert (r.gram_determinant, r.quoted_exponent_determinant) == (1, 81)
 
@@ -334,43 +357,65 @@ def _random_matrix(rng: random.Random, n: int, rational: bool) -> list[list[Frac
 
 
 def test_bareiss_determinant_against_fraction_elimination() -> None:
+    # the package's integer Bareiss on integer matrices, the oracle's scaled
+    # Bareiss on rational ones, both against elimination over Q
     rng = random.Random(771103)
     for trial in range(300):
         n = rng.randint(1, 7)
-        m = _random_matrix(rng, n, rational=trial % 2 == 1)
+        rational = trial % 2 == 1
+        m = _random_matrix(rng, n, rational)
         if trial % 3 == 0 and n > 1:
-            # singular: one row a rational combination of two others
+            # singular: one row a rational combination of two others, or an
+            # integer one for an integer matrix
             a, b = rng.sample(range(n), 2)
-            s, t = Fraction(rng.randint(-3, 3), rng.randint(1, 4)), Fraction(rng.randint(-3, 3))
+            s = Fraction(rng.randint(-3, 3), rng.randint(1, 4) if rational else 1)
+            t = Fraction(rng.randint(-3, 3))
             m[rng.randrange(n)] = [s * x + t * y for x, y in zip(m[a], m[b])]
         if trial % 5 == 0:
             # a zero first pivot forces a row swap
             m[0][0] = Fraction(0)
-        got = _det(m)
-        assert type(got) is Fraction
-        assert got == _det_by_fraction_elimination(m)
+        expected = _det_by_fraction_elimination(m)
+        if rational:
+            got = rational_det(m)
+            assert type(got) is Fraction
+        else:
+            got = _det([[c.numerator for c in row] for row in m])
+            assert type(got) is int
+        assert got == expected
 
 
 def test_bareiss_determinant_edge_cases() -> None:
-    assert _det([[Fraction(-7, 3)]]) == Fraction(-7, 3)
-    assert _det([[Fraction(0)]]) == 0
-    assert _det([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]) == -1
-    swap_then_zero = [[0, 1, 2], [0, 3, 4], [5, 6, 7]]
-    assert _det([[Fraction(c) for c in row] for row in swap_then_zero]) == -10
-    singular = [[Fraction(c) for c in row] for row in ([1, 2, 3], [2, 4, 6], [1, 0, 1])]
-    assert _det(singular) == 0
-    assert _det([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(1, 7)]]) == Fraction(
-        1, 210
+    assert rational_det([[Fraction(-7, 3)]]) == Fraction(-7, 3)
+    assert rational_det([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(1, 7)]]) == (
+        Fraction(1, 210)
     )
+    assert _det([]) == 1
+    assert _det([[-7]]) == -7
+    assert _det([[0]]) == 0
+    assert _det([[0, 1], [1, 0]]) == -1
+    swap_then_zero = [[0, 1, 2], [0, 3, 4], [5, 6, 7]]
+    assert _det(swap_then_zero) == -10
+    assert rational_det([[Fraction(c) for c in row] for row in swap_then_zero]) == -10
+    singular = [[1, 2, 3], [2, 4, 6], [1, 0, 1]]
+    assert _det(singular) == 0
+    assert rational_det([[Fraction(c) for c in row] for row in singular]) == 0
+    zero_column = [[0, 1, 2], [0, 3, 4], [0, 6, 7]]
+    assert _det(zero_column) == 0
+    matrix = [[2, 3], [4, 5]]
+    _det(matrix)
+    assert matrix == [[2, 3], [4, 5]]  # the input is left as it was
 
 
 def test_pairing_determinants_against_fraction_elimination() -> None:
     for l, k in ODD_PAIRS_TO_RANK_12:
         quoted = l**k - l ** (k - 1) - 1
         for exponent in (different_exponent(l, k), quoted):
-            gram = _pairing_gram(l, k, exponent)
-            assert _det(gram) == _det_by_fraction_elimination(gram)
-    assert _det(_pairing_gram(3, 2, 5)) == 81
+            gram = classical_gram(l, k, exponent)
+            assert rational_det(gram) == _det_by_fraction_elimination(gram)
+    for l, k in ODD_PAIRS_TO_RANK_22:
+        gram, _ = _pairing_gram(l, k)
+        assert _det(gram) == _det_by_fraction_elimination(gram) == 1
+    assert rational_det(classical_gram(3, 2, 5)) == 81
 
 
 def test_pairing_reports_unimodular() -> None:
@@ -403,10 +448,13 @@ def test_quoted_determinant_closed_form_against_bareiss() -> None:
         if r.exponent_matches_quoted:
             assert r.quoted_exponent_determinant is None
         else:
-            assert r.quoted_exponent_determinant == _det(_pairing_gram(l, k, r.quoted_exponent))
+            assert r.quoted_exponent_determinant == rational_det(
+                classical_gram(l, k, r.quoted_exponent)
+            )
     d, quoted = different_exponent(3, 3), 3**3 - 3**2 - 1
-    closed = 3 ** (d - quoted) * _det(_pairing_gram(3, 3, d))
-    assert closed == _det(_pairing_gram(3, 3, quoted)) == 3**28
+    closed = 3 ** (d - quoted) * rational_det(classical_gram(3, 3, d))
+    assert closed == rational_det(classical_gram(3, 3, quoted)) == 3**28
+    assert symplectic_pairing_check(3, 3).quoted_exponent_determinant == 3**28
 
 
 def test_pairing_input_validation() -> None:
@@ -414,19 +462,70 @@ def test_pairing_input_validation() -> None:
         symplectic_pairing_check(2, 3)
     with pytest.raises(ValueError, match="not prime"):
         symplectic_pairing_check(9, 1)
-    with pytest.raises(ValueError, match="exceeds the cap"):
-        symplectic_pairing_check(3, 3)
     with pytest.raises(ValueError, match="k must be positive"):
         symplectic_pairing_check(3, 0)
 
 
-def test_pairing_check_builds_no_cyclotomic_element(monkeypatch: pytest.MonkeyPatch) -> None:
+def test_pairing_check_builds_no_cyclotomic_element() -> None:
     # the zeta rows come from _reduce_cyclotomic and the checks run on ints
-    def forbidden(*args):
-        raise AssertionError("the pairing check needs no CyclotomicElement")
-
-    monkeypatch.setattr(CyclotomicElement, "__init__", forbidden)
+    assert "CyclotomicElement" not in vars(finite_field_checks)
+    assert "CyclotomicElement" not in finite_field_checks.__all__
     for l, k in PAIRING_CASES + [(17, 1)]:
+        gram, _ = _pairing_gram(l, k)
+        assert all(type(c) is int for row in gram for c in row)
         r = symplectic_pairing_check(l, k)
         assert r.integral and r.skew and r.invariant
         assert abs(r.gram_determinant) == 1
+
+
+def test_classical_and_small_twist_agree() -> None:
+    # (zeta - zeta^{-1})^{-d} and w0 differ by a real unit of norm 1, so the
+    # determinant, the flags and the quoted determinant agree
+    for l, k in ODD_PAIRS_TO_RANK_22:
+        r = symplectic_pairing_check(l, k)
+        expected = classical_pairing(l, k)
+        assert {name: getattr(r, name) for name in expected} == expected
+        assert r.quoted_exponent_determinant == (
+            None if r.exponent_matches_quoted else l ** (r.exponent - r.quoted_exponent)
+        )
+
+
+def test_twist_ratio_is_a_real_unit() -> None:
+    # eps = w / w0 has integer coordinates, is fixed by conjugation, and so is
+    # its inverse: a unit of Z[zeta + zeta^{-1}]
+    for l, k in ODD_PAIRS_TO_RANK_12 + [(3, 3)]:
+        d = different_exponent(l, k)
+        w = CyclotomicElement(l, k, [Fraction(c, l ** (k * d)) for c in twist_numerator(l, k, d)])
+        eps = w * _small_twist(l, k).inverse()
+        inv = eps.inverse()
+        for x in (eps, inv):
+            assert all(c.denominator == 1 for c in x.coeffs)
+            assert x.conj() == x
+        assert eps * inv == CyclotomicElement.zeta_power(l, k, 0)
+
+
+@pytest.mark.parametrize("l,k", PAIRS_PAST_RANK_16)
+def test_pairing_past_the_old_rank_cap(l: int, k: int) -> None:
+    r = symplectic_pairing_check(l, k)
+    assert r.rank == l ** (k - 1) * (l - 1) > 16
+    assert r.integral and r.skew and r.invariant
+    assert r.gram_determinant == 1
+    gram, _ = _pairing_gram(l, k)
+    assert all(type(c) is int and c in (-1, 0, 1) for row in gram for c in row)
+    assert r.quoted_exponent_determinant == (
+        None if k == 1 else l ** (r.exponent - r.quoted_exponent)
+    )
+    if (l, k) == (3, 3):
+        assert r.quoted_exponent_determinant == 3**28
+
+
+def test_non_integral_entry_raises(monkeypatch: pytest.MonkeyPatch) -> None:
+    trace = finite_field_checks._zeta_power_trace
+
+    def off_by_one(l: int, k: int, m: int) -> int:
+        return trace(l, k, m) + (m == 1)
+
+    monkeypatch.setattr(finite_field_checks, "_zeta_power_trace", off_by_one)
+    assert finite_field_checks._pairing_gram(3, 2)[1] is False
+    with pytest.raises(ArithmeticError, match="integral"):
+        symplectic_pairing_check(3, 2)
