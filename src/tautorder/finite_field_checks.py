@@ -232,6 +232,7 @@ def cyclotomic_chern_check(l: int, k: int) -> CyclotomicChernReport:
 
 def different_exponent(l: int, k: int) -> int:
     """Valuation of the different of Z[zeta_{l^k}] at the prime above l."""
+    _check_prime_power(l, k)
     return l ** (k - 1) * (k * (l - 1) - 1)
 
 
@@ -308,9 +309,8 @@ def symplectic_pairing_check(l: int, k: int) -> SymplecticPairingReport:
     """
     if l == 2:
         raise ValueError("the pairing is built for odd l")
-    _check_prime_power(l, k)
+    d = different_exponent(l, k)  # refuses l not prime and k < 1
     rank = l ** (k - 1) * (l - 1)
-    d = different_exponent(l, k)
     quoted = l**k - l ** (k - 1) - 1
     gram, integral = _pairing_gram(l, k)
     if not integral:

@@ -143,6 +143,8 @@ def product_identity_check(g: int) -> ProductIdentityReport:
 
 def product_identity_tail_is_trivial(g: int) -> bool:
     """Factors for 2g+1 < p <= 4g+4 are all 1 (truncating at 2g+1 loses nothing)."""
+    if g < 1:
+        raise ValueError("g must be positive")
     for p in primes_upto(4 * g + 4):
         if p <= 2 * g + 1:
             continue

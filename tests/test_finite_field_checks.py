@@ -197,6 +197,19 @@ def test_different_exponent_values() -> None:
     assert different_exponent(2, 3) == 8
 
 
+def test_different_exponent_input_validation() -> None:
+    # an unchecked k < 1 used to leak a float: (3, 0) gave -1/3 as a float
+    for l, k in [(3, 0), (3, -2), (2, 0)]:
+        with pytest.raises(ValueError, match="k must be positive"):
+            different_exponent(l, k)
+    for l, k in [(4, 1), (1, 1), (9, 2)]:
+        with pytest.raises(ValueError, match="not prime"):
+            different_exponent(l, k)
+    for l, k, d in [(2, 1, 0), (2, 3, 8), (3, 3, 45)]:
+        assert different_exponent(l, k) == d
+        assert type(different_exponent(l, k)) is int
+
+
 def test_pairing_gram_rank_two_matrix() -> None:
     # at (3, 1) the classical twist (zeta - zeta^{-1})^{-1} is -w0
     assert classical_gram(3, 1, different_exponent(3, 1)) == [

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import time
 from fractions import Fraction
 from math import factorial, gcd, isqrt, prod
@@ -132,6 +133,26 @@ def test_tables_make_no_ng_local_call(monkeypatch) -> None:
 def test_ng_local_rejects_nonpositive() -> None:
     with pytest.raises(ValueError, match="g must be positive"):
         ng_local(0)
+
+
+# every public function of torsion_orders whose first parameter is g
+G_FUNCTIONS = [
+    name
+    for name in torsion_orders.__all__
+    if inspect.isfunction(getattr(torsion_orders, name))
+    and next(iter(inspect.signature(getattr(torsion_orders, name)).parameters)) == "g"
+]
+
+
+def test_g_function_list_is_complete() -> None:
+    assert len(G_FUNCTIONS) == 8 and "product_identity_tail_is_trivial" in G_FUNCTIONS
+
+
+@pytest.mark.parametrize("name", G_FUNCTIONS)
+@pytest.mark.parametrize("g", [0, -5])
+def test_every_g_function_refuses_nonpositive_g(name: str, g: int) -> None:
+    with pytest.raises(ValueError, match="g must be positive"):
+        getattr(torsion_orders, name)(g)
 
 
 def test_oracle_agrees_with_local_rule() -> None:

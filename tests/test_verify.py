@@ -1,0 +1,18 @@
+"""Suite-level guards on verify.run_suite: no suite passes vacuously."""
+from __future__ import annotations
+
+import pytest
+
+from tautorder.verify import SUITE_NAMES, run_suite
+
+
+@pytest.mark.parametrize("max_g", [1, 2, 3, 4])
+def test_no_suite_passes_vacuously(max_g: int) -> None:
+    names = [r.name for r in run_suite("all", max_g)]
+    assert len(names) == len(set(names))
+    for suite in [s for s in SUITE_NAMES if s != "all"]:
+        results = run_suite(suite, max_g)
+        assert results, suite
+        for r in results:
+            anchor = suite == "oracle-agreement" and r.name.startswith("table-anchor ")
+            assert r.name.startswith(f"{suite} ") or anchor, r.name
