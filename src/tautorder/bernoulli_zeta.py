@@ -1,9 +1,15 @@
 """Bernoulli numbers, zeta values at negative odd integers, and the
 proportionality constant built from them.
 
-Conventions: B_1 = -1/2 (the convolution recurrence's own value); all odd
-Bernoulli numbers beyond B_1 vanish.  zeta_neg(g) means the value of the zeta
-function at 1-2g, computed exactly as -B_{2g}/2g.
+The even Bernoulli numbers come from the tangent numbers T_k, the integers with
+tan x = sum_k T_k x^(2k-1)/(2k-1)!, by B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)).
+Brent and Harvey's in-place recurrence ("Fast computation of Bernoulli, Tangent
+and Secant numbers", 2011) gives T_1..T_n in O(n^2) multiplications of an
+integer by a small int, so no `Fraction` is formed before the last division.
+
+Conventions: B_1 = -1/2; all odd Bernoulli numbers beyond B_1 vanish.
+zeta_neg(g) means the value of the zeta function at 1-2g, computed exactly as
+-B_{2g}/2g.
 
 The proportionality constant is the alternating product
 (-1)^g * prod_{j<=g} zeta_neg(j)/2.  The literal product is negative for
@@ -16,7 +22,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 from .exact_arith import primes_upto
 
@@ -38,19 +44,39 @@ _cache_lock = threading.Lock()
 
 
 def bernoulli(m: int) -> Fraction:
-    """B_m via the defining convolution recurrence, cached monotonically."""
+    """B_m from the tangent numbers, cached monotonically.
+
+    A miss fills the cache up to max(m, twice its top index), so a sequential
+    fill costs a constant factor over one call at its last index.
+    """
     if m < 0:
         raise ValueError("index must be nonnegative")
     if m < len(_cache):
         return _cache[m]
     with _cache_lock:
-        while len(_cache) <= m:
-            n = len(_cache)
-            acc = Fraction(0)
-            for j in range(n):
-                acc += comb(n + 1, j) * _cache[j]
-            _cache.append(-acc / (n + 1))
+        top = len(_cache) - 1
+        if m > top:
+            hi = max(m, 2 * top)
+            tangent = _tangent_numbers(hi // 2)
+            for n in range(top + 1, hi + 1):
+                if n % 2:
+                    _cache.append(Fraction(-1, 2) if n == 1 else Fraction(0))
+                else:
+                    four_k = 1 << n
+                    value = Fraction(n * tangent[n // 2], four_k * (four_k - 1))
+                    _cache.append(value if n % 4 else -value)  # sign (-1)^(k-1), n = 2k
     return _cache[m]
+
+
+def _tangent_numbers(n: int) -> list[int]:
+    """[0, T_1, ..., T_n] by Brent and Harvey's in-place Algorithm TangentNumbers."""
+    t = [0, 1] + [0] * (n - 1)
+    for k in range(2, n + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,10 @@
 Everything downstream is exact: rationals are `fractions.Fraction`, integers
 are Python ints.  No float ever enters or leaves this package.  `is_prime`
 trial-divides by factors up to 1000 and runs deterministic Miller-Rabin with
-the twelve prime bases 2..37 beyond that.  `primes_upto` lists primes from one
-process-wide sieve of Eratosthenes that grows by doubling and never shrinks, so
-the torsion tables, which ask for primes up to 2g+1 once per table, sieve once
-instead of testing every candidate.
+the twelve prime bases 2..37 beyond that.  `primes_upto` and `primes_above`
+read one process-wide sieve of Eratosthenes that grows by doubling and never
+shrinks, so the torsion tables, which ask for primes up to 2g+1 once per table,
+and the gcd oracle sieve once instead of testing every candidate.
 """
 from __future__ import annotations
 
@@ -126,16 +126,16 @@ def factorial_p_valuation(m: int, p: int) -> int:
 
 
 def primes_above(bound: int, count: int) -> list[int]:
-    """First `count` primes strictly greater than `bound`, ascending."""
+    """First `count` primes strictly greater than `bound`, ascending, read from
+    the shared sieve, which doubles until it holds that many."""
     if count < 0:
         raise ValueError("count must be nonnegative")
-    out: list[int] = []
-    n = max(bound, 1) + 1
-    while len(out) < count:
-        if is_prime(n):
-            out.append(n)
-        n += 1
-    return out
+    limit, primes = _sieve
+    while True:
+        start = bisect_right(primes, bound)
+        if len(primes) - start >= count:
+            return primes[start : start + count]
+        limit, primes = _grow_sieve(max(2 * limit, bound + 1))
 
 
 # (limit, every prime <= limit); replaced whole, so a reader never sees a

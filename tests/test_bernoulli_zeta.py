@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import sys
+import threading
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
+from tautorder import bernoulli_zeta
 from tautorder.bernoulli_zeta import (
     bernoulli,
     bernoulli_table,
@@ -39,6 +42,71 @@ def _bernoulli_akiyama_tanigawa(n: int) -> Fraction:
         for j in range(m, 0, -1):
             row[j - 1] = j * (row[j - 1] - row[j])
     return row[0]
+
+
+def _bernoulli_convolution(max_index: int) -> list[Fraction]:
+    # the defining recurrence sum_{j<=n} C(n+1, j) B_j = 0, the slow route the
+    # tangent numbers replaced; it gives B_1 = -1/2 and exact zeros at odd n >= 3
+    values = [Fraction(1)]
+    for n in range(1, max_index + 1):
+        values.append(-sum(comb(n + 1, j) * values[j] for j in range(n)) / (n + 1))
+    return values
+
+
+ORACLE_TOP = 300
+ORACLE = _bernoulli_convolution(ORACLE_TOP)
+
+
+@pytest.fixture
+def empty_cache(monkeypatch: pytest.MonkeyPatch) -> list[Fraction]:
+    cache = [Fraction(1)]
+    monkeypatch.setattr(bernoulli_zeta, "_cache", cache)
+    return cache
+
+
+def test_bernoulli_against_convolution_oracle(empty_cache) -> None:
+    # a sequential fill from an empty cache, then one cold call from an empty cache
+    assert [bernoulli(m) for m in range(ORACLE_TOP + 1)] == ORACLE
+    assert len(empty_cache) == 513  # grown by doubling: 2, 4, 8, ..., 512
+    del empty_cache[1:]
+    assert bernoulli(ORACLE_TOP) == ORACLE[-1]
+    assert empty_cache == ORACLE  # one cold call fills exactly to its index
+
+
+def test_bernoulli_cache_hands_out_the_same_objects(empty_cache) -> None:
+    bernoulli(250)
+    assert len(empty_cache) == 251
+    before = [bernoulli(m) for m in range(251)]
+    bernoulli(251)
+    assert len(empty_cache) == 501  # a miss grows to twice the top index
+    bernoulli(600)
+    assert len(empty_cache) == 1001
+    assert all(bernoulli(m) is value for m, value in enumerate(before))
+    assert empty_cache[: ORACLE_TOP + 1] == ORACLE
+
+
+def test_bernoulli_concurrent_misses_get_oracle_values(empty_cache) -> None:
+    indices = [300, 7, 120, 1, 250, 64, 299, 2]
+    results: dict[int, Fraction] = {}
+    start = threading.Barrier(len(indices))
+
+    def ask(m: int) -> None:
+        start.wait(timeout=10)
+        results[m] = bernoulli(m)
+
+    threads = [threading.Thread(target=ask, args=(m,)) for m in indices]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == {m: ORACLE[m] for m in indices}
+    assert empty_cache[: ORACLE_TOP + 1] == ORACLE
 
 
 def test_bernoulli_against_independent_algorithm() -> None:

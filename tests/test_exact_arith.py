@@ -99,6 +99,29 @@ def test_primes_above_is_the_next_block_of_the_sieve() -> None:
         assert got == expected
 
 
+def _primes_above_by_is_prime(bound: int, count: int) -> list[int]:
+    # the candidate-by-candidate loop that primes_above ran before it read the sieve
+    out: list[int] = []
+    n = max(bound, 1) + 1
+    while len(out) < count:
+        if is_prime(n):
+            out.append(n)
+        n += 1
+    return out
+
+
+def test_primes_above_against_candidate_loop(monkeypatch) -> None:
+    monkeypatch.setattr(exact_arith, "_sieve", (1, []))  # grow from empty
+    for bound in range(-2, 201):
+        for count in (60, 0, 1, 2, 3, 17, 59):
+            assert primes_above(bound, count) == _primes_above_by_is_prime(bound, count)
+    for bound in (0, 1, 2, 97, 199, 200):
+        for count in range(61):
+            assert primes_above(bound, count) == _primes_above_by_is_prime(bound, count)
+    with pytest.raises(ValueError, match="count must be nonnegative"):
+        primes_above(10, -1)
+
+
 def test_valuation_against_repeated_division() -> None:
     rng = random.Random(20240517)
     primes = _sieve(50)

@@ -24,8 +24,10 @@ CASES = [
     ["ng", "2", "--oracle"],
     ["bernoulli", "12"],
     ["bernoulli", "30"],
+    ["bernoulli", "250"],
     ["zeta", "1"],
     ["zeta", "4"],
+    ["zeta", "125"],
     ["prop", "2"],
     ["prop", "5"],
     ["bounds", "3"],

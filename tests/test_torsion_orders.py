@@ -7,7 +7,7 @@ from math import factorial, gcd, isqrt, prod
 
 import pytest
 
-from tautorder.bernoulli_zeta import proportionality, zeta_neg
+from tautorder.bernoulli_zeta import bernoulli, proportionality, zeta_neg
 from tautorder import exact_arith, torsion_orders
 from tautorder.exact_arith import is_prime, primes_upto, valuation
 from tautorder.torsion_orders import (
@@ -111,6 +111,27 @@ def test_ng_values_against_ng_local() -> None:
     # the per-g divisor walk is the oracle for the one-pass table
     assert _ng_values(3000) == [ng_local(i).value for i in range(1, 3001)]
     assert _ng_values(1) == [24] and _ng_values(0) == []
+
+
+def test_ng_values_are_the_image_of_j_denominators() -> None:
+    # a third route, sharing no code with ng_local or ng_oracle: n_g is twice the
+    # denominator of zeta(1-2g), the denominator of B_2g/4g (Adams, J(X) IV)
+    values = _ng_values(500)
+    for g in range(1, 501):
+        assert values[g - 1] == 2 * zeta_neg(g).denominator
+        assert values[g - 1] == (bernoulli(2 * g) / (4 * g)).denominator
+
+
+def test_ng_oracle_reads_primes_from_the_sieve(monkeypatch) -> None:
+    expected = ng_local(12).value
+
+    def refuse(n: int) -> bool:
+        raise AssertionError(f"is_prime({n}) called")
+
+    monkeypatch.setattr(exact_arith, "_sieve", (1, []))
+    monkeypatch.setattr(exact_arith, "is_prime", refuse)
+    monkeypatch.setattr(torsion_orders, "is_prime", refuse)
+    assert ng_oracle(12) == expected
 
 
 def test_tables_make_no_ng_local_call(monkeypatch) -> None:
