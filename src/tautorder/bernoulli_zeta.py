@@ -125,10 +125,11 @@ def proportionality(g: int) -> ProportionalityResult:
     """(-1)^g * prod_{j=1}^{g} zeta_neg(j)/2, with its absolute value and denominator."""
     if g < 1:
         raise ValueError("g must be positive")
-    acc = Fraction(1)
+    num, den = (-1) ** g, 1  # one gcd, in the final Fraction, instead of one per factor
     for j in range(1, g + 1):
-        acc *= zeta_neg(j) / 2
-    signed = -acc if g % 2 else acc
+        z = zeta_neg(j)
+        num, den = num * z.numerator, den * 2 * z.denominator
+    signed = Fraction(num, den)
     return ProportionalityResult(g, signed, abs(signed), abs(signed).denominator)
 
 

@@ -26,6 +26,10 @@ Td = exp(sum_k s_k p_k) and sum_k s_k t^k = log(t/(e^t - 1)).
 The Todd factor of a root x is x/(e^x - 1) = sum_k B_k/k! x^k (dual
 convention), under which prod_i (1 - e^{x_i}) equals (-1)^g (x1...xg) Td^{-1};
 with x/(1 - e^{-x}) the two sides differ by a unit e^{-c1}.
+
+symmetric_reduce, todd_class and borel_serre_check run on ints.  The first two
+clear denominators once (each component's lcm; t -> D t) and divide once at the
+end; borel_serre_check scales degree n by M^n n! and compares M^g g! (-1)^g c_g.
 """
 from __future__ import annotations
 
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, lcm
 from operator import mul
 
 from .bernoulli_zeta import todd_inverse_series
@@ -378,7 +382,9 @@ def symmetric_reduce(poly: GradedPolynomial) -> SymmetricReduction:
     radix = poly.truncation + 1
     out = [{} for _ in poly._comps]
     for degree, bucket in enumerate(poly._comps):
-        comp = dict(bucket)
+        # the elimination is linear, so it runs on den * bucket, all ints
+        den = lcm(*(c.denominator for c in bucket.values()))
+        comp = {mon: c.numerator * (den // c.denominator) for mon, c in bucket.items()}
         while comp:
             lead = max(comp)
             a = (0,) + _unpack(lead, g, radix)
@@ -388,7 +394,7 @@ def symmetric_reduce(poly: GradedPolynomial) -> SymmetricReduction:
             coeff = comp[lead]
             expansion = _elementary_monomial(g, exps, poly.truncation)
             _add_into(comp, expansion._comps[degree], -coeff)
-            out[degree][_pack(exps, radix)] = coeff
+            out[degree][_pack(exps, radix)] = Fraction(coeff, den) if den > 1 else coeff
     output = GradedPolynomial._raw(_names("c", g), tuple(range(1, g + 1)), poly.truncation, out)
     return SymmetricReduction(poly, output)
 
@@ -434,13 +440,17 @@ def todd_class(g: int, depth: int, dual: bool = True) -> GradedPolynomial:
     base = todd_inverse_series(depth)
     if not dual:
         base = [(-c if k % 2 else c) for k, c in enumerate(base)]
+    # t -> D t makes each B_k D^k / k! an int; degree n of the product is D^n Td_n
+    den = lcm(*(c.denominator for c in base))
+    base = [c.numerator * (den**k // c.denominator) for k, c in enumerate(base)]
     names, radix = _names("x", g), depth + 1
     out = None
     for i in range(g):
         factor = GradedPolynomial._raw(names, (1,) * g, depth, [
             {k * radix**i: c} if c else {} for k, c in enumerate(base)])
         out = factor if out is None else out * factor
-    return out
+    return out._like([{mon: Fraction(c, den**n) for mon, c in comp.items()}
+                      for n, comp in enumerate(out._comps)])
 
 
 def lambda_star_class(g: int, depth: int) -> GradedPolynomial:
@@ -514,20 +524,22 @@ def _lambda_character(g: int, p: list[dict]) -> list[dict]:
     return ch
 
 
-def _todd_scaled(p: list[dict]) -> list[dict]:
-    # n! Td_n(E) = n! exp(sum_k s_k p_k)_n, where sum_k s_k t^k is the log of
-    # t/(e^t - 1): s_1 = -1/2 and s_k = -B_k/(k k!) for k >= 2, so the exp
-    # recurrence's k! s_k is -(k-1)! B_k/k!.
+def _todd_scaled(p: list[dict]) -> tuple[int, list[dict]]:
+    # (M, [M^n n! Td_n(E)]) as ints, Td = exp(sum_k s_k p_k) with sum_k s_k t^k
+    # the log of t/(e^t - 1): s_1 = -1/2 and s_k = -B_k/(k k!) for k >= 2, so
+    # the exp recurrence's k! s_k is -(k-1)! B_k/k!, and M clears every one.
     series = todd_inverse_series(len(p) - 1)
     scale = [Fraction(-1, 2)] + [-factorial(k - 1) * series[k] for k in range(2, len(p))]
-    return _exp_scaled([{}] + [{mon: c * s for mon, c in comp.items()} if s else {}
-                               for s, comp in zip(scale, p[1:])])
+    m = lcm(*(s.denominator for s in scale))
+    scale = [s.numerator * (m**k // s.denominator) for k, s in enumerate(scale, start=1)]
+    return m, _exp_scaled([{}] + [{mon: c * s for mon, c in comp.items()} if s else {}
+                                  for s, comp in zip(scale, p[1:])])
 
 
 def _exp_scaled(a: list[dict]) -> list[dict]:
     # n!-scaled components G_n of exp(L), from a_k = k! L_k (a[0] unused):
-    # G_n = sum_k C(n-1, k-1) a_k G_{n-k}.  No division, so int and Fraction
-    # coefficients both stay exact and keep their type.
+    # G_n = sum_k C(n-1, k-1) a_k G_{n-k}.  Its callers pass ints, and with no
+    # division the G_n stay ints.
     out = [{0: 1}]
     for n in range(1, len(a)):
         acc: dict = {}
@@ -548,12 +560,12 @@ def borel_serre_check(g: int, depth: int) -> bool:
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     p = _power_sums(g, depth)
-    ch, td = _lambda_character(g, p), _todd_scaled(p)
-    top = {(depth + 1) ** (g - 1): (-1) ** g * factorial(g)}
+    ch, (m, td) = _lambda_character(g, p), _todd_scaled(p)
+    top = {(depth + 1) ** (g - 1): (-1) ** g * factorial(g) * m**g}  # degree n scaled by M^n n!
     for n in range(depth + 1):
         acc: dict = {}
         for k in range(g, n + 1):
-            _mul_into(acc, ch[k], td[n - k], comb(n, k))
+            _mul_into(acc, ch[k], td[n - k], comb(n, k) * m**k)
         if acc != (top if n == g else {}):
             return False
     return True

@@ -8,6 +8,7 @@ from math import factorial
 import pytest
 
 import tautorder.chern_symbolics as chern
+from tautorder.bernoulli_zeta import todd_inverse_series
 from tautorder.chern_symbolics import (
     GradedPolynomial,
     borel_serre_check,
@@ -213,6 +214,68 @@ def test_symmetric_reduce_round_trip() -> None:
             assert reduction.output == q
 
 
+def _symmetric_reduce_by_fractions(poly: GradedPolynomial) -> GradedPolynomial:
+    # the elimination on each component as given, Fraction coefficients and
+    # all: the route before denominators were cleared, kept as an oracle
+    g, radix = len(poly.names), poly.truncation + 1
+    out = [{} for _ in poly._comps]
+    for degree, bucket in enumerate(poly._comps):
+        comp = dict(bucket)
+        while comp:
+            lead = max(comp)
+            a = (0,) + chern._unpack(lead, g, radix)
+            if any(a[i] > a[i + 1] for i in range(1, g)):
+                raise ValueError("polynomial is not symmetric in the roots")
+            exps = tuple(a[g - j + 1] - a[g - j] for j in range(1, g + 1))
+            coeff = comp[lead]
+            chern._add_into(comp, chern._elementary_monomial(g, exps, poly.truncation)
+                            ._comps[degree], -coeff)
+            out[degree][chern._pack(exps, radix)] = coeff
+    return GradedPolynomial._raw(
+        tuple(f"c{i}" for i in range(1, g + 1)), tuple(range(1, g + 1)), poly.truncation, out)
+
+
+def _assert_same(got: GradedPolynomial, want: GradedPolynomial) -> None:
+    assert got == want
+    assert got.render() == want.render()
+
+
+def test_symmetric_reduce_matches_the_fraction_elimination() -> None:
+    for g in range(1, 7):
+        for depth in range(1, 9):
+            ch = chern_character(g, depth)
+            _assert_same(symmetric_reduce(ch).output, _symmetric_reduce_by_fractions(ch))
+
+
+def test_symmetric_reduce_clears_mixed_denominators() -> None:
+    # int and Fraction coefficients, several denominators within one degree
+    # (1/2, 2/3, 5 in degree 2) and different ones across degrees
+    c1, c2, c3 = class_variables(3, 5)
+    q = (Fraction(5, 6) + Fraction(1, 2) * c1 + 5 * c1**2 + Fraction(2, 3) * c2
+         + Fraction(-7, 4) * c3 + Fraction(3, 10) * c1 * c2 + c1**3 + Fraction(1, 7) * c2 * c3)
+    roots = substitute_elementary(q)
+    _assert_same(symmetric_reduce(roots).output, q)
+    _assert_same(symmetric_reduce(roots).output, _symmetric_reduce_by_fractions(roots))
+
+
+def test_symmetric_reduce_fraction_edge_cases() -> None:
+    x1, x2 = root_variables(2, 3)
+    with pytest.raises(ValueError, match="not symmetric"):
+        symmetric_reduce(Fraction(1, 3) * x1 + Fraction(1, 2) * x2)
+    # an integral Fraction input renders as the Fraction route renders it
+    p2 = GradedPolynomial(x1.names, x1.weights, 3, {(2, 0): Fraction(3), (0, 2): Fraction(3)})
+    assert symmetric_reduce(p2).output.render() == "3*c1^2 - 6*c2"
+    _assert_same(symmetric_reduce(p2).output, _symmetric_reduce_by_fractions(p2))
+    # empty components (degrees 1 and 3 here, every degree of zero) and truncation 0
+    sparse = Fraction(1, 2) + Fraction(4, 3) * x1 * x2
+    for poly in (sparse, x1.ring_constant(0), GradedPolynomial(x1.names, x1.weights, 0, {
+            (0, 0): Fraction(2, 3), (1, 0): 5})):
+        out = symmetric_reduce(poly).output
+        _assert_same(out, _symmetric_reduce_by_fractions(poly))
+        assert substitute_elementary(out) == poly
+    assert symmetric_reduce(sparse).output.render() == "1/2 + 4/3*c2"
+
+
 def test_symmetric_reduce_power_sums() -> None:
     # classical expressions of power sums in the elementary basis
     xs = root_variables(3, 4)
@@ -295,6 +358,26 @@ def test_chern_character_is_sum_of_exponentials() -> None:
 def test_todd_class_single_variable_series() -> None:
     assert todd_class(1, 2).render() == "1 - 1/2*x1 + 1/12*x1^2"
     assert todd_class(1, 2, dual=False).render() == "1 + 1/2*x1 + 1/12*x1^2"
+
+
+def _todd_class_by_fractions(g: int, depth: int, dual: bool) -> GradedPolynomial:
+    # prod_i f(x_i) multiplied out on the Fraction series, the route before t -> D t
+    xs = root_variables(g, depth)
+    series = todd_inverse_series(depth)
+    out = xs[0].ring_constant(1)
+    for x in xs:
+        factor = x.ring_constant(0)
+        for k, c in enumerate(series):
+            factor = factor + x.ring_constant(c if dual or k % 2 == 0 else -c) * x**k
+        out = out * factor
+    return out
+
+
+def test_todd_class_matches_the_fraction_product() -> None:
+    for g in range(1, 6):
+        for depth in range(9):
+            for dual in (True, False):
+                _assert_same(todd_class(g, depth, dual), _todd_class_by_fractions(g, depth, dual))
 
 
 def test_todd_class_is_product_over_roots() -> None:
@@ -412,13 +495,22 @@ def _class_poly(components: list[dict], g: int, depth: int) -> GradedPolynomial:
     return GradedPolynomial([f"c{i}" for i in range(1, g + 1)], range(1, g + 1), depth, terms)
 
 
-def _unscaled(components: list[dict], g: int, depth: int) -> GradedPolynomial:
-    # the class polynomial of n!-scaled components
+def _unscaled(components: list[dict], g: int, depth: int, m: int = 1) -> GradedPolynomial:
+    # the class polynomial of components scaled by m^n n! in degree n
     return _class_poly(
-        [{mon: Fraction(c, factorial(n)) for mon, c in comp.items()}
+        [{mon: Fraction(c, m**n * factorial(n)) for mon, c in comp.items()}
          for n, comp in enumerate(components)],
         g, depth,
     )
+
+
+def _todd_scaled_by_fractions(p: list[dict]) -> list[dict]:
+    # n! Td_n(E) with the Fraction k! s_k fed to the exp recurrence as they are,
+    # the route before M cleared them, kept as an oracle
+    series = todd_inverse_series(len(p) - 1)
+    scale = [Fraction(-1, 2)] + [-factorial(k - 1) * series[k] for k in range(2, len(p))]
+    return _exp_scaled([{}] + [{mon: c * s for mon, c in comp.items()} if s else {}
+                               for s, comp in zip(scale, p[1:])])
 
 
 def test_borel_serre_agrees_with_the_root_ring() -> None:
@@ -432,10 +524,18 @@ def test_class_ring_todd_and_lambda_character_match_the_roots() -> None:
     for g in range(1, 5):
         for depth in range(1, 2 * g + 1):
             p = _power_sums(g, depth)
-            assert _unscaled(_todd_scaled(p), g, depth) == symmetric_reduce(
-                todd_class(g, depth)).output
+            m, td = _todd_scaled(p)
+            assert _unscaled(td, g, depth, m) == symmetric_reduce(todd_class(g, depth)).output
             assert _unscaled(_lambda_character(g, p), g, depth) == symmetric_reduce(
                 _one_minus_exp_product(g, depth)).output
+
+
+def test_todd_scaled_matches_the_fraction_route() -> None:
+    for g in range(1, 7):
+        for depth in range(2 * g + 1):
+            m, td = _todd_scaled(_power_sums(g, depth))
+            assert [{mon: Fraction(c, m**n) for mon, c in comp.items()}
+                    for n, comp in enumerate(td)] == _todd_scaled_by_fractions(_power_sums(g, depth))
 
 
 def test_power_sums_match_symmetric_reduction() -> None:
@@ -486,7 +586,8 @@ def test_engine_coefficients_are_exact() -> None:
         exp_of_p = _exp_scaled([{}] + p[1:])
         for components in (p, _lambda_character(g, p), exp_of_p):
             assert all(type(c) is int for comp in components for c in comp.values())
-        assert all(type(c) in (int, Fraction) for comp in _todd_scaled(p) for c in comp.values())
+        m, td = _todd_scaled(p)
+        assert type(m) is int and all(type(c) is int for comp in td for c in comp.values())
         assert all(type(c) is int for c in lambda_star_class(g, depth).terms.values())
 
 
