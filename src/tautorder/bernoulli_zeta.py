@@ -19,12 +19,11 @@ downstream consumes the absolute value.
 """
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass
+from _thread import allocate_lock
 from fractions import Fraction
 from math import factorial
 
-from .exact_arith import primes_upto
+from .exact_arith import _Record, primes_upto
 
 __all__ = [
     "BernoulliTable",
@@ -40,7 +39,7 @@ __all__ = [
 # Monotone cache: entries are appended, never changed, so a returned value can
 # never be invalidated by later growth.  The lock only serializes extension.
 _cache: list[Fraction] = [Fraction(1)]
-_cache_lock = threading.Lock()
+_cache_lock = allocate_lock()
 
 
 def bernoulli(m: int) -> Fraction:
@@ -79,8 +78,7 @@ def _tangent_numbers(n: int) -> list[int]:
     return t
 
 
-@dataclass(frozen=True)
-class BernoulliTable:
+class BernoulliTable(_Record):
     """Frozen view of B_0, B_1, and the even-index values up to max_index."""
 
     max_index: int
@@ -113,8 +111,7 @@ def zeta_neg(g: int) -> Fraction:
     return -bernoulli(2 * g) / (2 * g)
 
 
-@dataclass(frozen=True)
-class ProportionalityResult:
+class ProportionalityResult(_Record):
     g: int
     signed_value: Fraction
     absolute_value: Fraction

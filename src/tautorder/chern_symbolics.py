@@ -33,7 +33,6 @@ end; borel_serre_check scales degree n by M^n n! and compares M^g g! (-1)^g c_g.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -41,7 +40,7 @@ from math import comb, factorial, lcm
 from operator import mul
 
 from .bernoulli_zeta import todd_inverse_series
-from .exact_arith import _power
+from .exact_arith import _Record, _power
 
 __all__ = [
     "GradedPolynomial",
@@ -358,8 +357,7 @@ def _elementary_monomial(g: int, exps: tuple, truncation: int) -> GradedPolynomi
     return out
 
 
-@dataclass(frozen=True)
-class SymmetricReduction:
+class SymmetricReduction(_Record):
     """A symmetric root polynomial together with its expression in c1..cg."""
 
     input: GradedPolynomial

@@ -11,16 +11,13 @@ verify suite found a violated identity.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
 from .bernoulli_zeta import bernoulli, proportionality, zeta_neg
+from .exact_arith import _Record
 from .finite_field_checks import hurwitz_genus
 from .group_orders import degree_integrality, koblitz_coefficient, sp_order
 from .torsion_orders import (
@@ -163,8 +160,8 @@ def _payload(value):
         return value
     if value is None:
         return None
-    if is_dataclass(value):
-        return {f.name: _payload(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, _Record):
+        return {name: _payload(getattr(value, name)) for name in value._fields}
     if isinstance(value, dict):
         return {str(k): _payload(v) for k, v in sorted(value.items())}
     if isinstance(value, (list, tuple)):
@@ -197,8 +194,11 @@ def _flatten(payload, prefix: str = "") -> list[tuple[str, str]]:
 def _render(envelope: dict) -> str:
     fmt, result = envelope["format"], envelope["result"]
     if fmt == "json":
+        import json
         return json.dumps(envelope, sort_keys=True, indent=2) + "\n"
     if fmt == "csv":
+        import csv
+        import io
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(_flatten(result))
         return buf.getvalue()

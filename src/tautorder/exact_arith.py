@@ -10,9 +10,8 @@ and the gcd oracle sieve once instead of testing every candidate.
 """
 from __future__ import annotations
 
-import threading
+from _thread import allocate_lock
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import compress
 from math import isqrt
 
@@ -73,18 +72,44 @@ def _miller_rabin(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeLocalOrder:
+class _Record:
+    """Base of the frozen result records, whose fields are the subclass's own annotations."""
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__annotations__)  # in order
+    def __init__(self, *args, **kwargs) -> None:
+        if kwargs:  # the fields after the positionals, in order
+            args += tuple(kwargs.pop(name) for name in self._fields[len(args):] if name in kwargs)
+        if len(args) != len(self._fields) or kwargs:  # a keyword left over repeats or is unknown
+            raise TypeError(f"{type(self).__name__} takes exactly the fields {self._fields}")
+        self.__dict__.update(zip(self._fields, args))
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self.__dict__ == other.__dict__ if type(other) is type(self) else NotImplemented
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"{type(self).__qualname__}({fields})"
+
+
+class PrimeLocalOrder(_Record):
     """One prime-power factor p^k of a multiplicative order."""
 
     prime: int
     exponent: int
 
-    def __post_init__(self) -> None:
-        if not is_prime(self.prime):
-            raise ValueError(f"{self.prime} is not prime")
-        if self.exponent < 0:
+    def __init__(self, prime: int, exponent: int) -> None:
+        if not is_prime(prime):
+            raise ValueError(f"{prime} is not prime")
+        if exponent < 0:
             raise ValueError("exponent must be nonnegative")
+        super().__init__(prime, exponent)
 
     @property
     def value(self) -> int:
@@ -141,7 +166,7 @@ def primes_above(bound: int, count: int) -> list[int]:
 # (limit, every prime <= limit); replaced whole, so a reader never sees a
 # half-built sieve.  The lock only serializes growth.
 _sieve: tuple[int, list[int]] = (1, [])
-_sieve_lock = threading.Lock()
+_sieve_lock = allocate_lock()  # what threading.Lock is, without importing threading
 
 
 def _grow_sieve(bound: int) -> tuple[int, list[int]]:

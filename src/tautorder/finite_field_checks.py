@@ -40,11 +40,10 @@ Phi_{l^k} without division, which gives the rows of multiplication by zeta.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from operator import mul
 
-from .exact_arith import _power, is_prime
+from .exact_arith import _Record, _power, is_prime
 
 __all__ = [
     "ModPPolynomial",
@@ -193,8 +192,7 @@ def cyclotomic_chern_product(l: int, k: int) -> ModPPolynomial:
     return out
 
 
-@dataclass(frozen=True)
-class CyclotomicChernReport:
+class CyclotomicChernReport(_Record):
     l: int
     k: int
     product: ModPPolynomial
@@ -236,8 +234,7 @@ def different_exponent(l: int, k: int) -> int:
     return l ** (k - 1) * (k * (l - 1) - 1)
 
 
-@dataclass(frozen=True)
-class SymplecticPairingReport:
+class SymplecticPairingReport(_Record):
     l: int
     k: int
     rank: int

@@ -10,13 +10,12 @@ p^{(k-1)g(2g+1)}, and #Sp(2g, F_p) = p^{g^2} prod_{i=1}^{g} (p^{2i}-1).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from math import gcd, isqrt, prod
 
 from .bernoulli_zeta import proportionality
-from .exact_arith import is_prime, primes_upto
+from .exact_arith import _Record, is_prime, primes_upto
 
 __all__ = [
     "SpOrderResult",
@@ -83,8 +82,7 @@ def _local_order(g: int, p: int, k: int) -> int:
     return p_part * prod(p ** (2 * i) - 1 for i in range(1, g + 1))
 
 
-@dataclass(frozen=True)
-class SpOrderResult:
+class SpOrderResult(_Record):
     g: int
     n: int
     order: int
@@ -101,8 +99,7 @@ def sp_order(g: int, n: int) -> SpOrderResult:
     return SpOrderResult(g, n, prod(local.values()), local)
 
 
-@dataclass(frozen=True)
-class DegreeIntegralityReport:
+class DegreeIntegralityReport(_Record):
     g: int
     n: int
     degree: Fraction

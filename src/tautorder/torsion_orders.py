@@ -15,13 +15,13 @@ p^{2g} - 1 over primes p > 2g+1.  The two routes share no code.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, isqrt, prod
 
 from .bernoulli_zeta import bernoulli, proportionality, zeta_neg
 from .exact_arith import (
     PrimeLocalOrder,
+    _Record,
     factorial_p_valuation,
     is_prime,
     primes_above,
@@ -49,8 +49,7 @@ __all__ = [
 NG_CROSS_CHECK = {1: 24, 2: 240, 3: 504, 4: 480}
 
 
-@dataclass(frozen=True)
-class NgDecomposition:
+class NgDecomposition(_Record):
     g: int
     factors: tuple[PrimeLocalOrder, ...]
 
@@ -120,8 +119,7 @@ def ng_oracle(g: int, prime_count: int = 100, stabilization_window: int = 50) ->
     return history[-1]
 
 
-@dataclass(frozen=True)
-class ProductIdentityReport:
+class ProductIdentityReport(_Record):
     g: int
     lhs: int
     rhs: int
@@ -158,8 +156,7 @@ def denominator_corollary_check(g: int) -> bool:
     return prod(_ng_values(g)) % proportionality(g).absolute_value.denominator == 0
 
 
-@dataclass(frozen=True)
-class TorsionReport:
+class TorsionReport(_Record):
     g: int
     n_g: int
     lower_bound_lambda: int

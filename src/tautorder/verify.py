@@ -9,7 +9,6 @@ new suite is one row plus a case in `tests/test_golden_cli.py`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from math import factorial
 
@@ -21,6 +20,7 @@ from .chern_symbolics import (
     lambda_star_class,
     newton_special_case,
 )
+from .exact_arith import _Record
 from .finite_field_checks import cyclotomic_chern_check, hurwitz_genus, symplectic_pairing_check
 from .group_orders import degree_integrality
 from .torsion_orders import (
@@ -36,8 +36,7 @@ from .torsion_orders import (
 __all__ = ["CheckResult", "SUITE_NAMES", "run_suite"]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(_Record):
     name: str
     ok: bool
     detail: str

@@ -310,3 +310,19 @@ def test_closed_stdout_exits_one_without_traceback(argv: list[str], tmp_path) ->
     assert code == 1
     assert "Traceback" not in stderr
     assert stderr == ""
+
+
+def test_cold_import_loads_only_what_a_call_uses() -> None:
+    # module names, not timings, so this cannot flake on a busy machine:
+    # dataclasses brings inspect, ast and dis; json and csv load only for their
+    # own --format; the cache and sieve locks come from _thread, not threading
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    probe = "import sys, tautorder.cli; print(' '.join(sorted(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    loaded = set(proc.stdout.split())
+    assert "tautorder.cli" in loaded
+    unused = {"dataclasses", "inspect", "ast", "dis", "json", "csv", "threading"}
+    assert loaded.isdisjoint(unused), sorted(loaded & unused)

@@ -163,7 +163,7 @@ def test_prime_local_order_value() -> None:
     f = PrimeLocalOrder(3, 2)
     assert f.value == 9
     assert PrimeLocalOrder(2, 3).value == 8
-    with pytest.raises(Exception):
+    with pytest.raises(AttributeError):
         f.prime = 5  # frozen
 
 
