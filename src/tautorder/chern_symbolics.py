@@ -97,16 +97,19 @@ def _names(symbol: str, g: int) -> tuple[str, ...]:
     return tuple(f"{symbol}{i}" for i in range(1, g + 1))
 
 
-class GradedPolynomial:
+class GradedPolynomial(_Record):
     """Sparse polynomial with weighted generators and hard degree truncation.
 
-    Instances are treated as immutable; every operation returns a new object.
+    Instances are immutable records; every operation returns a new object.
     Coefficients are exact (int or Fraction, freely mixed).  The private
     `_comps[d]`, shared with cached instances, holds the packed monomials of
     degree d; `terms` is the same data by exponent tuples, fresh on each read.
     """
 
-    __slots__ = ("names", "weights", "truncation", "_comps")
+    names: tuple[str, ...]
+    weights: tuple[int, ...]
+    truncation: int
+    _comps: list
 
     def __init__(self, names, weights, truncation, terms):
         names = tuple(names)
@@ -128,22 +131,13 @@ class GradedPolynomial:
             degree = sum(e * w for e, w in zip(mon, weights))
             if coeff != 0 and degree <= truncation:
                 comps[degree][_pack(mon, truncation + 1)] = coeff
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "truncation", truncation)
-        object.__setattr__(self, "_comps", comps)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GradedPolynomial is immutable")
+        super().__init__(names, weights, truncation, comps)
 
     @classmethod
     def _raw(cls, names, weights, truncation, comps):
         # internal: truncation + 1 packed components, zeros already pruned
         self = object.__new__(cls)
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "truncation", truncation)
-        object.__setattr__(self, "_comps", comps)
+        _Record.__init__(self, names, weights, truncation, comps)
         return self
 
     def _like(self, comps) -> "GradedPolynomial":
@@ -260,16 +254,6 @@ class GradedPolynomial:
     def is_zero(self) -> bool:
         return not any(self._comps)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GradedPolynomial):
-            return NotImplemented
-        return (
-            self.names == other.names
-            and self.weights == other.weights
-            and self.truncation == other.truncation
-            and self._comps == other._comps
-        )
-
     __hash__ = None
 
     # -- canonical rendering ----------------------------------------------
@@ -335,7 +319,7 @@ def class_variables(g: int, truncation: int, symbol: str = "c") -> tuple[GradedP
 
 @lru_cache(maxsize=None)
 def elementary_symmetric(g: int, i: int, truncation: int) -> GradedPolynomial:
-    """e_i(x1..xg) in the weight-1 root ring.  Cached; treat as immutable."""
+    """e_i(x1..xg) in the weight-1 root ring.  Cached: callers share one immutable value."""
     if not 0 <= i <= g:
         raise ValueError("need 0 <= i <= g")
     if truncation < 0:

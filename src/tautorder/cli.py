@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import contextmanager
 from fractions import Fraction
 
 from .bernoulli_zeta import bernoulli, proportionality, zeta_neg
@@ -21,6 +20,8 @@ from .exact_arith import _Record
 from .finite_field_checks import hurwitz_genus
 from .group_orders import degree_integrality, koblitz_coefficient, sp_order
 from .torsion_orders import (
+    _ORACLE_PRIME_COUNT,
+    _ORACLE_WINDOW,
     boundary_coefficient,
     ng_local,
     ng_oracle,
@@ -31,8 +32,6 @@ from .verify import SUITE_NAMES, run_suite
 __all__ = ["build_parser", "run", "main"]
 
 PRIME_COUNT_ENV = "TAUTORDER_PRIME_COUNT"
-_DEFAULT_PRIME_COUNT = 100
-_DEFAULT_WINDOW = 50
 
 
 class _Parser(argparse.ArgumentParser):
@@ -44,7 +43,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _prime_count(flag: "int | None") -> int:
-    """The gcd oracle's sample size: the flag, else the environment, else 100.
+    """The gcd oracle's sample size: the flag, else the environment, else its default.
 
     Called only where the oracle runs, so other commands never parse the variable.
     """
@@ -52,7 +51,7 @@ def _prime_count(flag: "int | None") -> int:
         return flag
     raw = os.environ.get(PRIME_COUNT_ENV)
     if raw is None:
-        return _DEFAULT_PRIME_COUNT
+        return _ORACLE_PRIME_COUNT
     try:
         value = int(raw)
     except ValueError as exc:
@@ -120,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "ng":
             p.add_argument("--oracle", action="store_true", help="use the gcd oracle route")
             p.add_argument("--prime-count", type=int, default=None)
-            p.add_argument("--window", type=int, default=_DEFAULT_WINDOW)
+            p.add_argument("--window", type=int, default=_ORACLE_WINDOW)
         elif name == "verify":
             p.add_argument("suite", choices=SUITE_NAMES)
             p.add_argument("--max-g", type=int, default=None, dest="max_g")
@@ -128,21 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # -- payload shaping -------------------------------------------------------
-
-
-@contextmanager
-def _unlimited_int_str():
-    """Lift Python's int-to-str digit limit (4300 by default) while rendering,
-    so every integer is printed in full as promised."""
-    if not hasattr(sys, "set_int_max_str_digits"):  # Pythons without the limit
-        yield
-        return
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 def _payload(value):
@@ -224,9 +208,16 @@ def run(argv=None, out=None) -> int:
     try:
         result = _COMMANDS[command][2](**params)
         envelope = {"command": command, "format": fmt}
-        with _unlimited_int_str():
+        # lift the int-to-str digit limit (4300 by default) so every integer prints in full
+        limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 where there is no limit
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
             envelope.update(parameters=_payload(params), result=_payload(result))
             out.write(_render(envelope))
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
         out.flush()
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         print(f"tautorder: error: {exc}", file=sys.stderr)

@@ -7,16 +7,20 @@ the twelve prime bases 2..37 beyond that.  `primes_upto` and `primes_above`
 read one process-wide sieve of Eratosthenes that grows by doubling and never
 shrinks, so the torsion tables, which ask for primes up to 2g+1 once per table,
 and the gcd oracle sieve once instead of testing every candidate.
+
+`factorize`, for both `ng_local` and `sp_order`, splits cofactors past 1000 by Pollard's
+rho in Brent's form (BIT 1975; BIT 1980): about n^(1/4) steps, 3*10^4 for two primes near 10^9.
 """
 from __future__ import annotations
 
 from _thread import allocate_lock
 from bisect import bisect_right
-from itertools import compress
-from math import isqrt
+from itertools import compress, count
+from math import gcd, isqrt
 
 __all__ = [
     "PrimeLocalOrder",
+    "factorize",
     "is_prime",
     "valuation",
     "factorial_p_valuation",
@@ -73,7 +77,7 @@ def _miller_rabin(n: int) -> bool:
 
 
 class _Record:
-    """Base of the frozen result records, whose fields are the subclass's own annotations."""
+    """Base of the frozen value types, whose fields are the subclass's own annotations."""
 
     def __init_subclass__(cls) -> None:
         cls._fields = tuple(cls.__annotations__)  # in order
@@ -85,7 +89,7 @@ class _Record:
         self.__dict__.update(zip(self._fields, args))
 
     def __setattr__(self, name, *value):
-        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
     __delattr__ = __setattr__
 
     def __eq__(self, other):
@@ -191,6 +195,58 @@ def primes_upto(bound: int) -> list[int]:
     if bound > limit:
         _, primes = _grow_sieve(bound)
     return primes[: bisect_right(primes, bound)]
+
+
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorization, primes ascending: trial division by the primes p <= 1000
+    while p^2 <= n, then each cofactor is proved prime by `is_prime` or split by rho."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    out: dict[int, int] = {}
+    for p in primes_upto(1000):
+        if p * p > n:
+            break
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if is_prime(m):
+            out[m] = out.get(m, 0) + 1
+            continue
+        r = isqrt(m)
+        d = r if r * r == m else _rho_factor(m)
+        stack += [d, m // d]
+    return dict(sorted(out.items()))
+
+
+def _rho_factor(n: int) -> int:
+    """A proper factor of the odd composite non-square n.  Brent's cycle search on
+    x -> x^2 + c from x = 2, c = 1, 2, ... (no randomness, so every run splits
+    alike); one gcd per 128 steps, the batch retraced when it swallows n."""
+    for c in count(1):
+        y, r, q, d = 2, 1, 1, 1
+        while d == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and d == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                d = gcd(q, n)
+                k += 128
+            r *= 2
+        if d == n:
+            d = 1
+            while d == 1:
+                ys = (ys * ys + c) % n
+                d = gcd(x - ys, n)
+        if d != n:
+            return d
 
 
 def _power(base, m: int, one, times):

@@ -92,10 +92,11 @@ def _reduce_cyclotomic(coeffs, l: int, k: int) -> list:
     return out
 
 
-class ModPPolynomial:
+class ModPPolynomial(_Record):
     """Dense univariate polynomial over Z/l, coefficients canonical in 0..l-1."""
 
-    __slots__ = ("modulus", "coeffs")
+    modulus: int
+    coeffs: tuple[int, ...]
 
     def __init__(self, modulus: int, coeffs) -> None:
         if not is_prime(modulus):
@@ -103,11 +104,7 @@ class ModPPolynomial:
         cs = [c % modulus for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ModPPolynomial is immutable")
+        super().__init__(modulus, tuple(cs))
 
     @property
     def degree(self) -> int:
@@ -138,14 +135,6 @@ class ModPPolynomial:
     def _check(self, other: "ModPPolynomial") -> None:
         if self.modulus != other.modulus:
             raise ValueError("mismatched moduli")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ModPPolynomial):
-            return NotImplemented
-        return self.modulus == other.modulus and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.modulus, self.coeffs))
 
     def __str__(self) -> str:
         if not self.coeffs:

@@ -7,7 +7,7 @@ divide 2g, which confines candidates to p <= 2g+1); the prime 2 contributes
 2^k where k is the largest exponent with 2^{k-2} dividing 2g, so 8 always
 divides n_g.
 
-`ng_local(g)` walks the divisors of 2g, O(sqrt(g)) for one n_g near 10^9; the
+`ng_local(g)` walks the divisors of 2g, read off `factorize(2g)`; the
 tables n_1..n_g behind the reports come from one sieve pass, `_ng_values(g)`.
 
 The independent oracle computes the same number as a stabilized running gcd of
@@ -15,18 +15,17 @@ p^{2g} - 1 over primes p > 2g+1.  The two routes share no code.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-from math import factorial, gcd, isqrt, prod
+from math import factorial, gcd, prod
 
 from .bernoulli_zeta import bernoulli, proportionality, zeta_neg
 from .exact_arith import (
     PrimeLocalOrder,
     _Record,
     factorial_p_valuation,
+    factorize,
     is_prime,
     primes_above,
     primes_upto,
-    valuation,
 )
 
 __all__ = [
@@ -48,6 +47,9 @@ __all__ = [
 # this code; the oracle-agreement suite pins ng_local against them.
 NG_CROSS_CHECK = {1: 24, 2: 240, 3: 504, 4: 480}
 
+# the gcd oracle's default sample: 100 primes, the gcd unchanged through the last 50
+_ORACLE_PRIME_COUNT, _ORACLE_WINDOW = 100, 50
+
 
 class NgDecomposition(_Record):
     g: int
@@ -62,23 +64,15 @@ def ng_local(g: int) -> NgDecomposition:
     """n_g from the per-prime exponent rules, over the divisors d of 2g with d + 1 prime."""
     if g < 1:
         raise ValueError("g must be positive")
-    two_g = 2 * g
-    divisors, rest = [1], two_g  # of 2g, from its factorization over primes <= sqrt(2g)
-    for q in primes_upto(isqrt(two_g)):
-        if q * q > rest:
-            break
-        powers = [1]
-        while rest % q == 0:
-            rest //= q
-            powers.append(powers[-1] * q)
-        divisors = [d * e for d in divisors for e in powers]
-    if rest > 1:
-        divisors += [d * rest for d in divisors]
-    factors = [PrimeLocalOrder(2, valuation(two_g, 2) + 2)]
+    fac = factorize(2 * g)
+    divisors = [1]
+    for q, k in fac.items():
+        divisors = [d * q**i for d in divisors for i in range(k + 1)]
+    factors = [PrimeLocalOrder(2, fac[2] + 2)]
     for d in sorted(divisors)[1:]:  # the odd primes p = d + 1 with (p - 1) | 2g
         if is_prime(d + 1):
-            # largest k with p^{k-1}(p-1) | 2g
-            factors.append(PrimeLocalOrder(d + 1, valuation(two_g // d, d + 1) + 1))
+            # largest k with p^{k-1}(p-1) | 2g: v_p(2g) + 1, as p does not divide p - 1
+            factors.append(PrimeLocalOrder(d + 1, fac.get(d + 1, 0) + 1))
     return NgDecomposition(g, tuple(factors))
 
 
@@ -96,7 +90,9 @@ def _ng_values(g: int) -> list[int]:
     return values
 
 
-def ng_oracle(g: int, prime_count: int = 100, stabilization_window: int = 50) -> int:
+def ng_oracle(
+    g: int, prime_count: int = _ORACLE_PRIME_COUNT, stabilization_window: int = _ORACLE_WINDOW
+) -> int:
     """Running gcd of p^{2g} - 1 over the first `prime_count` primes p > 2g+1.
 
     The gcd must sit unchanged through the final `stabilization_window` primes,
@@ -193,7 +189,7 @@ def boundary_coefficient(g: int) -> Fraction:
     B_{2g} stops dividing 2g (first at g = 6, numerator 691), so the exact
     rational is returned as-is.
     """
-    value = Fraction((-1) ** g) / zeta_neg(g)
+    value = (-1) ** g / zeta_neg(g)
     if value <= 0:
         raise ArithmeticError("sign bookkeeping broken")
     return value

@@ -24,6 +24,7 @@ from .exact_arith import _Record
 from .finite_field_checks import cyclotomic_chern_check, hurwitz_genus, symplectic_pairing_check
 from .group_orders import degree_integrality
 from .torsion_orders import (
+    _ORACLE_PRIME_COUNT,
     NG_CROSS_CHECK,
     denominator_corollary_check,
     grr_chain_check,
@@ -182,7 +183,9 @@ _SUITES = {
 SUITE_NAMES = list(_SUITES) + ["all"]
 
 
-def run_suite(name: str, max_g: "int | None" = None, prime_count: int = 100) -> list[CheckResult]:
+def run_suite(
+    name: str, max_g: "int | None" = None, prime_count: int = _ORACLE_PRIME_COUNT
+) -> list[CheckResult]:
     """Run one suite (or 'all'); max_g overrides the per-suite default bound.
 
     An override below 1 is refused: it would select no case and pass vacuously.

@@ -315,7 +315,8 @@ def test_closed_stdout_exits_one_without_traceback(argv: list[str], tmp_path) ->
 def test_cold_import_loads_only_what_a_call_uses() -> None:
     # module names, not timings, so this cannot flake on a busy machine:
     # dataclasses brings inspect, ast and dis; json and csv load only for their
-    # own --format; the cache and sieve locks come from _thread, not threading
+    # own --format; the cache and sieve locks come from _thread, not threading;
+    # run lifts the digit limit in its own try/finally, not through contextlib
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     probe = "import sys, tautorder.cli; print(' '.join(sorted(sys.modules)))"
     proc = subprocess.run(
@@ -324,5 +325,5 @@ def test_cold_import_loads_only_what_a_call_uses() -> None:
     )
     loaded = set(proc.stdout.split())
     assert "tautorder.cli" in loaded
-    unused = {"dataclasses", "inspect", "ast", "dis", "json", "csv", "threading"}
+    unused = {"dataclasses", "inspect", "ast", "dis", "json", "csv", "threading", "contextlib"}
     assert loaded.isdisjoint(unused), sorted(loaded & unused)

@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 
 from tautorder.bernoulli_zeta import proportionality
+from tautorder.exact_arith import factorize
 from tautorder.group_orders import (
     degree_integrality,
-    factorize,
     koblitz_coefficient,
     sp_order,
 )

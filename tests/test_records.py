@@ -15,9 +15,19 @@ from pathlib import Path
 import pytest
 
 from tautorder.bernoulli_zeta import bernoulli_table, proportionality
-from tautorder.chern_symbolics import chern_character, symmetric_reduce
+from tautorder.chern_symbolics import (
+    GradedPolynomial,
+    chern_character,
+    elementary_symmetric,
+    root_variables,
+    symmetric_reduce,
+)
 from tautorder.exact_arith import PrimeLocalOrder, _Record
-from tautorder.finite_field_checks import cyclotomic_chern_check, symplectic_pairing_check
+from tautorder.finite_field_checks import (
+    ModPPolynomial,
+    cyclotomic_chern_check,
+    symplectic_pairing_check,
+)
 from tautorder.group_orders import degree_integrality, sp_order
 from tautorder.torsion_orders import ng_local, product_identity_check, torsion_report
 from tautorder.verify import run_suite
@@ -122,6 +132,35 @@ def test_record_is_frozen(name: str) -> None:
         with pytest.raises(AttributeError):
             delattr(rec, attr)
     assert repr(rec) == before
+
+
+POLYNOMIALS = [root_variables(2, 3)[0] * 3 + 1, ModPPolynomial(5, [1, 2, 3])]
+
+
+@pytest.mark.parametrize("poly", POLYNOMIALS, ids=lambda p: type(p).__name__)
+def test_polynomial_is_an_immutable_record(poly) -> None:
+    assert isinstance(poly, _Record) and not hasattr(poly, "__slots__")
+    before = str(poly)
+    for attr in (*type(poly)._fields, "not_a_field"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(poly, attr, 0)
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(poly, attr)
+    assert str(poly) == before
+
+
+def test_cached_polynomial_survives_a_refused_delete() -> None:
+    with pytest.raises(AttributeError):
+        del elementary_symmetric(3, 2, 4)._comps
+    assert elementary_symmetric(3, 2, 4).render() == "x1*x2 + x1*x3 + x2*x3"
+
+
+def test_polynomial_hashing() -> None:
+    assert hash(ModPPolynomial(5, [1, 2])) == hash((5, (1, 2)))
+    assert hash(ModPPolynomial(5, [6, 7, 0])) == hash(ModPPolynomial(5, [1, 2]))
+    assert GradedPolynomial.__hash__ is None
+    with pytest.raises(TypeError):
+        hash(elementary_symmetric(3, 2, 4))
 
 
 def test_prime_local_order_still_validates() -> None:
