@@ -133,13 +133,6 @@ class GradedPolynomial(_Record):
                 comps[degree][_pack(mon, truncation + 1)] = coeff
         super().__init__(names, weights, truncation, comps)
 
-    @classmethod
-    def _raw(cls, names, weights, truncation, comps):
-        # internal: truncation + 1 packed components, zeros already pruned
-        self = object.__new__(cls)
-        _Record.__init__(self, names, weights, truncation, comps)
-        return self
-
     def _like(self, comps) -> "GradedPolynomial":
         return GradedPolynomial._raw(self.names, self.weights, self.truncation, comps)
 

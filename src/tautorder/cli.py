@@ -31,9 +31,6 @@ from .verify import SUITE_NAMES, run_suite
 
 __all__ = ["build_parser", "run", "main"]
 
-PRIME_COUNT_ENV = "TAUTORDER_PRIME_COUNT"
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; the contract here is exit 1
     def error(self, message):
@@ -42,40 +39,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _prime_count(flag: "int | None") -> int:
-    """The gcd oracle's sample size: the flag, else the environment, else its default.
-
-    Called only where the oracle runs, so other commands never parse the variable.
-    """
-    if flag is not None:
-        return flag
-    raw = os.environ.get(PRIME_COUNT_ENV)
-    if raw is None:
-        return _ORACLE_PRIME_COUNT
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{PRIME_COUNT_ENV} must be an integer, got {raw!r}") from exc
-    if value < 2:
-        raise ValueError(f"{PRIME_COUNT_ENV} must be at least 2")
-    return value
-
-
 def _ng(g: int, oracle: bool, prime_count: "int | None", window: int) -> dict:
     if not oracle:
         dec = ng_local(g)
         factors = {f.prime: f.exponent for f in dec.factors}
         return {"route": "local", "g": g, "value": dec.value, "factors": factors}
-    count = _prime_count(prime_count)
+    count = _ORACLE_PRIME_COUNT if prime_count is None else prime_count
     value = ng_oracle(g, count, window)
     return {"route": "oracle", "g": g, "value": value, "prime_count": count,
             "stabilization_window": window}
 
 
 def _verify(suite: str, max_g: "int | None") -> dict:
-    # only oracle-agreement (alone or within all) runs the gcd oracle
-    oracle = suite in ("oracle-agreement", "all")
-    checks = run_suite(suite, max_g, *([_prime_count(None)] if oracle else []))
+    checks = run_suite(suite, max_g)
     failed = sum(not c.ok for c in checks)
     return {
         "suite": suite,

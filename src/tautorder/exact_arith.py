@@ -88,6 +88,13 @@ class _Record:
             raise TypeError(f"{type(self).__name__} takes exactly the fields {self._fields}")
         self.__dict__.update(zip(self._fields, args))
 
+    @classmethod
+    def _raw(cls, *fields):
+        """An instance of fields already checked: the subclass's validation is skipped."""
+        self = object.__new__(cls)
+        self.__dict__.update(zip(cls._fields, fields))
+        return self
+
     def __setattr__(self, name, *value):
         raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
     __delattr__ = __setattr__

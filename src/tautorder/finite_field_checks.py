@@ -40,7 +40,6 @@ Phi_{l^k} without division, which gives the rows of multiplication by zeta.
 """
 from __future__ import annotations
 
-from math import gcd
 from operator import mul
 
 from .exact_arith import _Record, _power, is_prime
@@ -174,11 +173,11 @@ def hurwitz_genus(l: int, k: int) -> int:
 def cyclotomic_chern_product(l: int, k: int) -> ModPPolynomial:
     """prod over 1 <= i <= l^k with gcd(i, l) = 1 of (1 + i x), mod l."""
     _check_prime_power(l, k)
-    out = ModPPolynomial(l, [1])
+    c = [1]
     for i in range(1, l**k + 1):
-        if gcd(i, l) == 1:
-            out = out * ModPPolynomial(l, [1, i])
-    return out
+        if i % l:  # a unit, as l is prime: times (1 + i x) on the coefficient list
+            c = [(a + i * b) % l for a, b in zip(c + [0], [0] + c)]
+    return ModPPolynomial(l, c)
 
 
 class CyclotomicChernReport(_Record):

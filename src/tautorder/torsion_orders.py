@@ -68,11 +68,11 @@ def ng_local(g: int) -> NgDecomposition:
     divisors = [1]
     for q, k in fac.items():
         divisors = [d * q**i for d in divisors for i in range(k + 1)]
-    factors = [PrimeLocalOrder(2, fac[2] + 2)]
+    factors = [PrimeLocalOrder._raw(2, fac[2] + 2)]
     for d in sorted(divisors)[1:]:  # the odd primes p = d + 1 with (p - 1) | 2g
         if is_prime(d + 1):
             # largest k with p^{k-1}(p-1) | 2g: v_p(2g) + 1, as p does not divide p - 1
-            factors.append(PrimeLocalOrder(d + 1, fac.get(d + 1, 0) + 1))
+            factors.append(PrimeLocalOrder._raw(d + 1, fac.get(d + 1, 0) + 1))
     return NgDecomposition(g, tuple(factors))
 
 

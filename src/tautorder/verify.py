@@ -24,7 +24,6 @@ from .exact_arith import _Record
 from .finite_field_checks import cyclotomic_chern_check, hurwitz_genus, symplectic_pairing_check
 from .group_orders import degree_integrality
 from .torsion_orders import (
-    _ORACLE_PRIME_COUNT,
     NG_CROSS_CHECK,
     denominator_corollary_check,
     grr_chain_check,
@@ -110,20 +109,20 @@ def _symplectic(l: int, k: int) -> tuple[bool, str]:
 
 def _per_g(check):
     """Builder of the cases `<suite> g=1..bound`, each running check(g)."""
-    return lambda suite, bound, _count: [
+    return lambda suite, bound: [
         (f"{suite} g={g}", partial(check, g)) for g in range(1, bound + 1)
     ]
 
 
 def _covers(pairs, check):
     """Row for the listed (l, k) covers: genus <= bound runs; the default runs all."""
-    return lambda suite, bound, _count: [
+    return lambda suite, bound: [
         (f"{suite} l={l} k={k}", partial(check, l, k))
         for l, k in pairs if hurwitz_genus(l, k) <= bound
     ], max(hurwitz_genus(l, k) for l, k in pairs)
 
 
-def _integrality(suite: str, bound: int, _count: int):
+def _integrality(suite: str, bound: int):
     def check(g: int, n: int) -> tuple[bool, str]:
         rep = degree_integrality(g, n)
         return rep.integral, f"degree {rep.degree}"
@@ -132,7 +131,7 @@ def _integrality(suite: str, bound: int, _count: int):
     return [(f"{suite} g={g} n={n}", partial(check, g, n)) for g, n in gns]
 
 
-def _von_staudt(suite: str, bound: int, _count: int):
+def _von_staudt(suite: str, bound: int):
     def check(m: int) -> tuple[bool, str]:
         expected = von_staudt_denominator(m)
         got = bernoulli(m).denominator
@@ -142,10 +141,10 @@ def _von_staudt(suite: str, bound: int, _count: int):
     return [(f"{suite} m={m}", partial(check, m)) for m in range(2, top + 1, 2)]
 
 
-def _oracle_agreement(suite: str, bound: int, prime_count: int):
+def _oracle_agreement(suite: str, bound: int):
     def agree(g: int) -> tuple[bool, str]:
         local = ng_local(g).value
-        oracle = ng_oracle(g, prime_count)
+        oracle = ng_oracle(g)
         return local == oracle, f"local {local}, gcd oracle {oracle}"
 
     def anchor(g: int) -> tuple[bool, str]:  # reads NG_CROSS_CHECK when the suite runs
@@ -153,7 +152,7 @@ def _oracle_agreement(suite: str, bound: int, prime_count: int):
         return local == NG_CROSS_CHECK[g], f"local {local}, table {NG_CROSS_CHECK[g]}"
 
     anchors = [g for g in sorted(NG_CROSS_CHECK) if g <= bound]
-    return _per_g(agree)(suite, bound, prime_count) + [
+    return _per_g(agree)(suite, bound) + [
         (f"table-anchor g={g}", partial(anchor, g)) for g in anchors
     ]
 
@@ -162,9 +161,9 @@ _CYCLOTOMIC_PAIRS = [(3, 1), (3, 2), (5, 1), (7, 1), (2, 3), (2, 4)]
 _SYMPLECTIC_PAIRS = [(3, 1), (5, 1), (7, 1), (3, 2)]
 _VON_STAUDT_TOP = 60
 
-# suite -> (case builder, default bound).  builder(suite, bound, prime_count)
-# returns the suite's (name, check) pairs in order.  von-staudt runs its listed
-# m <= 2*bound, so its default runs every listed m.
+# suite -> (case builder, default bound).  builder(suite, bound) returns the suite's
+# (name, check) pairs in order.  von-staudt runs its listed m <= 2*bound, so its
+# default runs every listed m; oracle-agreement runs ng_oracle at its default sample.
 _SUITES = {
     "chern-lemma": (_per_g(_chern_lemma), 8),
     "borel-serre": (_per_g(_borel_serre), 6),
@@ -183,9 +182,7 @@ _SUITES = {
 SUITE_NAMES = list(_SUITES) + ["all"]
 
 
-def run_suite(
-    name: str, max_g: "int | None" = None, prime_count: int = _ORACLE_PRIME_COUNT
-) -> list[CheckResult]:
+def run_suite(name: str, max_g: "int | None" = None) -> list[CheckResult]:
     """Run one suite (or 'all'); max_g overrides the per-suite default bound.
 
     An override below 1 is refused: it would select no case and pass vacuously.
@@ -194,9 +191,9 @@ def run_suite(
         raise ValueError(f"max_g must be at least 1, got {max_g}")
     if name == "all":
         # one call per suite, so a caller tracing run_suite sees each suite
-        return [c for sub in _SUITES for c in run_suite(sub, max_g, prime_count)]
+        return [c for sub in _SUITES for c in run_suite(sub, max_g)]
     if name not in _SUITES:
         raise ValueError(f"unknown suite: {name}")
     cases, default = _SUITES[name]
     bound = default if max_g is None else max_g
-    return [CheckResult(case, *check()) for case, check in cases(name, bound, prime_count)]
+    return [CheckResult(case, *check()) for case, check in cases(name, bound)]

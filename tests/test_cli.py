@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from tautorder.cli import PRIME_COUNT_ENV, run
+from tautorder.cli import run
 from tautorder.torsion_orders import NG_CROSS_CHECK
 from tautorder.verify import run_suite
 
@@ -119,6 +119,10 @@ def test_domain_errors_exit_one_with_message(capsys: pytest.CaptureFixture) -> N
     code, _ = _run(["degree", "1", "2"])
     assert code == 1
     assert "n >= 3" in capsys.readouterr().err
+    code, text = _run(["ng", "1", "--oracle", "--prime-count", "10"])
+    assert (code, text) == (1, "")
+    err = capsys.readouterr().err
+    assert err == "tautorder: error: prime_count must be at least the stabilization window\n"
 
 
 def test_oracle_route_reports_parameters() -> None:
@@ -130,18 +134,17 @@ def test_oracle_route_reports_parameters() -> None:
     assert result["prime_count"] == "100"
 
 
-def test_prime_count_env_override(monkeypatch: pytest.MonkeyPatch) -> None:
-    monkeypatch.setenv(PRIME_COUNT_ENV, "60")
+def test_the_environment_does_not_change_the_oracle_sample(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    # the sample is the flag or its default, never a variable of the environment
+    monkeypatch.setenv("TAUTORDER_PRIME_COUNT", "abc")
     code, text = _run(["ng", "1", "--oracle", "--format", "json"])
     assert code == 0
-    assert json.loads(text)["result"]["prime_count"] == "60"
-
-
-def test_prime_count_flag_beats_env(monkeypatch: pytest.MonkeyPatch) -> None:
-    monkeypatch.setenv(PRIME_COUNT_ENV, "60")
-    code, text = _run(["ng", "1", "--oracle", "--prime-count", "55", "--format", "json"])
+    assert json.loads(text)["result"]["prime_count"] == "100"
+    code, text = _run(["verify", "oracle-agreement", "--max-g", "2"])
     assert code == 0
-    assert json.loads(text)["result"]["prime_count"] == "55"
+    assert text.splitlines()[-1] == "4 passed, 0 failed"
 
 
 def test_verify_text_lines() -> None:
@@ -244,23 +247,6 @@ def test_rendering_failure_exits_one_with_one_line(
     assert code == 1
     assert text == ""
     assert capsys.readouterr().err == "tautorder: error: floats are forbidden in output\n"
-
-
-def test_prime_count_env_is_read_only_where_the_oracle_runs(
-    monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture
-) -> None:
-    monkeypatch.setenv(PRIME_COUNT_ENV, "abc")
-    assert _run(["verify", "newton"])[0] == 0
-    assert _run(["ng", "3"])[0] == 0
-    monkeypatch.setenv(PRIME_COUNT_ENV, "10")
-    code, text = _run(["verify", "oracle-agreement", "--max-g", "2"])
-    assert (code, text) == (1, "")
-    err = capsys.readouterr().err
-    assert err == "tautorder: error: prime_count must be at least the stabilization window\n"
-    monkeypatch.setenv(PRIME_COUNT_ENV, "60")
-    code, text = _run(["verify", "oracle-agreement", "--max-g", "2"])
-    assert code == 0
-    assert text.splitlines()[-1] == "4 passed, 0 failed"
 
 
 def test_large_prime_moduli_answer_at_once() -> None:

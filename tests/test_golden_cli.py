@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from tautorder.cli import PRIME_COUNT_ENV, run
+from tautorder.cli import run
 
 GOLDEN_DIR = Path(__file__).with_name("golden")
 FORMATS = {"text": "txt", "json": "json", "csv": "csv"}
@@ -68,10 +68,7 @@ def _stdout(argv: list[str], fmt: str) -> str:
 
 @pytest.mark.parametrize("fmt", list(FORMATS))
 @pytest.mark.parametrize("argv", CASES, ids=" ".join)
-def test_cli_output_matches_golden(
-    argv: list[str], fmt: str, monkeypatch: pytest.MonkeyPatch
-) -> None:
-    monkeypatch.delenv(PRIME_COUNT_ENV, raising=False)
+def test_cli_output_matches_golden(argv: list[str], fmt: str) -> None:
     expected = _golden_path(argv, fmt).read_text(encoding="utf-8")
     assert _stdout(argv, fmt) == expected
 

@@ -172,6 +172,20 @@ def test_prime_local_order_still_validates() -> None:
     assert PrimeLocalOrder(exponent=0, prime=2).value == 1
 
 
+def test_raw_skips_validation_only(monkeypatch: pytest.MonkeyPatch) -> None:
+    rec = PrimeLocalOrder._raw(3, 2)
+    assert rec == PrimeLocalOrder(3, 2) and repr(rec) == repr(PrimeLocalOrder(3, 2))
+    with pytest.raises(AttributeError, match="immutable"):
+        setattr(rec, "prime", 5)
+
+    # ng_local proves each of its primes with is_prime, so it builds the factors raw
+    def refuse(*args, **kwargs):
+        raise AssertionError("validating constructor called")
+
+    monkeypatch.setattr(PrimeLocalOrder, "__init__", refuse)
+    assert ng_local(12).value == 131040
+
+
 def test_no_module_of_the_package_imports_dataclasses() -> None:
     files = sorted(SRC.glob("*.py"))
     assert files

@@ -1,5 +1,6 @@
 """No line of the package source is longer than 100 characters, so the
-line count of src/ cannot fall just by packing lines together."""
+line count of src/ cannot fall just by packing lines together; and the package
+reads no environment variable, so a call's answer depends on its arguments alone."""
 from __future__ import annotations
 
 from pathlib import Path
@@ -17,3 +18,13 @@ def test_no_source_line_exceeds_100_characters() -> None:
         if len(line) > 100
     ]
     assert long_lines == []
+
+
+def test_no_source_reads_the_environment() -> None:
+    readers = [
+        f"{path.name}:{number}"
+        for path in sorted(SRC.glob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        if "os.environ" in line or "getenv" in line
+    ]
+    assert readers == []
