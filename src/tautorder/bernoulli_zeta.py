@@ -23,7 +23,7 @@ from _thread import allocate_lock
 from fractions import Fraction
 from math import factorial
 
-from .exact_arith import _Record, primes_upto
+from .exact_arith import _Record, _check_nonnegative, _check_positive, primes_upto
 
 __all__ = [
     "BernoulliTable",
@@ -48,8 +48,7 @@ def bernoulli(m: int) -> Fraction:
     A miss fills the cache up to max(m, twice its top index), so a sequential
     fill costs a constant factor over one call at its last index.
     """
-    if m < 0:
-        raise ValueError("index must be nonnegative")
+    _check_nonnegative("index", m)
     if m < len(_cache):
         return _cache[m]
     with _cache_lock:
@@ -86,8 +85,7 @@ class BernoulliTable(_Record):
 
 
 def bernoulli_table(max_index: int) -> BernoulliTable:
-    if max_index < 0:
-        raise ValueError("index must be nonnegative")
+    _check_nonnegative("index", max_index)
     keys = [0, 1] if max_index >= 1 else [0]
     keys += [m for m in range(2, max_index + 1, 2)]
     return BernoulliTable(max_index, {m: bernoulli(m) for m in keys})
@@ -106,8 +104,7 @@ def von_staudt_denominator(m: int) -> int:
 
 def zeta_neg(g: int) -> Fraction:
     """zeta(1-2g) = -B_{2g}/2g, exact."""
-    if g < 1:
-        raise ValueError("g must be positive")
+    _check_positive("g", g)
     return -bernoulli(2 * g) / (2 * g)
 
 
@@ -120,8 +117,7 @@ class ProportionalityResult(_Record):
 
 def proportionality(g: int) -> ProportionalityResult:
     """(-1)^g * prod_{j=1}^{g} zeta_neg(j)/2, with its absolute value and denominator."""
-    if g < 1:
-        raise ValueError("g must be positive")
+    _check_positive("g", g)
     num, den = (-1) ** g, 1  # one gcd, in the final Fraction, instead of one per factor
     for j in range(1, g + 1):
         z = zeta_neg(j)
@@ -132,6 +128,5 @@ def proportionality(g: int) -> ProportionalityResult:
 
 def todd_inverse_series(depth: int) -> list[Fraction]:
     """Coefficients of t/(e^t - 1) through degree `depth`, i.e. B_k/k!."""
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
+    _check_nonnegative("depth", depth)
     return [bernoulli(k) / factorial(k) for k in range(depth + 1)]

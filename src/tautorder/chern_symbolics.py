@@ -40,7 +40,7 @@ from math import comb, factorial, lcm
 from operator import mul
 
 from .bernoulli_zeta import todd_inverse_series
-from .exact_arith import _Record, _power
+from .exact_arith import _Record, _check_nonnegative, _check_positive, _power
 
 __all__ = [
     "GradedPolynomial",
@@ -118,8 +118,7 @@ class GradedPolynomial(_Record):
             raise ValueError("names and weights must align")
         if any(w < 1 for w in weights):
             raise ValueError("weights must be positive")
-        if truncation < 0:
-            raise ValueError("truncation must be nonnegative")
+        _check_nonnegative("truncation", truncation)
         truncation = int(truncation)
         comps = [{} for _ in range(truncation + 1)]
         for mon, coeff in dict(terms).items():
@@ -293,16 +292,14 @@ class GradedPolynomial(_Record):
 
 def root_variables(g: int, truncation: int) -> tuple[GradedPolynomial, ...]:
     """Weight-1 generators x1..xg."""
-    if g < 1:
-        raise ValueError("g must be positive")
+    _check_positive("g", g)
     proto = GradedPolynomial(_names("x", g), (1,) * g, truncation, {})
     return tuple(proto.ring_variable(i) for i in range(g))
 
 
 def class_variables(g: int, truncation: int, symbol: str = "c") -> tuple[GradedPolynomial, ...]:
     """Generators of weights 1..g named symbol1..symbolg."""
-    if g < 1:
-        raise ValueError("g must be positive")
+    _check_positive("g", g)
     proto = GradedPolynomial(_names(symbol, g), range(1, g + 1), truncation, {})
     return tuple(proto.ring_variable(i) for i in range(g))
 
@@ -315,8 +312,7 @@ def elementary_symmetric(g: int, i: int, truncation: int) -> GradedPolynomial:
     """e_i(x1..xg) in the weight-1 root ring.  Cached: callers share one immutable value."""
     if not 0 <= i <= g:
         raise ValueError("need 0 <= i <= g")
-    if truncation < 0:
-        raise ValueError("truncation must be nonnegative")
+    _check_nonnegative("truncation", truncation)
     radix = truncation + 1
     comps = [{} for _ in range(radix)]
     if i <= truncation:
@@ -393,10 +389,8 @@ def substitute_elementary(class_poly: GradedPolynomial) -> GradedPolynomial:
 
 def chern_character(g: int, depth: int) -> GradedPolynomial:
     """sum_i e^{x_i} through total degree `depth`; constant term is the rank g."""
-    if g < 1:
-        raise ValueError("g must be positive")
-    if depth < 1:
-        raise ValueError("depth must be positive")
+    _check_positive("g", g)
+    _check_positive("depth", depth)
     radix = depth + 1
     comps = [{0: g}] + [{k * radix**i: Fraction(1, factorial(k)) for i in range(g)}
                         for k in range(1, radix)]
@@ -408,10 +402,8 @@ def todd_class(g: int, depth: int, dual: bool = True) -> GradedPolynomial:
 
     The two differ by t -> -t, i.e. by the sign of every odd coefficient.
     """
-    if g < 1:
-        raise ValueError("g must be positive")
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
+    _check_positive("g", g)
+    _check_nonnegative("depth", depth)
     base = todd_inverse_series(depth)
     if not dual:
         base = [(-c if k % 2 else c) for k, c in enumerate(base)]
@@ -434,8 +426,7 @@ def lambda_star_class(g: int, depth: int) -> GradedPolynomial:
 
     Vanishes in degrees 1..g-1; the degree-g term is -(g-1)! c_g.
     """
-    if g < 1:
-        raise ValueError("g must be positive")
+    _check_positive("g", g)
     if depth < g:
         raise ValueError("depth must reach g: the degree-g coefficient is the payload")
     ch = _lambda_character(g, _power_sums(g, depth))
@@ -530,10 +521,8 @@ def borel_serre_check(g: int, depth: int) -> bool:
     Td is the dual-convention Todd class exp(sum_k s_k p_k).  In the roots this
     is prod_i (1 - e^{x_i}) * prod_i x_i/(e^{x_i} - 1) = (-1)^g x1...xg.
     """
-    if g < 1:
-        raise ValueError("g must be positive")
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
+    _check_positive("g", g)
+    _check_nonnegative("depth", depth)
     p = _power_sums(g, depth)
     ch, (m, td) = _lambda_character(g, p), _todd_scaled(p)
     top = {(depth + 1) ** (g - 1): (-1) ** g * factorial(g) * m**g}  # degree n scaled by M^n n!
@@ -548,8 +537,7 @@ def borel_serre_check(g: int, depth: int) -> bool:
 
 def newton_special_case(g: int) -> bool:
     """With c1..c_{g-1} killed, the g-th Newton power sum is (-1)^{g-1} g c_g."""
-    if g < 1:
-        raise ValueError("g must be positive")
+    _check_positive("g", g)
     c_g = (g + 1) ** (g - 1)  # packed; a multiple of it is free of c1..c_{g-1}
     p_g = _power_sums(g, g)[g]
     return {mon: c for mon, c in p_g.items() if mon % c_g == 0} == {c_g: g if g % 2 else -g}
@@ -561,8 +549,7 @@ def fundamental_relations(g: int, max_degree: int) -> list[GradedPolynomial]:
 
     Each component is a relation; the odd ones vanish identically.
     """
-    if g < 1:
-        raise ValueError("g must be positive")
+    _check_positive("g", g)
     if not 1 <= max_degree <= 2 * g:
         raise ValueError("max_degree must lie in 1..2g")
     ls = class_variables(g, 2 * g, symbol="l")

@@ -31,13 +31,6 @@ from .verify import SUITE_NAMES, run_suite
 
 __all__ = ["build_parser", "run", "main"]
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors; the contract here is exit 1
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
-
 
 def _ng(g: int, oracle: bool, prime_count: "int | None", window: int) -> dict:
     if not oracle:
@@ -84,7 +77,7 @@ _COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="tautorder", description=__doc__)
+    parser = argparse.ArgumentParser(prog="tautorder", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, positionals, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
@@ -178,8 +171,8 @@ def run(argv=None, out=None) -> int:
     out = sys.stdout if out is None else out
     try:
         params = vars(build_parser().parse_args(argv))
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 0
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after help
+        return 1 if exc.code else 0
     command, fmt = params.pop("command"), params.pop("format")
     try:
         result = _COMMANDS[command][2](**params)

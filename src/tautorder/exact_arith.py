@@ -2,11 +2,12 @@
 
 Everything downstream is exact: rationals are `fractions.Fraction`, integers
 are Python ints.  No float ever enters or leaves this package.  `is_prime`
-trial-divides by factors up to 1000 and runs deterministic Miller-Rabin with
-the twelve prime bases 2..37 beyond that.  `primes_upto` and `primes_above`
-read one process-wide sieve of Eratosthenes that grows by doubling and never
-shrinks, so the torsion tables, which ask for primes up to 2g+1 once per table,
-and the gcd oracle sieve once instead of testing every candidate.
+trial-divides by the sieve's primes up to 1000, which alone decides every n
+below 997^2, and runs deterministic Miller-Rabin with the twelve prime bases
+2..37 beyond that.  `primes_upto` and `primes_above` read one process-wide
+sieve of Eratosthenes that grows by doubling and never shrinks, so the torsion
+tables, which ask for primes up to 2g+1 once per table, and the gcd oracle
+sieve once instead of testing every candidate.
 
 `factorize`, for both `ng_local` and `sp_order`, splits cofactors past 1000 by Pollard's
 rho in Brent's form (BIT 1975; BIT 1980): about n^(1/4) steps, 3*10^4 for two primes near 10^9.
@@ -36,27 +37,20 @@ _MR_LIMIT = 318665857834031151167461
 
 
 def is_prime(n: int) -> bool:
-    """Trial division by factors up to 1000, which alone decides every n below
-    1001^2, then deterministic Miller-Rabin.
+    """Trial division by the primes up to 1000, which alone decides every n below
+    997^2, then deterministic Miller-Rabin.
 
     A composite is recognised at any size; a probable prime at or beyond
     _MR_LIMIT, where the bases prove nothing, raises ValueError.
     """
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0 or n % 3 == 0:
-        return False
-    f = 5
-    top = isqrt(n)
-    while f <= top:
-        if f > 1000:  # a literal and no extra work per call: this loop is hot
-            return _miller_rabin(n)
-        if n % f == 0 or n % (f + 2) == 0:
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            return True
+        if n % p == 0:
             return False
-        f += 6
-    return True
+    return _miller_rabin(n)
 
 
 def _miller_rabin(n: int) -> bool:
@@ -74,6 +68,22 @@ def _miller_rabin(n: int) -> bool:
     if n >= _MR_LIMIT:
         raise ValueError(f"{n} is beyond the range of the deterministic primality test")
     return True
+
+
+# The package's three single-value input rules, each raised from here alone.
+def _check_positive(name: str, value: int) -> None:
+    if value < 1:
+        raise ValueError(f"{name} must be positive")
+
+
+def _check_nonnegative(name: str, value: int) -> None:
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative")
+
+
+def _check_prime(p: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
 
 
 class _Record:
@@ -116,10 +126,8 @@ class PrimeLocalOrder(_Record):
     exponent: int
 
     def __init__(self, prime: int, exponent: int) -> None:
-        if not is_prime(prime):
-            raise ValueError(f"{prime} is not prime")
-        if exponent < 0:
-            raise ValueError("exponent must be nonnegative")
+        _check_prime(prime)
+        _check_nonnegative("exponent", exponent)
         super().__init__(prime, exponent)
 
     @property
@@ -134,8 +142,7 @@ def valuation(n: int, p: int) -> int:
     """
     if n == 0:
         raise ValueError("valuation of zero undefined")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _check_prime(p)
     n = abs(n)
     v = 0
     while n % p == 0:
@@ -149,10 +156,8 @@ def factorial_p_valuation(m: int, p: int) -> int:
 
     Never forms m! itself.
     """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _check_nonnegative("m", m)
+    _check_prime(p)
     total = 0
     q = p
     while q <= m:
@@ -164,8 +169,7 @@ def factorial_p_valuation(m: int, p: int) -> int:
 def primes_above(bound: int, count: int) -> list[int]:
     """First `count` primes strictly greater than `bound`, ascending, read from
     the shared sieve, which doubles until it holds that many."""
-    if count < 0:
-        raise ValueError("count must be nonnegative")
+    _check_nonnegative("count", count)
     limit, primes = _sieve
     while True:
         start = bisect_right(primes, bound)
@@ -204,11 +208,13 @@ def primes_upto(bound: int) -> list[int]:
     return primes[: bisect_right(primes, bound)]
 
 
+_SMALL_PRIMES = tuple(primes_upto(1000))  # is_prime's trial divisors, read once
+
+
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization, primes ascending: trial division by the primes p <= 1000
     while p^2 <= n, then each cofactor is proved prime by `is_prime` or split by rho."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    _check_positive("n", n)
     out: dict[int, int] = {}
     for p in primes_upto(1000):
         if p * p > n:

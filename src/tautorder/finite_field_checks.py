@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from operator import mul
 
-from .exact_arith import _Record, _power, is_prime
+from .exact_arith import _Record, _check_positive, _check_prime, _power
 
 __all__ = [
     "ModPPolynomial",
@@ -98,8 +98,7 @@ class ModPPolynomial(_Record):
     coeffs: tuple[int, ...]
 
     def __init__(self, modulus: int, coeffs) -> None:
-        if not is_prime(modulus):
-            raise ValueError(f"{modulus} is not prime")
+        _check_prime(modulus)
         cs = [c % modulus for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
@@ -153,16 +152,10 @@ class ModPPolynomial(_Record):
         return f"ModPPolynomial(mod {self.modulus}: {self})"
 
 
-def _check_prime_power(l: int, k: int) -> None:
-    if not is_prime(l):
-        raise ValueError(f"{l} is not prime")
-    if k < 1:
-        raise ValueError("k must be positive")
-
-
 def hurwitz_genus(l: int, k: int) -> int:
     """Genus of the l^k cyclic cover: l^{k-1}(l-1)/2 for odd l, 2^{k-3} for l=2."""
-    _check_prime_power(l, k)
+    _check_prime(l)
+    _check_positive("k", k)
     if l == 2:
         if k < 3:
             raise ValueError("the construction requires k > 2 when l = 2")
@@ -172,7 +165,8 @@ def hurwitz_genus(l: int, k: int) -> int:
 
 def cyclotomic_chern_product(l: int, k: int) -> ModPPolynomial:
     """prod over 1 <= i <= l^k with gcd(i, l) = 1 of (1 + i x), mod l."""
-    _check_prime_power(l, k)
+    _check_prime(l)
+    _check_positive("k", k)
     c = [1]
     for i in range(1, l**k + 1):
         if i % l:  # a unit, as l is prime: times (1 + i x) on the coefficient list
@@ -218,7 +212,8 @@ def cyclotomic_chern_check(l: int, k: int) -> CyclotomicChernReport:
 
 def different_exponent(l: int, k: int) -> int:
     """Valuation of the different of Z[zeta_{l^k}] at the prime above l."""
-    _check_prime_power(l, k)
+    _check_prime(l)
+    _check_positive("k", k)
     return l ** (k - 1) * (k * (l - 1) - 1)
 
 

@@ -8,10 +8,11 @@ p^{(k-1)g(2g+1)}, and #Sp(2g, F_p) = p^{g^2} prod_{i=1}^{g} (p^{2i}-1).
 """
 from __future__ import annotations
 
+from fractions import Fraction
 from math import prod
 
 from .bernoulli_zeta import proportionality
-from .exact_arith import _Record, factorize, is_prime
+from .exact_arith import _Record, _check_positive, _check_prime, factorize
 
 __all__ = [
     "SpOrderResult",
@@ -36,8 +37,7 @@ class SpOrderResult(_Record):
 
 def sp_order(g: int, n: int) -> SpOrderResult:
     """#Sp(2g, Z/n), multiplicative over the prime powers in n."""
-    if g < 1:
-        raise ValueError("g must be positive")
+    _check_positive("g", g)
     if n < 2:
         raise ValueError("n must be at least 2")
     local = {p: _local_order(g, p, k) for p, k in factorize(n).items()}
@@ -65,8 +65,6 @@ def degree_integrality(g: int, n: int) -> DegreeIntegralityReport:
 def koblitz_coefficient(g: int, p: int) -> int:
     """prod_{i=1}^{g} (p^i - 1), the multiplicity of the top class on the
     supersingular locus in characteristic p."""
-    if g < 1:
-        raise ValueError("g must be positive")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _check_positive("g", g)
+    _check_prime(p)
     return prod(p**i - 1 for i in range(1, g + 1))

@@ -15,12 +15,14 @@ p^{2g} - 1 over primes p > 2g+1.  The two routes share no code.
 """
 from __future__ import annotations
 
+from fractions import Fraction
 from math import factorial, gcd, prod
 
 from .bernoulli_zeta import bernoulli, proportionality, zeta_neg
 from .exact_arith import (
     PrimeLocalOrder,
     _Record,
+    _check_positive,
     factorial_p_valuation,
     factorize,
     is_prime,
@@ -62,8 +64,7 @@ class NgDecomposition(_Record):
 
 def ng_local(g: int) -> NgDecomposition:
     """n_g from the per-prime exponent rules, over the divisors d of 2g with d + 1 prime."""
-    if g < 1:
-        raise ValueError("g must be positive")
+    _check_positive("g", g)
     fac = factorize(2 * g)
     divisors = [1]
     for q, k in fac.items():
@@ -98,8 +99,7 @@ def ng_oracle(
     The gcd must sit unchanged through the final `stabilization_window` primes,
     otherwise the sample is declared too small.
     """
-    if g < 1:
-        raise ValueError("g must be positive")
+    _check_positive("g", g)
     if stabilization_window < 2:
         raise ValueError("stabilization_window must be at least 2")
     if prime_count < stabilization_window:
@@ -127,8 +127,7 @@ def product_identity_check(g: int) -> ProductIdentityReport:
 
     The right side runs over p <= 2g+1; larger primes contribute factor 1.
     """
-    if g < 1:
-        raise ValueError("g must be positive")
+    _check_positive("g", g)
     lhs = prod(_ng_values(g))
     primes = primes_upto(2 * g + 1)
     rhs = prod(p ** factorial_p_valuation((2 * g * p) // (p - 1), p) for p in primes)
@@ -137,8 +136,7 @@ def product_identity_check(g: int) -> ProductIdentityReport:
 
 def product_identity_tail_is_trivial(g: int) -> bool:
     """Factors for 2g+1 < p <= 4g+4 are all 1 (truncating at 2g+1 loses nothing)."""
-    if g < 1:
-        raise ValueError("g must be positive")
+    _check_positive("g", g)
     for p in primes_upto(4 * g + 4):
         if p <= 2 * g + 1:
             continue
@@ -168,8 +166,7 @@ def torsion_report(g: int) -> TorsionReport:
     are reported side by side; the gap between them is genuine, not a defect.
     r_orders[i] = n_i/2 is the exact order of the 2i-th de Rham class.
     """
-    if g < 1:
-        raise ValueError("g must be positive")
+    _check_positive("g", g)
     values = _ng_values(g)
     n_g = values[-1]
     return TorsionReport(
@@ -197,7 +194,6 @@ def boundary_coefficient(g: int) -> Fraction:
 
 def grr_chain_check(g: int) -> bool:
     """|B_{2g} * (2g-1) * (2g-2)! / (2g)!| agrees with |zeta_neg(g)|."""
-    if g < 1:
-        raise ValueError("g must be positive")
+    _check_positive("g", g)
     lhs = abs(bernoulli(2 * g) * (2 * g - 1) * factorial(2 * g - 2) / factorial(2 * g))
     return lhs == abs(zeta_neg(g))

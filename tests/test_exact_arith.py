@@ -46,34 +46,37 @@ def test_primes_upto_matches_sieve() -> None:
         assert primes_upto(bound) == _sieve(bound)
 
 
-def _primes_by_is_prime(bound: int) -> list[int]:
-    return [p for p in range(2, bound + 1) if is_prime(p)]
-
-
 @pytest.fixture
 def fresh_sieve(monkeypatch: pytest.MonkeyPatch) -> None:
     # start from the empty cache, so growth happens inside the test
     monkeypatch.setattr(exact_arith, "_sieve", (1, []))
 
 
+def test_is_prime_does_not_read_the_live_sieve(fresh_sieve: None) -> None:
+    # its trial divisors are taken from the sieve once, at import
+    assert [n for n in range(-3, 3001) if is_prime(n)] == _sieve(3000)
+    assert is_prime(1000003) and not is_prime(997 * 1009)  # both reach Miller-Rabin
+    assert exact_arith._sieve == (1, [])  # never grown by is_prime
+
+
 def test_primes_upto_every_bound_ascending(fresh_sieve: None) -> None:
-    expected = _primes_by_is_prime(5000)
+    expected = _sieve(5000)
     for bound in range(0, 5001):
         assert primes_upto(bound) == [p for p in expected if p <= bound]
 
 
 def test_primes_upto_every_bound_descending(fresh_sieve: None) -> None:
-    expected = _primes_by_is_prime(5000)
+    expected = _sieve(5000)
     for bound in range(5000, -1, -1):
         assert primes_upto(bound) == [p for p in expected if p <= bound]
     assert exact_arith._sieve[0] >= 5000  # grown once, never shrunk
 
 
 def test_primes_upto_just_past_a_growth_edge(fresh_sieve: None) -> None:
-    assert primes_upto(64) == _primes_by_is_prime(64)
+    assert primes_upto(64) == _sieve(64)
     edge = exact_arith._sieve[0]
     for bound in (edge, edge + 1, edge + 2, 2 * edge, 2 * edge + 1):
-        assert primes_upto(bound) == _primes_by_is_prime(bound)
+        assert primes_upto(bound) == _sieve(bound)
         assert exact_arith._sieve[0] >= bound
     assert primes_upto(-5) == []
 
@@ -83,12 +86,12 @@ def test_primes_upto_returns_a_fresh_list(fresh_sieve: None) -> None:
     first.append(4)
     first[0] = 9
     first.clear()
-    assert primes_upto(100) == _primes_by_is_prime(100)
+    assert primes_upto(100) == _sieve(100)
     edge = exact_arith._sieve[0]
     whole = primes_upto(edge)  # the slice that spans the whole cache
     whole.extend([1, 2, 3])
-    assert primes_upto(edge) == _primes_by_is_prime(edge)
-    assert primes_upto(edge + 1) == _primes_by_is_prime(edge + 1)
+    assert primes_upto(edge) == _sieve(edge)
+    assert primes_upto(edge + 1) == _sieve(edge + 1)
 
 
 def test_primes_above_is_the_next_block_of_the_sieve() -> None:
@@ -187,9 +190,10 @@ def _is_prime_by_trial_division(n: int) -> bool:
 
 
 def test_is_prime_against_trial_division() -> None:
-    # every n across the switch from trial division to Miller-Rabin at 1001^2,
-    # then seeded random n up to 10^10
-    for n in list(range(0, 3000)) + list(range(1001**2 - 3000, 1001**2 + 3000)):
+    # every n across the switch from trial division to Miller-Rabin just past
+    # 997^2, and across 1009^2, the square of the first prime not tried; then
+    # seeded random n up to 10^10
+    for n in list(range(0, 3000)) + list(range(997**2 - 3000, 1009**2 + 3000)):
         assert is_prime(n) == _is_prime_by_trial_division(n), n
     rng = random.Random(20261018)
     for _ in range(300):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import importlib
 import pkgutil
+import typing
 from pathlib import Path
 
 import tautorder
@@ -35,3 +36,13 @@ def test_package_reexports_only_public_names() -> None:
         assert not stray, f"tautorder re-exports {stray}, not in tautorder.{node.module}.__all__"
         for alias in node.names:
             assert hasattr(tautorder, alias.asname or alias.name)
+
+
+def test_every_public_annotation_resolves() -> None:
+    # an annotation naming something its module does not import raises NameError here
+    for name in SUBMODULES:
+        module = importlib.import_module(f"tautorder.{name}")
+        for attr in module.__all__:
+            obj = getattr(module, attr)
+            if callable(obj):
+                typing.get_type_hints(obj)

@@ -1,8 +1,10 @@
 """No line of the package source is longer than 100 characters, so the
 line count of src/ cannot fall just by packing lines together; and the package
-reads no environment variable, so a call's answer depends on its arguments alone."""
+reads no environment variable, so a call's answer depends on its arguments alone.
+The single-value input rules are raised from exact_arith alone."""
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "tautorder"
@@ -28,3 +30,23 @@ def test_no_source_reads_the_environment() -> None:
         if "os.environ" in line or "getenv" in line
     ]
     assert readers == []
+
+
+def test_each_refusal_is_raised_in_one_place() -> None:
+    # "... must be positive", "... must be nonnegative" and "... is not prime" come
+    # from the exact_arith helpers; the weights and exponents rules span many values
+    refusal = re.compile(
+        r'raise ValueError\((f?"[^"]*(?:must be positive|must be nonnegative|is not prime)")'
+    )
+    raised = sorted(
+        (path.name, match[1])
+        for path in SRC.glob("*.py")
+        for match in refusal.finditer(path.read_text(encoding="utf-8"))
+    )
+    assert raised == [
+        ("chern_symbolics.py", '"exponents must be nonnegative"'),
+        ("chern_symbolics.py", '"weights must be positive"'),
+        ("exact_arith.py", 'f"{name} must be nonnegative"'),
+        ("exact_arith.py", 'f"{name} must be positive"'),
+        ("exact_arith.py", 'f"{p} is not prime"'),
+    ]

@@ -8,7 +8,7 @@ from math import factorial, gcd, prod
 import pytest
 
 from tautorder.bernoulli_zeta import bernoulli, proportionality, zeta_neg
-from tautorder import exact_arith, torsion_orders
+from tautorder import bernoulli_zeta, chern_symbolics, exact_arith, group_orders, torsion_orders
 from tautorder.exact_arith import is_prime, primes_upto, valuation
 from tautorder.torsion_orders import (
     NG_CROSS_CHECK,
@@ -155,24 +155,32 @@ def test_ng_local_rejects_nonpositive() -> None:
         ng_local(0)
 
 
-# every public function of torsion_orders whose first parameter is g
-G_FUNCTIONS = [
-    name
-    for name in torsion_orders.__all__
-    if inspect.isfunction(getattr(torsion_orders, name))
-    and next(iter(inspect.signature(getattr(torsion_orders, name)).parameters)) == "g"
-]
+# every public function whose first parameter is g, by name (no two modules share one)
+G_FUNCTIONS = {
+    name: getattr(module, name)
+    for module in (torsion_orders, chern_symbolics, group_orders, bernoulli_zeta)
+    for name in module.__all__
+    if inspect.isfunction(getattr(module, name))
+    and next(iter(inspect.signature(getattr(module, name)).parameters)) == "g"
+}
+# a valid value for each later parameter that has no default
+_VALID_ARGUMENTS = {"truncation": 3, "depth": 3, "max_degree": 1, "n": 6, "p": 5}
 
 
 def test_g_function_list_is_complete() -> None:
-    assert len(G_FUNCTIONS) == 8 and "product_identity_tail_is_trivial" in G_FUNCTIONS
+    assert len(G_FUNCTIONS) == 21 and "product_identity_tail_is_trivial" in G_FUNCTIONS
+    assert {"lambda_star_class", "koblitz_coefficient", "proportionality"} <= set(G_FUNCTIONS)
 
 
 @pytest.mark.parametrize("name", G_FUNCTIONS)
 @pytest.mark.parametrize("g", [0, -5])
 def test_every_g_function_refuses_nonpositive_g(name: str, g: int) -> None:
+    function = G_FUNCTIONS[name]
+    later = list(inspect.signature(function).parameters.values())[1:]
+    others = [_VALID_ARGUMENTS[p.name] for p in later if p.default is p.empty]
+    function(2, *others)  # the other arguments are valid
     with pytest.raises(ValueError, match="g must be positive"):
-        getattr(torsion_orders, name)(g)
+        function(g, *others)
 
 
 def test_oracle_agrees_with_local_rule() -> None:
