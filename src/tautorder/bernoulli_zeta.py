@@ -20,7 +20,6 @@ downstream consumes the absolute value.
 from __future__ import annotations
 
 from _thread import allocate_lock
-from fractions import Fraction
 from math import factorial
 
 from .exact_arith import _Record, _check_nonnegative, _check_positive, primes_upto
@@ -38,7 +37,8 @@ __all__ = [
 
 # Monotone cache: entries are appended, never changed, so a returned value can
 # never be invalidated by later growth.  The lock only serializes extension.
-_cache: list[Fraction] = [Fraction(1)]
+# It starts empty, so an import loads no `fractions`: the first miss adds B_0.
+_cache: list[Fraction] = []
 _cache_lock = allocate_lock()
 
 
@@ -54,10 +54,13 @@ def bernoulli(m: int) -> Fraction:
     with _cache_lock:
         top = len(_cache) - 1
         if m > top:
+            from fractions import Fraction
             hi = max(m, 2 * top)
             tangent = _tangent_numbers(hi // 2)
             for n in range(top + 1, hi + 1):
-                if n % 2:
+                if n == 0:
+                    _cache.append(Fraction(1))
+                elif n % 2:
                     _cache.append(Fraction(-1, 2) if n == 1 else Fraction(0))
                 else:
                     four_k = 1 << n
@@ -117,6 +120,7 @@ class ProportionalityResult(_Record):
 
 def proportionality(g: int) -> ProportionalityResult:
     """(-1)^g * prod_{j=1}^{g} zeta_neg(j)/2, with its absolute value and denominator."""
+    from fractions import Fraction
     _check_positive("g", g)
     num, den = (-1) ** g, 1  # one gcd, in the final Fraction, instead of one per factor
     for j in range(1, g + 1):

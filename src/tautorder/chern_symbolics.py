@@ -33,14 +33,13 @@ end; borel_serre_check scales degree n by M^n n! and compares M^g g! (-1)^g c_g.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial, lcm
 from operator import mul
 
 from .bernoulli_zeta import todd_inverse_series
-from .exact_arith import _Record, _check_nonnegative, _check_positive, _power
+from .exact_arith import _Record, _check_nonnegative, _check_positive, _is_rational, _power
 
 __all__ = [
     "GradedPolynomial",
@@ -168,7 +167,7 @@ class GradedPolynomial(_Record):
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if _is_rational(other):
             other = self.ring_constant(other)
         self._check_ring(other)
         comps = [dict(comp) for comp in self._comps]
@@ -182,7 +181,7 @@ class GradedPolynomial(_Record):
         return self._scaled(-1)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if _is_rational(other):
             other = self.ring_constant(other)
         return self + (-other)
 
@@ -196,7 +195,7 @@ class GradedPolynomial(_Record):
         return self._like(comps)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if _is_rational(other):
             return self._scaled(other)
         self._check_ring(other)
         comps = [{} for _ in self._comps]
@@ -215,6 +214,7 @@ class GradedPolynomial(_Record):
 
     def inverse(self) -> "GradedPolynomial":
         """Multiplicative inverse in the truncated ring; needs a unit constant term."""
+        from fractions import Fraction
         c0 = self._comps[0].get(0, 0)
         if c0 == 0:
             raise ValueError("inverse requires a nonzero constant term")
@@ -347,6 +347,7 @@ def symmetric_reduce(poly: GradedPolynomial) -> SymmetricReduction:
     leading monomial with coefficient 1.  A falling exponent shows that the
     input is not symmetric, and raises ValueError.
     """
+    from fractions import Fraction
     g = len(poly.names)
     if poly.weights != (1,) * g:
         raise ValueError("symmetric reduction expects weight-1 root variables")
@@ -389,6 +390,7 @@ def substitute_elementary(class_poly: GradedPolynomial) -> GradedPolynomial:
 
 def chern_character(g: int, depth: int) -> GradedPolynomial:
     """sum_i e^{x_i} through total degree `depth`; constant term is the rank g."""
+    from fractions import Fraction
     _check_positive("g", g)
     _check_positive("depth", depth)
     radix = depth + 1
@@ -402,6 +404,7 @@ def todd_class(g: int, depth: int, dual: bool = True) -> GradedPolynomial:
 
     The two differ by t -> -t, i.e. by the sign of every odd coefficient.
     """
+    from fractions import Fraction
     _check_positive("g", g)
     _check_nonnegative("depth", depth)
     base = todd_inverse_series(depth)
@@ -494,6 +497,7 @@ def _todd_scaled(p: list[dict]) -> tuple[int, list[dict]]:
     # (M, [M^n n! Td_n(E)]) as ints, Td = exp(sum_k s_k p_k) with sum_k s_k t^k
     # the log of t/(e^t - 1): s_1 = -1/2 and s_k = -B_k/(k k!) for k >= 2, so
     # the exp recurrence's k! s_k is -(k-1)! B_k/k!, and M clears every one.
+    from fractions import Fraction
     series = todd_inverse_series(len(p) - 1)
     scale = [Fraction(-1, 2)] + [-factorial(k - 1) * series[k] for k in range(2, len(p))]
     m = lcm(*(s.denominator for s in scale))

@@ -10,13 +10,11 @@ verify suite found a violated identity.
 """
 from __future__ import annotations
 
-import argparse
 import os
 import sys
-from fractions import Fraction
 
 from .bernoulli_zeta import bernoulli, proportionality, zeta_neg
-from .exact_arith import _Record
+from .exact_arith import _Record, _is_rational
 from .finite_field_checks import hurwitz_genus
 from .group_orders import degree_integrality, koblitz_coefficient, sp_order
 from .torsion_orders import (
@@ -76,23 +74,62 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+# every argument past the integer positionals: name -> (the one command that takes
+# it, None for all; its add_argument keywords), read by build_parser and _fast_parse
+_OPTIONS = {
+    "--format": (None, dict(choices=("text", "json", "csv"), default="text",
+                            help="output format (default text)")),
+    "--oracle": ("ng", dict(action="store_true", default=False, help="use the gcd oracle route")),
+    "--prime-count": ("ng", dict(type=int, default=None)),
+    "--window": ("ng", dict(type=int, default=_ORACLE_WINDOW)),
+    "suite": ("verify", dict(choices=SUITE_NAMES)),
+    "--max-g": ("verify", dict(type=int, default=None)),
+}
+
+
+def build_parser():
+    """The argparse parser: `run` builds it only for an argv `_fast_parse` declines."""
+    import argparse
     parser = argparse.ArgumentParser(prog="tautorder", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, positionals, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--format", choices=["text", "json", "csv"], default="text",
-                       help="output format (default text)")
         for arg in positionals:
             p.add_argument(arg, type=int)
-        if name == "ng":
-            p.add_argument("--oracle", action="store_true", help="use the gcd oracle route")
-            p.add_argument("--prime-count", type=int, default=None)
-            p.add_argument("--window", type=int, default=_ORACLE_WINDOW)
-        elif name == "verify":
-            p.add_argument("suite", choices=SUITE_NAMES)
-            p.add_argument("--max-g", type=int, default=None, dest="max_g")
+        for arg, (only, keywords) in _OPTIONS.items():
+            if only in (None, name):
+                p.add_argument(arg, **keywords)
     return parser
+
+
+def _fast_parse(argv) -> "dict | None":
+    """vars(build_parser().parse_args(argv)) for a strict grammar, else None: a command,
+    then its arguments in any order, options by exact name, integers as ASCII digits
+    with an optional leading "-".  Help, abbreviations and usage errors go to argparse."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    command, tokens = argv[0], iter(argv[1:])
+    specs = {arg: {"type": int} for arg in _COMMANDS[command][1]}
+    specs.update((arg, kw) for arg, (only, kw) in _OPTIONS.items() if only in (None, command))
+    positionals = [arg for arg in specs if arg[0] != "-"]
+    params = {"command": command} | {a: kw["default"] for a, kw in specs.items() if a[0] == "-"}
+    try:
+        for token in tokens:
+            if token in specs and token[0] == "-":
+                arg = token
+                value = True if specs[arg].get("action") else next(tokens)  # store_true
+            else:
+                arg, value = positionals.pop(0), token
+            if value not in specs[arg].get("choices", (value,)):
+                return None
+            if specs[arg].get("type") is int:
+                if not (value.isascii() and value.removeprefix("-").isdigit()):
+                    return None
+                value = int(value)  # past the int-to-str digit limit this raises, as in argparse
+            params[arg] = value
+    except (IndexError, StopIteration, ValueError):  # an extra positional or a missing value
+        return None
+    return None if positionals else {a.lstrip("-").replace("-", "_"): v for a, v in params.items()}
 
 
 # -- payload shaping -------------------------------------------------------
@@ -101,18 +138,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _payload(value):
     """Exact, json-ready structure: ints as decimal strings, rationals as
     {num, den}, never a float."""
-    if isinstance(value, bool):
+    if value is None or isinstance(value, (bool, str)):
         return value
-    if isinstance(value, Fraction):
+    if _is_rational(value):
         if value.denominator == 1:
             return str(value.numerator)
         return {"num": str(value.numerator), "den": str(value.denominator)}
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, str):
-        return value
-    if value is None:
-        return None
     if isinstance(value, _Record):
         return {name: _payload(getattr(value, name)) for name in value._fields}
     if isinstance(value, dict):
@@ -169,10 +200,12 @@ def _render(envelope: dict) -> str:
 def run(argv=None, out=None) -> int:
     """Parse and execute; returns the exit code instead of raising SystemExit."""
     out = sys.stdout if out is None else out
-    try:
-        params = vars(build_parser().parse_args(argv))
-    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after help
-        return 1 if exc.code else 0
+    params = _fast_parse(sys.argv[1:] if argv is None else argv)
+    if params is None:
+        try:  # argparse reads sys.argv itself when argv is None
+            params = vars(build_parser().parse_args(argv))
+        except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after help
+            return 1 if exc.code else 0
     command, fmt = params.pop("command"), params.pop("format")
     try:
         result = _COMMANDS[command][2](**params)

@@ -1,7 +1,8 @@
 """Exact scalar arithmetic and small prime utilities.
 
 Everything downstream is exact: rationals are `fractions.Fraction`, integers
-are Python ints.  No float ever enters or leaves this package.  `is_prime`
+are Python ints.  No float ever enters or leaves this package, and only a
+function that builds a `Fraction` imports `fractions`.  `is_prime`
 trial-divides by the sieve's primes up to 1000, which alone decides every n
 below 997^2, and runs deterministic Miller-Rabin with the twelve prime bases
 2..37 beyond that.  `primes_upto` and `primes_above` read one process-wide
@@ -14,6 +15,7 @@ rho in Brent's form (BIT 1975; BIT 1980): about n^(1/4) steps, 3*10^4 for two pr
 """
 from __future__ import annotations
 
+import sys
 from _thread import allocate_lock
 from bisect import bisect_right
 from itertools import compress, count
@@ -84,6 +86,11 @@ def _check_nonnegative(name: str, value: int) -> None:
 def _check_prime(p: int) -> None:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+
+
+def _is_rational(x) -> bool:
+    """An int or a Fraction?  Until `fractions` is loaded no Fraction exists."""
+    return isinstance(x, (int, getattr(sys.modules.get("fractions"), "Fraction", int)))
 
 
 class _Record:

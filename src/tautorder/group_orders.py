@@ -8,7 +8,6 @@ p^{(k-1)g(2g+1)}, and #Sp(2g, F_p) = p^{g^2} prod_{i=1}^{g} (p^{2i}-1).
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from math import prod
 
 from .bernoulli_zeta import proportionality

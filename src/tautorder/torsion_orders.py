@@ -15,7 +15,6 @@ p^{2g} - 1 over primes p > 2g+1.  The two routes share no code.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial, gcd, prod
 
 from .bernoulli_zeta import bernoulli, proportionality, zeta_neg

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import os
+import subprocess
 import sys
 import threading
 from fractions import Fraction
@@ -178,6 +180,23 @@ def test_proportionality_first_values() -> None:
     assert proportionality(2).signed_value == Fraction(-1, 5760)
     assert proportionality(3).signed_value == Fraction(-1, 2903040)
     assert proportionality(4).signed_value == Fraction(1, 1393459200)
+
+
+def test_a_cold_cache_seeds_b0_without_fractions_loaded() -> None:
+    # the cache starts empty and the first miss appends B_0 = 1, so importing the
+    # module does not load fractions; the first values come out as before
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    probe = (
+        "import sys\n"
+        "from tautorder.bernoulli_zeta import _cache, bernoulli, proportionality\n"
+        "assert 'fractions' not in sys.modules and _cache == []\n"
+        "print(repr([bernoulli(0), bernoulli(1), proportionality(1).signed_value]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert proc.stdout == "[Fraction(1, 1), Fraction(-1, 2), Fraction(1, 24)]\n"
 
 
 def test_proportionality_recurrence() -> None:

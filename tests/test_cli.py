@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -302,14 +303,28 @@ def test_cold_import_loads_only_what_a_call_uses() -> None:
     # module names, not timings, so this cannot flake on a busy machine:
     # dataclasses brings inspect, ast and dis; json and csv load only for their
     # own --format; the cache and sieve locks come from _thread, not threading;
-    # run lifts the digit limit in its own try/finally, not through contextlib
+    # run lifts the digit limit in its own try/finally, not through contextlib.
+    # fractions (with decimal, numbers and re) loads only where a Fraction is
+    # built, argparse (with gettext and re) only for help and usage errors; json
+    # and csv import re themselves, so only text calls are held to that
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    probe = "import sys, tautorder.cli; print(' '.join(sorted(sys.modules)))"
+    probe = (
+        "import io, sys, tautorder.cli\n"
+        "print(' '.join(sorted(sys.modules)))\n"
+        "for argv in (['ng', '12'], ['hurwitz', '3', '2']):\n"
+        "    assert tautorder.cli.run(argv, out=io.StringIO()) == 0\n"
+        "print(' '.join(sorted(sys.modules)))\n"
+    )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", probe], env=dict(os.environ, PYTHONPATH=src),
         capture_output=True, text=True, timeout=60, check=True,
     )
-    loaded = set(proc.stdout.split())
-    assert "tautorder.cli" in loaded
+    imported, after_calls = (set(line.split()) for line in proc.stdout.splitlines())
+    # every engine module stays in the import, so a tracer installed after it sees them all
+    engine = {f"tautorder.{path.stem}" for path in Path(src, "tautorder").glob("*.py")}
+    engine.discard("tautorder.__init__")
+    assert len(engine) == 8 and engine <= imported, sorted(engine - imported)
     unused = {"dataclasses", "inspect", "ast", "dis", "json", "csv", "threading", "contextlib"}
-    assert loaded.isdisjoint(unused), sorted(loaded & unused)
+    lazy = {"fractions", "decimal", "numbers", "argparse", "gettext", "re"}
+    assert imported.isdisjoint(unused | lazy), sorted(imported & (unused | lazy))
+    assert after_calls.isdisjoint(unused | lazy), sorted(after_calls & (unused | lazy))

@@ -1,9 +1,11 @@
 """No line of the package source is longer than 100 characters, so the
 line count of src/ cannot fall just by packing lines together; and the package
 reads no environment variable, so a call's answer depends on its arguments alone.
-The single-value input rules are raised from exact_arith alone."""
+The single-value input rules are raised from exact_arith alone.  The modules a
+cold call does not need are imported inside the functions that use them."""
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
 
@@ -50,3 +52,27 @@ def test_each_refusal_is_raised_in_one_place() -> None:
         ("exact_arith.py", 'f"{name} must be positive"'),
         ("exact_arith.py", 'f"{p} is not prime"'),
     ]
+
+
+def _module_level_imports(node: ast.AST):
+    # every import that runs when the module is imported: not inside a def or a lambda
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(child, ast.Import):
+            yield from (alias.name for alias in child.names)
+        elif isinstance(child, ast.ImportFrom) and child.level == 0:
+            yield child.module
+        yield from _module_level_imports(child)
+
+
+def test_no_module_level_import_of_what_a_cold_call_avoids() -> None:
+    # fractions brings decimal, numbers and re; argparse brings gettext and re
+    lazy = {"fractions", "decimal", "argparse", "re"}
+    eager = sorted(
+        (path.name, module)
+        for path in SRC.glob("*.py")
+        for module in _module_level_imports(ast.parse(path.read_text(encoding="utf-8")))
+        if module.split(".")[0] in lazy
+    )
+    assert eager == []
