@@ -310,6 +310,7 @@ def class_variables(g: int, truncation: int, symbol: str = "c") -> tuple[GradedP
 @lru_cache(maxsize=None)
 def elementary_symmetric(g: int, i: int, truncation: int) -> GradedPolynomial:
     """e_i(x1..xg) in the weight-1 root ring.  Cached: callers share one immutable value."""
+    _check_positive("g", g)
     if not 0 <= i <= g:
         raise ValueError("need 0 <= i <= g")
     _check_nonnegative("truncation", truncation)

@@ -5,6 +5,9 @@ are rendered as decimal strings, rationals as num/den (text, csv) or
 {"num": ..., "den": ...} objects (json), and no float is ever produced.
 JSON output is byte-deterministic (sorted keys, fixed separators).
 
+Arguments follow the command in any order: options by their full names,
+integers as ASCII digits with an optional leading "-".  -h or --help prints help.
+
 Exit codes: 0 success, 1 usage or invalid input (or a closed stdout), 2 a
 verify suite found a violated identity.
 """
@@ -27,18 +30,16 @@ from .torsion_orders import (
 )
 from .verify import SUITE_NAMES, run_suite
 
-__all__ = ["build_parser", "run", "main"]
+__all__ = ["run", "main"]
 
 
-def _ng(g: int, oracle: bool, prime_count: "int | None", window: int) -> dict:
+def _ng(g: int, oracle: bool) -> dict:
     if not oracle:
         dec = ng_local(g)
         factors = {f.prime: f.exponent for f in dec.factors}
         return {"route": "local", "g": g, "value": dec.value, "factors": factors}
-    count = _ORACLE_PRIME_COUNT if prime_count is None else prime_count
-    value = ng_oracle(g, count, window)
-    return {"route": "oracle", "g": g, "value": value, "prime_count": count,
-            "stabilization_window": window}
+    return {"route": "oracle", "g": g, "value": ng_oracle(g), "prime_count": _ORACLE_PRIME_COUNT,
+            "stabilization_window": _ORACLE_WINDOW}
 
 
 def _verify(suite: str, max_g: "int | None") -> dict:
@@ -75,61 +76,68 @@ _COMMANDS = {
 
 
 # every argument past the integer positionals: name -> (the one command that takes
-# it, None for all; its add_argument keywords), read by build_parser and _fast_parse
+# it, None for all; its default; its kind: a tuple of choices, int, or bool for a flag)
 _OPTIONS = {
-    "--format": (None, dict(choices=("text", "json", "csv"), default="text",
-                            help="output format (default text)")),
-    "--oracle": ("ng", dict(action="store_true", default=False, help="use the gcd oracle route")),
-    "--prime-count": ("ng", dict(type=int, default=None)),
-    "--window": ("ng", dict(type=int, default=_ORACLE_WINDOW)),
-    "suite": ("verify", dict(choices=SUITE_NAMES)),
-    "--max-g": ("verify", dict(type=int, default=None)),
+    "suite": ("verify", None, tuple(SUITE_NAMES)),
+    "--oracle": ("ng", False, bool),
+    "--max-g": ("verify", None, int),
+    "--format": (None, "text", ("text", "json", "csv")),
 }
 
 
-def build_parser():
-    """The argparse parser: `run` builds it only for an argv `_fast_parse` declines."""
-    import argparse
-    parser = argparse.ArgumentParser(prog="tautorder", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, positionals, _) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        for arg in positionals:
-            p.add_argument(arg, type=int)
-        for arg, (only, keywords) in _OPTIONS.items():
-            if only in (None, name):
-                p.add_argument(arg, **keywords)
-    return parser
+def _arguments(command: str) -> dict:
+    """name -> (default, kind) of every argument `command` takes, positionals first."""
+    arguments = {name: (None, int) for name in _COMMANDS[command][1]}
+    arguments.update((name, row[1:]) for name, row in _OPTIONS.items() if row[0] in (None, command))
+    return arguments
 
 
-def _fast_parse(argv) -> "dict | None":
-    """vars(build_parser().parse_args(argv)) for a strict grammar, else None: a command,
-    then its arguments in any order, options by exact name, integers as ASCII digits
-    with an optional leading "-".  Help, abbreviations and usage errors go to argparse."""
+def _help(command: str) -> str:
+    """The module docstring, then the usage and help lines of `command`, else of all."""
+    lines = [__doc__] if __doc__ else []  # python -OO drops the docstring
+    for name in [command] if command in _COMMANDS else _COMMANDS:
+        words = [f"usage: tautorder {name}"]
+        for arg, (_, kind) in _arguments(name).items():
+            value = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else "N"
+            option = f"[{arg}]" if kind is bool else f"[{arg} {value}]"
+            words.append(option if arg[0] == "-" else arg if kind is int else value)
+        lines += [" ".join(words), f"  {_COMMANDS[name][0]}"]
+    return "\n".join(lines) + "\n"
+
+
+def _fast_parse(argv) -> dict:
+    """The one argv grammar: a command, then its arguments in any order, options by
+    exact name, integers as ASCII digits with an optional leading "-".  Any other argv
+    raises a one-line ValueError that names the token at fault."""
     if not argv or argv[0] not in _COMMANDS:
-        return None
-    command, tokens = argv[0], iter(argv[1:])
-    specs = {arg: {"type": int} for arg in _COMMANDS[command][1]}
-    specs.update((arg, kw) for arg, (only, kw) in _OPTIONS.items() if only in (None, command))
-    positionals = [arg for arg in specs if arg[0] != "-"]
-    params = {"command": command} | {a: kw["default"] for a, kw in specs.items() if a[0] == "-"}
-    try:
-        for token in tokens:
-            if token in specs and token[0] == "-":
-                arg = token
-                value = True if specs[arg].get("action") else next(tokens)  # store_true
-            else:
-                arg, value = positionals.pop(0), token
-            if value not in specs[arg].get("choices", (value,)):
-                return None
-            if specs[arg].get("type") is int:
-                if not (value.isascii() and value.removeprefix("-").isdigit()):
-                    return None
-                value = int(value)  # past the int-to-str digit limit this raises, as in argparse
-            params[arg] = value
-    except (IndexError, StopIteration, ValueError):  # an extra positional or a missing value
-        return None
-    return None if positionals else {a.lstrip("-").replace("-", "_"): v for a, v in params.items()}
+        raise ValueError(f"unknown command {argv[0]!r}" if argv else "no command given")
+    command, tokens, arguments = argv[0], iter(argv[1:]), _arguments(argv[0])
+    positionals = [arg for arg in arguments if arg[0] != "-"]
+    params = {"command": command} | {a: d for a, (d, _) in arguments.items() if a[0] == "-"}
+    for token in tokens:
+        if token.startswith("--"):  # every option name does, and no integer or choice
+            if token not in arguments:
+                raise ValueError(f"{command} has no option {token!r}")
+            arg, value = token, True if arguments[token][1] is bool else next(tokens, None)
+            if value is None:
+                raise ValueError(f"{arg} needs a value")
+        elif positionals:
+            arg, value = positionals.pop(0), token
+        else:
+            raise ValueError(f"unexpected argument {token!r}")
+        kind = arguments[arg][1]
+        if isinstance(kind, tuple) and value not in kind:
+            raise ValueError(f"{arg} must be one of {', '.join(kind)}; got {value!r}")
+        if kind is int and not (value.isascii() and value.removeprefix("-").isdigit()):
+            raise ValueError(f"{arg} must be an integer; got {value!r}")
+        try:
+            params[arg] = int(value) if kind is int else value
+        except ValueError:  # past the int-to-str digit limit, 4300 by default
+            limit, digits = sys.get_int_max_str_digits(), len(value.removeprefix("-"))
+            raise ValueError(f"{arg} must have at most {limit} digits; got {digits}") from None
+    if positionals:
+        raise ValueError(f"{command} needs {positionals[0]}")
+    return {a.lstrip("-").replace("-", "_"): v for a, v in params.items()}
 
 
 # -- payload shaping -------------------------------------------------------
@@ -200,14 +208,14 @@ def _render(envelope: dict) -> str:
 def run(argv=None, out=None) -> int:
     """Parse and execute; returns the exit code instead of raising SystemExit."""
     out = sys.stdout if out is None else out
-    params = _fast_parse(sys.argv[1:] if argv is None else argv)
-    if params is None:
-        try:  # argparse reads sys.argv itself when argv is None
-            params = vars(build_parser().parse_args(argv))
-        except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after help
-            return 1 if exc.code else 0
-    command, fmt = params.pop("command"), params.pop("format")
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        out.write(_help(argv[0]))
+        out.flush()
+        return 0
     try:
+        params = _fast_parse(argv)
+        command, fmt = params.pop("command"), params.pop("format")
         result = _COMMANDS[command][2](**params)
         envelope = {"command": command, "format": fmt}
         # lift the int-to-str digit limit (4300 by default) so every integer prints in full

@@ -48,7 +48,7 @@ __all__ = [
 # this code; the oracle-agreement suite pins ng_local against them.
 NG_CROSS_CHECK = {1: 24, 2: 240, 3: 504, 4: 480}
 
-# the gcd oracle's default sample: 100 primes, the gcd unchanged through the last 50
+# the gcd oracle's sample: 100 primes, the gcd unchanged through the last 50
 _ORACLE_PRIME_COUNT, _ORACLE_WINDOW = 100, 50
 
 
@@ -90,28 +90,20 @@ def _ng_values(g: int) -> list[int]:
     return values
 
 
-def ng_oracle(
-    g: int, prime_count: int = _ORACLE_PRIME_COUNT, stabilization_window: int = _ORACLE_WINDOW
-) -> int:
-    """Running gcd of p^{2g} - 1 over the first `prime_count` primes p > 2g+1.
+def ng_oracle(g: int) -> int:
+    """Running gcd of p^{2g} - 1 over the first _ORACLE_PRIME_COUNT primes p > 2g+1.
 
-    The gcd must sit unchanged through the final `stabilization_window` primes,
-    otherwise the sample is declared too small.
+    The gcd must sit unchanged through the final _ORACLE_WINDOW primes, otherwise
+    the sample is declared too small.  Both are read when the oracle runs.
     """
     _check_positive("g", g)
-    if stabilization_window < 2:
-        raise ValueError("stabilization_window must be at least 2")
-    if prime_count < stabilization_window:
-        raise ValueError("prime_count must be at least the stabilization window")
-    running = 0
-    history: list[int] = []
-    for p in primes_above(2 * g + 1, prime_count):
+    running, history = 0, []
+    for p in primes_above(2 * g + 1, _ORACLE_PRIME_COUNT):
         running = gcd(running, p ** (2 * g) - 1)
         history.append(running)
-    tail = history[-stabilization_window:]
-    if any(v != tail[0] for v in tail):
-        raise ValueError("gcd not stabilized: increase prime_count")
-    return history[-1]
+    if len(set(history[-_ORACLE_WINDOW:])) > 1:
+        raise ValueError("gcd not stabilized over the sample")
+    return running
 
 
 class ProductIdentityReport(_Record):

@@ -3,13 +3,13 @@ reports one pass/fail line per case.  A suite is pure computation; rendering
 and exit codes live in the CLI.
 
 Each suite is one row of `_SUITES`: a case builder and a default bound.  The
-builder lists the suite's cases in order, each a name and a check that returns
-`(ok, detail)`; `run_suite` alone runs the checks and collects the results.  A
-new suite is one row plus a case in `tests/test_golden_cli.py`.
+builder lists the suite's cases in order, each a name, a check that returns
+`(ok, detail)` and the check's arguments; `run_suite` alone runs the checks and
+collects the results.  A new suite is one row plus a case in
+`tests/test_golden_cli.py`.
 """
 from __future__ import annotations
 
-from functools import partial
 from math import factorial
 
 from .bernoulli_zeta import bernoulli, von_staudt_denominator
@@ -109,15 +109,13 @@ def _symplectic(l: int, k: int) -> tuple[bool, str]:
 
 def _per_g(check):
     """Builder of the cases `<suite> g=1..bound`, each running check(g)."""
-    return lambda suite, bound: [
-        (f"{suite} g={g}", partial(check, g)) for g in range(1, bound + 1)
-    ]
+    return lambda suite, bound: [(f"{suite} g={g}", check, (g,)) for g in range(1, bound + 1)]
 
 
 def _covers(pairs, check):
     """Row for the listed (l, k) covers: genus <= bound runs; the default runs all."""
     return lambda suite, bound: [
-        (f"{suite} l={l} k={k}", partial(check, l, k))
+        (f"{suite} l={l} k={k}", check, (l, k))
         for l, k in pairs if hurwitz_genus(l, k) <= bound
     ], max(hurwitz_genus(l, k) for l, k in pairs)
 
@@ -128,7 +126,7 @@ def _integrality(suite: str, bound: int):
         return rep.integral, f"degree {rep.degree}"
 
     gns = [(g, n) for g in range(1, bound + 1) for n in range(3, 8)]
-    return [(f"{suite} g={g} n={n}", partial(check, g, n)) for g, n in gns]
+    return [(f"{suite} g={g} n={n}", check, (g, n)) for g, n in gns]
 
 
 def _von_staudt(suite: str, bound: int):
@@ -138,7 +136,7 @@ def _von_staudt(suite: str, bound: int):
         return got == expected, f"denominator {got}, prime product {expected}"
 
     top = min(_VON_STAUDT_TOP, 2 * bound)
-    return [(f"{suite} m={m}", partial(check, m)) for m in range(2, top + 1, 2)]
+    return [(f"{suite} m={m}", check, (m,)) for m in range(2, top + 1, 2)]
 
 
 def _oracle_agreement(suite: str, bound: int):
@@ -152,9 +150,7 @@ def _oracle_agreement(suite: str, bound: int):
         return local == NG_CROSS_CHECK[g], f"local {local}, table {NG_CROSS_CHECK[g]}"
 
     anchors = [g for g in sorted(NG_CROSS_CHECK) if g <= bound]
-    return _per_g(agree)(suite, bound) + [
-        (f"table-anchor g={g}", partial(anchor, g)) for g in anchors
-    ]
+    return _per_g(agree)(suite, bound) + [(f"table-anchor g={g}", anchor, (g,)) for g in anchors]
 
 
 _CYCLOTOMIC_PAIRS = [(3, 1), (3, 2), (5, 1), (7, 1), (2, 3), (2, 4)]
@@ -162,8 +158,8 @@ _SYMPLECTIC_PAIRS = [(3, 1), (5, 1), (7, 1), (3, 2)]
 _VON_STAUDT_TOP = 60
 
 # suite -> (case builder, default bound).  builder(suite, bound) returns the suite's
-# (name, check) pairs in order.  von-staudt runs its listed m <= 2*bound, so its
-# default runs every listed m; oracle-agreement runs ng_oracle at its default sample.
+# (name, check, arguments) triples in order.  von-staudt runs its listed m <= 2*bound,
+# so its default runs every listed m; oracle-agreement runs ng_oracle at its one sample.
 _SUITES = {
     "chern-lemma": (_per_g(_chern_lemma), 8),
     "borel-serre": (_per_g(_borel_serre), 6),
@@ -196,4 +192,4 @@ def run_suite(name: str, max_g: "int | None" = None) -> list[CheckResult]:
         raise ValueError(f"unknown suite: {name}")
     cases, default = _SUITES[name]
     bound = default if max_g is None else max_g
-    return [CheckResult(case, *check()) for case, check in cases(name, bound)]
+    return [CheckResult(case, *check(*args)) for case, check, args in cases(name, bound)]

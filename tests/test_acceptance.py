@@ -49,7 +49,7 @@ def test_criterion_01_local_table_anchors() -> None:
 def test_criterion_02_oracle_agreement() -> None:
     start = time.perf_counter()
     for g in range(1, 9):
-        assert ng_oracle(g, 100, 50) == ng_local(g).value
+        assert ng_oracle(g) == ng_local(g).value
     assert time.perf_counter() - start < 1.0
 
 

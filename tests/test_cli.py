@@ -120,10 +120,9 @@ def test_domain_errors_exit_one_with_message(capsys: pytest.CaptureFixture) -> N
     code, _ = _run(["degree", "1", "2"])
     assert code == 1
     assert "n >= 3" in capsys.readouterr().err
-    code, text = _run(["ng", "1", "--oracle", "--prime-count", "10"])
+    code, text = _run(["ng", "0", "--oracle"])
     assert (code, text) == (1, "")
-    err = capsys.readouterr().err
-    assert err == "tautorder: error: prime_count must be at least the stabilization window\n"
+    assert capsys.readouterr().err == "tautorder: error: g must be positive\n"
 
 
 def test_oracle_route_reports_parameters() -> None:
@@ -138,7 +137,7 @@ def test_oracle_route_reports_parameters() -> None:
 def test_the_environment_does_not_change_the_oracle_sample(
     monkeypatch: pytest.MonkeyPatch,
 ) -> None:
-    # the sample is the flag or its default, never a variable of the environment
+    # the sample is fixed, never a variable of the environment
     monkeypatch.setenv("TAUTORDER_PRIME_COUNT", "abc")
     code, text = _run(["ng", "1", "--oracle", "--format", "json"])
     assert code == 0
@@ -305,14 +304,17 @@ def test_cold_import_loads_only_what_a_call_uses() -> None:
     # own --format; the cache and sieve locks come from _thread, not threading;
     # run lifts the digit limit in its own try/finally, not through contextlib.
     # fractions (with decimal, numbers and re) loads only where a Fraction is
-    # built, argparse (with gettext and re) only for help and usage errors; json
-    # and csv import re themselves, so only text calls are held to that
+    # built; the one argv parser needs no argparse (with gettext and re), not even
+    # for help or a usage error; json and csv import re themselves, so only text
+    # calls, help and usage errors are held to that
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     probe = (
         "import io, sys, tautorder.cli\n"
         "print(' '.join(sorted(sys.modules)))\n"
-        "for argv in (['ng', '12'], ['hurwitz', '3', '2']):\n"
+        "for argv in (['ng', '12'], ['hurwitz', '3', '2'], ['-h'], ['ng', '--help']):\n"
         "    assert tautorder.cli.run(argv, out=io.StringIO()) == 0\n"
+        "for argv in ([], ['ng'], ['ng', '+3'], ['ng', '3', '--form', 'json']):\n"
+        "    assert tautorder.cli.run(argv, out=io.StringIO()) == 1\n"
         "print(' '.join(sorted(sys.modules)))\n"
     )
     proc = subprocess.run(

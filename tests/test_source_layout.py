@@ -2,7 +2,8 @@
 line count of src/ cannot fall just by packing lines together; and the package
 reads no environment variable, so a call's answer depends on its arguments alone.
 The single-value input rules are raised from exact_arith alone.  The modules a
-cold call does not need are imported inside the functions that use them."""
+cold call does not need are imported inside the functions that use them, and
+argparse not at all: the command line has one parser of its own."""
 from __future__ import annotations
 
 import ast
@@ -76,3 +77,16 @@ def test_no_module_level_import_of_what_a_cold_call_avoids() -> None:
         if module.split(".")[0] in lazy
     )
     assert eager == []
+
+
+def test_no_source_imports_argparse() -> None:
+    # anywhere, inside functions too
+    imports = [
+        (path.name, name.split(".")[0])
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in ([a.name for a in node.names] if isinstance(node, ast.Import) else [node.module or ""])
+    ]
+    assert len(imports) > 20
+    assert [(path, module) for path, module in imports if module == "argparse"] == []

@@ -155,20 +155,21 @@ def test_ng_local_rejects_nonpositive() -> None:
         ng_local(0)
 
 
-# every public function whose first parameter is g, by name (no two modules share one)
+# every public function whose first parameter is g, by name (no two modules share one);
+# unwrap sees through a cache decorator
 G_FUNCTIONS = {
     name: getattr(module, name)
     for module in (torsion_orders, chern_symbolics, group_orders, bernoulli_zeta)
     for name in module.__all__
-    if inspect.isfunction(getattr(module, name))
+    if inspect.isfunction(inspect.unwrap(getattr(module, name)))
     and next(iter(inspect.signature(getattr(module, name)).parameters)) == "g"
 }
 # a valid value for each later parameter that has no default
-_VALID_ARGUMENTS = {"truncation": 3, "depth": 3, "max_degree": 1, "n": 6, "p": 5}
+_VALID_ARGUMENTS = {"i": 1, "truncation": 3, "depth": 3, "max_degree": 1, "n": 6, "p": 5}
 
 
 def test_g_function_list_is_complete() -> None:
-    assert len(G_FUNCTIONS) == 21 and "product_identity_tail_is_trivial" in G_FUNCTIONS
+    assert len(G_FUNCTIONS) == 22 and "product_identity_tail_is_trivial" in G_FUNCTIONS
     assert {"lambda_star_class", "koblitz_coefficient", "proportionality"} <= set(G_FUNCTIONS)
 
 
@@ -188,9 +189,15 @@ def test_oracle_agrees_with_local_rule() -> None:
         assert ng_oracle(g) == ng_local(g).value
 
 
-def test_oracle_with_tiny_sample() -> None:
-    # for g = 1 the gcd locks in immediately
-    assert ng_oracle(1, prime_count=2, stabilization_window=2) == 24
+def _oracle_sample(monkeypatch: pytest.MonkeyPatch, prime_count: int, window: int) -> None:
+    monkeypatch.setattr(torsion_orders, "_ORACLE_PRIME_COUNT", prime_count)
+    monkeypatch.setattr(torsion_orders, "_ORACLE_WINDOW", window)
+
+
+def test_oracle_with_tiny_sample(monkeypatch: pytest.MonkeyPatch) -> None:
+    # for g = 1 the gcd locks in at once, even over a sample of two primes
+    _oracle_sample(monkeypatch, 2, 2)
+    assert ng_oracle(1) == 24
 
 
 def test_oracle_divides_every_sample_term() -> None:
@@ -200,17 +207,16 @@ def test_oracle_divides_every_sample_term() -> None:
 
 
 def test_oracle_parameter_validation() -> None:
+    # the sample is fixed, so g is the only argument and the only one to refuse
+    assert list(inspect.signature(ng_oracle).parameters) == ["g"]
     with pytest.raises(ValueError, match="g must be positive"):
         ng_oracle(0)
-    with pytest.raises(ValueError, match="at least 2"):
-        ng_oracle(1, prime_count=5, stabilization_window=1)
-    with pytest.raises(ValueError, match="at least the stabilization window"):
-        ng_oracle(1, prime_count=5, stabilization_window=10)
 
 
-def test_oracle_reports_unstable_gcd() -> None:
+def test_oracle_reports_unstable_gcd(monkeypatch: pytest.MonkeyPatch) -> None:
+    _oracle_sample(monkeypatch, 2, 2)
     with pytest.raises(ValueError, match="gcd not stabilized"):
-        ng_oracle(6, prime_count=2, stabilization_window=2)
+        ng_oracle(6)
 
 
 def test_product_identity_holds() -> None:
