@@ -15,9 +15,10 @@ is adding their packed forms, and `_mul_into` and `_add_into` do every
 product and sum.
 
 The identities for a rank-g bundle E run in the class ring on one engine:
-Newton's identities give the power sums p_m, the Adams operations give
-ch(lambda_{-1} E) = sum_i (-1)^i e_i(e^{x_1}, ..., e^{x_g}), and one exp
-recurrence makes a multiplicative class of a log series.  lambda_star_class is
+Newton's identities give the power sums p_m; Stirling numbers give
+ch(lambda_{-1} E) = (-1)^g e_g(e^{x_1} - 1, ...), empty below degree g by
+construction, like the tests' Adams-operation oracle; one exp recurrence makes
+a multiplicative class of a log series.  lambda_star_class is
 exp(sum_k (-1)^{k-1} (k-1)! ch_k), the total class of sum_i (-1)^i [Lambda^i E],
 with payload -(g-1)! c_g in degree g (the opposite sign convention would flip
 it).  borel_serre_check tests ch(lambda_{-1} E) Td(E) = (-1)^g c_g, where
@@ -34,7 +35,7 @@ end; borel_serre_check scales degree n by M^n n! and compares M^g g! (-1)^g c_g.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb, factorial, lcm
 from operator import mul
 
@@ -428,7 +429,7 @@ def lambda_star_class(g: int, depth: int) -> GradedPolynomial:
     """Total Chern class of sum_i (-1)^i [Lambda^i E], in c1..cg: exp(L) with
     L = sum_k (-1)^{k-1} (k-1)! ch_k(lambda_{-1} E), computed in the class ring.
 
-    Vanishes in degrees 1..g-1; the degree-g term is -(g-1)! c_g.
+    Vanishes in degrees 1..g-1 by construction; the degree-g term is -(g-1)! c_g.
     """
     _check_positive("g", g)
     if depth < g:
@@ -466,32 +467,36 @@ def _power_sums(g: int, depth: int) -> list[dict]:
     return p
 
 
+def _stirling_table(g: int, depth: int) -> list[list[int]]:
+    # t[k][n] = k! S(n, k) = sum_m C(k, m) (-1)^{k-m} m^n, n! times the degree-n
+    # part of (e^x - 1)^k, whose derivative is k ((e^x - 1)^k + (e^x - 1)^{k-1})
+    t = [[1] + [0] * depth]
+    for k in range(1, g + 1):
+        t.append(list(accumulate(t[k - 1][:-1], lambda r, s: k * (r + s), initial=0)))
+    return t
+
+
 def _lambda_character(g: int, p: list[dict]) -> list[dict]:
-    # n! ch_n(lambda_{-1} E) for n = 0..depth.  Newton reads
-    # i e_i = sum_{k=1}^{i} (-1)^{k-1} e_{i-k} psi^k, with the degree-d part
-    # of psi^k equal to k^d p_d (d >= 1) and g (d = 0); the sum over k is
-    # taken before multiplying by p_d.  Dividing by i is exact: n! times the
-    # degree-n part of e_i(e^{x_1}, ...) is sum_S (x_S)^n, an integral class.
+    # n! ch_n(lambda_{-1} E), n = 0..depth, as e_g(w) with w_j = 1 - e^{x_j}: the
+    # n!-scaled degree-d part of p_k(w) is (-1)^k t[k][d] p_d, so every sign of
+    # Newton's i e_i = sum_k (-1)^{k-1} e_{i-k} p_k is minus.  e_i(w) starts in
+    # degree i, so ch is zero below degree g by construction, and e_g needs e_i
+    # only through degree depth - (g - i).  n! e_i(w)_n is integral: // i is exact.
     depth = len(p) - 1
+    t = _stirling_table(g, depth)
     elem = [[{0: 1}] + [{} for _ in range(depth)]]
     for i in range(1, g + 1):
-        e_i = []
-        for n in range(depth + 1):
+        e_i = [{} for _ in range(i)]
+        for n in range(i, depth - g + i + 1):
             acc = {}
-            for k in range(1, i + 1):
-                _add_into(acc, elem[i - k][n], g if k % 2 else -g)
             for d in range(1, n + 1):
                 combo: dict = {}
-                for k in range(1, i + 1):
-                    _add_into(combo, elem[i - k][n - d], k**d if k % 2 else -(k**d))
-                _mul_into(acc, combo, p[d], comb(n, d))
+                for k in range(max(1, i - n + d), min(i, d) + 1):
+                    _add_into(combo, elem[i - k][n - d], t[k][d])
+                _mul_into(acc, combo, p[d], -comb(n, d))
             e_i.append({mon: c // i for mon, c in acc.items()})
         elem.append(e_i)
-    ch: list[dict] = [{} for _ in range(depth + 1)]
-    for i, e_i in enumerate(elem):
-        for n in range(g, depth + 1):  # it vanishes below degree g
-            _add_into(ch[n], e_i[n], -1 if i % 2 else 1)
-    return ch
+    return elem[g][: depth + 1]
 
 
 def _todd_scaled(p: list[dict]) -> tuple[int, list[dict]]:

@@ -3,10 +3,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
+import tautorder.bernoulli_zeta as bernoulli_zeta
 import tautorder.chern_symbolics as chern
 from tautorder.bernoulli_zeta import todd_inverse_series
 from tautorder.chern_symbolics import (
@@ -24,8 +25,10 @@ from tautorder.chern_symbolics import (
     todd_class,
 )
 from tautorder.chern_symbolics import (
+    _add_into,
     _exp_scaled,
     _lambda_character,
+    _mul_into,
     _power_sums,
     _todd_scaled,
 )
@@ -564,6 +567,77 @@ def test_mutated_todd_coefficient_is_rejected_by_both_routes(monkeypatch) -> Non
         assert not borel_serre_check(g, 2 * g)
     for g in range(2, 4):
         assert not _borel_serre_in_roots(g, 2 * g)
+
+
+def _lambda_character_by_adams(g: int, p: list[dict]) -> list[dict]:
+    # n! ch_n(lambda_{-1} E) for n = 0..depth.  Newton reads
+    # i e_i = sum_{k=1}^{i} (-1)^{k-1} e_{i-k} psi^k, with the degree-d part
+    # of psi^k equal to k^d p_d (d >= 1) and g (d = 0); the sum over k is
+    # taken before multiplying by p_d.  Dividing by i is exact: n! times the
+    # degree-n part of e_i(e^{x_1}, ...) is sum_S (x_S)^n, an integral class.
+    depth = len(p) - 1
+    elem = [[{0: 1}] + [{} for _ in range(depth)]]
+    for i in range(1, g + 1):
+        e_i = []
+        for n in range(depth + 1):
+            acc = {}
+            for k in range(1, i + 1):
+                _add_into(acc, elem[i - k][n], g if k % 2 else -g)
+            for d in range(1, n + 1):
+                combo: dict = {}
+                for k in range(1, i + 1):
+                    _add_into(combo, elem[i - k][n - d], k**d if k % 2 else -(k**d))
+                _mul_into(acc, combo, p[d], comb(n, d))
+            e_i.append({mon: c // i for mon, c in acc.items()})
+        elem.append(e_i)
+    ch: list[dict] = [{} for _ in range(depth + 1)]
+    for i, e_i in enumerate(elem):
+        for n in range(g, depth + 1):  # it vanishes below degree g
+            _add_into(ch[n], e_i[n], -1 if i % 2 else 1)
+    return ch
+
+
+def test_lambda_character_matches_the_adams_operations() -> None:
+    # the alternating sum of e_i(e^{x_1}, ...) over the Adams operations, the
+    # route before e_g(1 - e^{x_1}, ...), kept as an oracle
+    for g in range(1, 8):
+        for depth in range(2 * g + 2):
+            p = _power_sums(g, depth)
+            assert _lambda_character(g, p) == _lambda_character_by_adams(g, p)
+
+
+def test_mutated_stirling_entry_is_rejected_by_borel_serre(monkeypatch) -> None:
+    # the route reads t[k][d] for k <= d <= depth - (g - k): e_{i-k}(w) starts
+    # in degree i - k, and e_g needs e_i only through degree depth - (g - i)
+    original = chern._stirling_table
+    for g in range(2, 6):
+        for k in range(1, g + 1):
+            for d in range(k, g + k + 1):
+
+                def mutated(g_: int, depth: int, k=k, d=d) -> list[list[int]]:
+                    table = original(g_, depth)
+                    table[k][d] += 1
+                    return table
+
+                monkeypatch.setattr(chern, "_stirling_table", mutated)
+                assert not borel_serre_check(g, 2 * g), (g, k, d)
+
+
+def test_lambda_character_reads_no_bernoulli_number(monkeypatch) -> None:
+    # so borel_serre_check sets Stirling/Newton against Bernoulli/exp, and its
+    # left side is not Td^{-1} restated
+    want = {g: _lambda_character(g, _power_sums(g, 2 * g)) for g in range(1, 7)}
+
+    def refuse(*args):
+        raise AssertionError("Bernoulli number read")
+
+    for module in (chern, bernoulli_zeta):
+        monkeypatch.setattr(module, "todd_inverse_series", refuse)
+    monkeypatch.setattr(bernoulli_zeta, "bernoulli", refuse)
+    for g, ch in want.items():
+        assert _lambda_character(g, _power_sums(g, 2 * g)) == ch
+    with pytest.raises(AssertionError, match="Bernoulli"):
+        borel_serre_check(2, 4)
 
 
 def test_class_ring_checks_build_no_graded_polynomial(monkeypatch) -> None:
