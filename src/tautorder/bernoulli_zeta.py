@@ -12,7 +12,8 @@ zeta_neg(g) means the value of the zeta function at 1-2g, computed exactly as
 -B_{2g}/2g.
 
 The proportionality constant is the alternating product
-(-1)^g * prod_{j<=g} zeta_neg(j)/2.  The literal product is negative for
+(-1)^g * prod_{j<=g} zeta_neg(j)/2 = prod_{j<=g} B_2j/(4j), as the g signs of
+zeta_neg(j) = -B_2j/2j cancel (-1)^g.  The literal product is negative for
 g = 2,3 mod 4, although the constant is usually quoted positive; both the
 signed and the absolute value are exposed, and every divisibility statement
 downstream consumes the absolute value.
@@ -22,7 +23,7 @@ from __future__ import annotations
 from _thread import allocate_lock
 from math import factorial
 
-from .exact_arith import _Record, _check_nonnegative, _check_positive, primes_upto
+from .exact_arith import _Record, _check_nonnegative, _check_positive, _product, primes_upto
 
 __all__ = [
     "BernoulliTable",
@@ -122,11 +123,10 @@ def proportionality(g: int) -> ProportionalityResult:
     """(-1)^g * prod_{j=1}^{g} zeta_neg(j)/2, with its absolute value and denominator."""
     from fractions import Fraction
     _check_positive("g", g)
-    num, den = (-1) ** g, 1  # one gcd, in the final Fraction, instead of one per factor
-    for j in range(1, g + 1):
-        z = zeta_neg(j)
-        num, den = num * z.numerator, den * 2 * z.denominator
-    signed = Fraction(num, den)
+    bs = [bernoulli(2 * j) for j in range(1, g + 1)]
+    # prod B_2j / prod 4j den(B_2j): one gcd, in the final Fraction, instead of one per factor
+    num = _product(b.numerator for b in bs)
+    signed = Fraction(num, _product(4 * j * b.denominator for j, b in enumerate(bs, 1)))
     return ProportionalityResult(g, signed, abs(signed), abs(signed).denominator)
 
 

@@ -12,6 +12,7 @@ sieve once instead of testing every candidate.
 
 `factorize`, for both `ng_local` and `sp_order`, splits cofactors past 1000 by Pollard's
 rho in Brent's form (BIT 1975; BIT 1980): about n^(1/4) steps, 3*10^4 for two primes near 10^9.
+`_power` and `_product` are the package's power and product routines.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ from _thread import allocate_lock
 from bisect import bisect_right
 from itertools import compress, count
 from math import gcd, isqrt
+from operator import mul
 
 __all__ = [
     "PrimeLocalOrder",
@@ -283,3 +285,14 @@ def _power(base, m: int, one, times):
         if m:
             base = times(base, base)
     return result
+
+
+def _product(factors, one=1, times=mul):
+    """The product of `factors` in order under `times`, or `one` if there are none.
+
+    The one product routine of the package: neighbours are multiplied pairwise, level
+    by level, so big operands meet big ones instead of one small factor at a time."""
+    level = list(factors)
+    while len(level) > 1:
+        level = [*map(times, level[::2], level[1::2]), *level[len(level) & ~1:]]
+    return level[0] if level else one

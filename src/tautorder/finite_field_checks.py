@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from operator import mul
 
-from .exact_arith import _Record, _check_positive, _check_prime, _power
+from .exact_arith import _Record, _check_positive, _check_prime, _power, _product
 
 __all__ = [
     "ModPPolynomial",
@@ -167,11 +167,8 @@ def cyclotomic_chern_product(l: int, k: int) -> ModPPolynomial:
     """prod over 1 <= i <= l^k with gcd(i, l) = 1 of (1 + i x), mod l."""
     _check_prime(l)
     _check_positive("k", k)
-    c = [1]
-    for i in range(1, l**k + 1):
-        if i % l:  # a unit, as l is prime: times (1 + i x) on the coefficient list
-            c = [(a + i * b) % l for a, b in zip(c + [0], [0] + c)]
-    return ModPPolynomial(l, c)
+    units = ([1, i % l] for i in range(1, l**k + 1) if i % l)  # the units, as l is prime
+    return ModPPolynomial(l, _product(units, [1], lambda a, b: [c % l for c in _convolve(a, b)]))
 
 
 class CyclotomicChernReport(_Record):

@@ -8,10 +8,8 @@ p^{(k-1)g(2g+1)}, and #Sp(2g, F_p) = p^{g^2} prod_{i=1}^{g} (p^{2i}-1).
 """
 from __future__ import annotations
 
-from math import prod
-
 from .bernoulli_zeta import proportionality
-from .exact_arith import _Record, _check_positive, _check_prime, factorize
+from .exact_arith import _Record, _check_positive, _check_prime, _product, factorize
 
 __all__ = [
     "SpOrderResult",
@@ -24,7 +22,7 @@ __all__ = [
 
 def _local_order(g: int, p: int, k: int) -> int:
     p_part = p ** ((k - 1) * g * (2 * g + 1)) * p ** (g * g)
-    return p_part * prod(p ** (2 * i) - 1 for i in range(1, g + 1))
+    return p_part * _product(p ** (2 * i) - 1 for i in range(1, g + 1))
 
 
 class SpOrderResult(_Record):
@@ -40,7 +38,7 @@ def sp_order(g: int, n: int) -> SpOrderResult:
     if n < 2:
         raise ValueError("n must be at least 2")
     local = {p: _local_order(g, p, k) for p, k in factorize(n).items()}
-    return SpOrderResult(g, n, prod(local.values()), local)
+    return SpOrderResult(g, n, _product(local.values()), local)
 
 
 class DegreeIntegralityReport(_Record):
@@ -66,4 +64,4 @@ def koblitz_coefficient(g: int, p: int) -> int:
     supersingular locus in characteristic p."""
     _check_positive("g", g)
     _check_prime(p)
-    return prod(p**i - 1 for i in range(1, g + 1))
+    return _product(p**i - 1 for i in range(1, g + 1))

@@ -15,13 +15,14 @@ p^{2g} - 1 over primes p > 2g+1.  The two routes share no code.
 """
 from __future__ import annotations
 
-from math import factorial, gcd, prod
+from math import factorial, gcd
 
 from .bernoulli_zeta import bernoulli, proportionality, zeta_neg
 from .exact_arith import (
     PrimeLocalOrder,
     _Record,
     _check_positive,
+    _product,
     factorial_p_valuation,
     factorize,
     is_prime,
@@ -58,7 +59,7 @@ class NgDecomposition(_Record):
 
     @property
     def value(self) -> int:
-        return prod(f.value for f in self.factors)
+        return _product(f.value for f in self.factors)
 
 
 def ng_local(g: int) -> NgDecomposition:
@@ -119,9 +120,9 @@ def product_identity_check(g: int) -> ProductIdentityReport:
     The right side runs over p <= 2g+1; larger primes contribute factor 1.
     """
     _check_positive("g", g)
-    lhs = prod(_ng_values(g))
+    lhs = _product(_ng_values(g))
     primes = primes_upto(2 * g + 1)
-    rhs = prod(p ** factorial_p_valuation((2 * g * p) // (p - 1), p) for p in primes)
+    rhs = _product(p ** factorial_p_valuation((2 * g * p) // (p - 1), p) for p in primes)
     return ProductIdentityReport(g, lhs, rhs, lhs == rhs)
 
 
@@ -138,7 +139,7 @@ def product_identity_tail_is_trivial(g: int) -> bool:
 
 def denominator_corollary_check(g: int) -> bool:
     """Denominator of |proportionality constant| divides prod_{i<=g} n_i."""
-    return prod(_ng_values(g)) % proportionality(g).absolute_value.denominator == 0
+    return _product(_ng_values(g)) % proportionality(g).absolute_value.denominator == 0
 
 
 class TorsionReport(_Record):
@@ -165,7 +166,7 @@ def torsion_report(g: int) -> TorsionReport:
         n_g=n_g,
         lower_bound_lambda=n_g // 2,
         scheme_upper_bound=factorial(g - 1) * n_g,
-        stack_upper_bound=factorial(g - 1) * prod(values),
+        stack_upper_bound=factorial(g - 1) * _product(values),
         r_orders={i: values[i - 1] // 2 for i in range(1, g + 1)},
     )
 

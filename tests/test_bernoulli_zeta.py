@@ -206,6 +206,17 @@ def test_proportionality_recurrence() -> None:
         assert ratio == -zeta_neg(g) / 2
 
 
+def test_proportionality_against_the_term_by_term_product() -> None:
+    # the route proportionality replaced: (-1)^g prod zeta_neg(j)/2, one Fraction per factor
+    signed = Fraction(1)
+    for g in range(1, 61):
+        signed *= -zeta_neg(g) / 2
+        r = proportionality(g)
+        assert r.signed_value == signed
+        assert (r.absolute_value, r.denominator) == (abs(signed), abs(signed).denominator)
+        assert (r.signed_value < 0) == (g % 4 in (2, 3))
+
+
 def test_proportionality_sign_pattern() -> None:
     for g in range(1, 20):
         r = proportionality(g)

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
+from functools import reduce
 from math import factorial
 
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from tautorder import exact_arith
 from tautorder.exact_arith import (
     PrimeLocalOrder,
+    _product,
     factorial_p_valuation,
     is_prime,
     primes_above,
@@ -223,3 +226,41 @@ def test_is_prime_refuses_unproven_primes_beyond_its_bound() -> None:
     # a composite is still recognised at any size
     assert not is_prime(1009**10)
     assert not is_prime((2**89 - 1) * (2**61 - 1))
+
+
+def test_product_of_nothing_is_one() -> None:
+    assert _product([]) == 1
+    assert _product(iter(()), [1], None) == [1]
+    assert _product("", "", operator.add) == ""
+
+
+def test_product_of_one_factor_is_that_factor() -> None:
+    factor = [1, 2, 3]
+    assert _product([factor], [1], None) is factor
+    assert _product([7]) == 7
+
+
+def test_product_against_a_left_fold() -> None:
+    # ints, and polynomials over F_7 as coefficient lists, for every length 1..33
+    rng = random.Random(20261019)
+
+    def times_mod_7(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = (out[i + j] + x * y) % 7
+        return out
+
+    for n in range(1, 34):
+        ints = [rng.randrange(-10**12, 10**12) for _ in range(n)]
+        assert _product(ints) == reduce(operator.mul, ints, 1)
+        assert _product(iter(ints)) == reduce(operator.mul, ints, 1)
+        polys = [[1] + [rng.randrange(7) for _ in range(rng.randrange(1, 4))] for _ in range(n)]
+        assert _product(polys, [1], times_mod_7) == reduce(times_mod_7, polys, [1])
+
+
+def test_product_keeps_the_order_of_its_factors() -> None:
+    assert _product("abcdefg", "", operator.add) == "abcdefg"
+    for n in range(1, 34):
+        words = [chr(ord("a") + i % 26) * (1 + i % 3) for i in range(n)]
+        assert _product(words, "", operator.add) == "".join(words)

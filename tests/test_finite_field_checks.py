@@ -96,8 +96,9 @@ def _unit_product(l: int, k: int) -> ModPPolynomial:
 
 
 def test_cyclotomic_product_against_plain_loop() -> None:
-    # (3, 3), (3, 4) and (3, 5) are the benchmark's larger pairs, up to degree 162
-    for l, k in CASES + [(3, 3), (3, 4), (3, 5)]:
+    # (3, 3), (3, 4) and (3, 5) are the benchmark's larger pairs, up to degree 162;
+    # (3, 6), (5, 3), (7, 2) and (11, 2) give the product tree odd levels and long leaves
+    for l, k in CASES + [(3, 3), (3, 4), (3, 5), (3, 6), (5, 3), (7, 2), (11, 2)]:
         assert cyclotomic_chern_product(l, k) == _unit_product(l, k)
 
 

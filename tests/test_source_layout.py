@@ -3,7 +3,8 @@ line count of src/ cannot fall just by packing lines together; and the package
 reads no environment variable, so a call's answer depends on its arguments alone.
 The single-value input rules are raised from exact_arith alone.  The modules a
 cold call does not need are imported inside the functions that use them, and
-argparse not at all: the command line has one parser of its own."""
+argparse not at all: the command line has one parser of its own.  Products go
+through exact_arith._product, so math.prod is not imported."""
 from __future__ import annotations
 
 import ast
@@ -90,3 +91,16 @@ def test_no_source_imports_argparse() -> None:
     ]
     assert len(imports) > 20
     assert [(path, module) for path, module in imports if module == "argparse"] == []
+
+
+def test_no_source_imports_prod_from_math() -> None:
+    # exact_arith._product is the package's one product routine
+    imports = [
+        (path.name, alias.name)
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.module == "math"
+        for alias in node.names
+    ]
+    assert len(imports) > 5
+    assert [(path, name) for path, name in imports if name == "prod"] == []

@@ -150,6 +150,15 @@ def test_tables_make_no_ng_local_call(monkeypatch) -> None:
     assert denominator_corollary_check(30) is True
 
 
+def test_table_products_against_a_plain_product() -> None:
+    # math.prod folds one factor at a time; the tables multiply by a balanced tree
+    for g in (1, 2, 3, 17, 64, 255, 1000):
+        plain = prod(_ng_values(g))
+        assert torsion_report(g).stack_upper_bound == factorial(g - 1) * plain
+        identity = product_identity_check(g)
+        assert (identity.lhs, identity.equal) == (plain, True)
+
+
 def test_ng_local_rejects_nonpositive() -> None:
     with pytest.raises(ValueError, match="g must be positive"):
         ng_local(0)
