@@ -20,8 +20,6 @@ from .chern_symbolics import (
     fundamental_relations,
     lambda_star_class,
     newton_special_case,
-    root_variables,
-    substitute_elementary,
     symmetric_reduce,
     todd_class,
 )
@@ -30,7 +28,6 @@ from .exact_arith import (
     factorial_p_valuation,
     is_prime,
     primes_above,
-    valuation,
 )
 from .finite_field_checks import (
     ModPPolynomial,

@@ -14,6 +14,12 @@ digit.  No exponent within the truncation exceeds it, so multiplying monomials
 is adding their packed forms, and `_mul_into` and `_add_into` do every
 product and sum.
 
+The root ring keeps what bench/'s class-ring pool calls: GradedPolynomial,
+chern_character, todd_class and symmetric_reduce.  symmetric_reduce subtracts
+e-monomials e_1^a_1 ... e_g^a_g, read from one cached table of packed
+homogeneous components.  root_variables and substitute_elementary, the inverse
+of symmetric_reduce, live in tests/root_ring_oracle.py.
+
 The identities for a rank-g bundle E run in the class ring on one engine:
 Newton's identities give the power sums p_m; Stirling numbers give
 ch(lambda_{-1} E) = (-1)^g e_g(e^{x_1} - 1, ...), empty below degree g by
@@ -40,16 +46,20 @@ from math import comb, factorial, lcm
 from operator import mul
 
 from .bernoulli_zeta import todd_inverse_series
-from .exact_arith import _Record, _check_nonnegative, _check_positive, _is_rational, _power
+from .exact_arith import (
+    _Record,
+    _check_nonnegative,
+    _check_positive,
+    _is_rational,
+    _power,
+    _product,
+)
 
 __all__ = [
     "GradedPolynomial",
     "SymmetricReduction",
-    "root_variables",
     "class_variables",
     "symmetric_reduce",
-    "substitute_elementary",
-    "elementary_symmetric",
     "chern_character",
     "todd_class",
     "lambda_star_class",
@@ -102,8 +112,9 @@ class GradedPolynomial(_Record):
 
     Instances are immutable records; every operation returns a new object.
     Coefficients are exact (int or Fraction, freely mixed).  The private
-    `_comps[d]`, shared with cached instances, holds the packed monomials of
-    degree d; `terms` is the same data by exponent tuples, fresh on each read.
+    `_comps[d]`, which instances may share (homogeneous_component hands its
+    source's on), holds the packed monomials of degree d; `terms` is the same
+    data by exponent tuples, fresh on each read.
     """
 
     names: tuple[str, ...]
@@ -210,24 +221,8 @@ class GradedPolynomial(_Record):
 
     def __pow__(self, k: int):
         if k < 0:
-            raise ValueError("negative powers go through inverse()")
+            raise ValueError("negative power")
         return _power(self, k, self.ring_constant(1), mul)
-
-    def inverse(self) -> "GradedPolynomial":
-        """Multiplicative inverse in the truncated ring; needs a unit constant term."""
-        from fractions import Fraction
-        c0 = self._comps[0].get(0, 0)
-        if c0 == 0:
-            raise ValueError("inverse requires a nonzero constant term")
-        inv0 = 1 if c0 == 1 else -1 if c0 == -1 else Fraction(1) / c0
-        # the degree-d part of self * inverse vanishes for d >= 1
-        out = [{0: inv0}]
-        for d in range(1, len(self._comps)):
-            acc: dict = {}
-            for e in range(1, d + 1):
-                _mul_into(acc, self._comps[e], out[d - e], -inv0)
-            out.append(acc)
-        return self._like(out)
 
     # -- structure --------------------------------------------------------
 
@@ -291,13 +286,6 @@ class GradedPolynomial(_Record):
 # -- generator factories ---------------------------------------------------
 
 
-def root_variables(g: int, truncation: int) -> tuple[GradedPolynomial, ...]:
-    """Weight-1 generators x1..xg."""
-    _check_positive("g", g)
-    proto = GradedPolynomial(_names("x", g), (1,) * g, truncation, {})
-    return tuple(proto.ring_variable(i) for i in range(g))
-
-
 def class_variables(g: int, truncation: int, symbol: str = "c") -> tuple[GradedPolynomial, ...]:
     """Generators of weights 1..g named symbol1..symbolg."""
     _check_positive("g", g)
@@ -309,26 +297,20 @@ def class_variables(g: int, truncation: int, symbol: str = "c") -> tuple[GradedP
 
 
 @lru_cache(maxsize=None)
-def elementary_symmetric(g: int, i: int, truncation: int) -> GradedPolynomial:
-    """e_i(x1..xg) in the weight-1 root ring.  Cached: callers share one immutable value."""
-    _check_positive("g", g)
-    if not 0 <= i <= g:
-        raise ValueError("need 0 <= i <= g")
-    _check_nonnegative("truncation", truncation)
-    radix = truncation + 1
-    comps = [{} for _ in range(radix)]
-    if i <= truncation:
-        comps[i] = {sum(radix**j for j in subset): 1 for subset in combinations(range(g), i)}
-    return GradedPolynomial._raw(_names("x", g), (1,) * g, truncation, comps)
-
-
-@lru_cache(maxsize=None)
-def _elementary_monomial(g: int, exps: tuple, truncation: int) -> GradedPolynomial:
-    # prod_i e_i^{exps[i-1]}, exps indexed from e_1
-    out = elementary_symmetric(g, 0, truncation)
-    for i, e in enumerate(exps, start=1):
-        if e:
-            out = out * (elementary_symmetric(g, i, truncation) ** e)
+def _elementary_monomial(g: int, exps: tuple, radix: int) -> dict:
+    # the packed component of e_1^a_1 ... e_g^a_g in x1..xg, exps the a_i, one
+    # factor at a time in a loop: a recursion on the entry with one factor fewer
+    # nests sum_i a_i calls, past the interpreter's limit by x1^500.  Callers
+    # only read the entry.
+    out = {0: 1}
+    for i, a in enumerate(exps, start=1):
+        if not a:
+            continue
+        e_i = dict.fromkeys((sum(radix**j for j in s) for s in combinations(range(g), i)), 1)
+        for _ in range(a):
+            acc: dict = {}
+            _mul_into(acc, out, e_i, 1)
+            out = acc
     return out
 
 
@@ -366,25 +348,10 @@ def symmetric_reduce(poly: GradedPolynomial) -> SymmetricReduction:
                 raise ValueError("polynomial is not symmetric in the roots")
             exps = tuple(a[g - j + 1] - a[g - j] for j in range(1, g + 1))
             coeff = comp[lead]
-            expansion = _elementary_monomial(g, exps, poly.truncation)
-            _add_into(comp, expansion._comps[degree], -coeff)
+            _add_into(comp, _elementary_monomial(g, exps, radix), -coeff)
             out[degree][_pack(exps, radix)] = Fraction(coeff, den) if den > 1 else coeff
     output = GradedPolynomial._raw(_names("c", g), tuple(range(1, g + 1)), poly.truncation, out)
     return SymmetricReduction(poly, output)
-
-
-def substitute_elementary(class_poly: GradedPolynomial) -> GradedPolynomial:
-    """Substitute e_i(x1..xg) for the i-th generator; inverse of symmetric_reduce."""
-    g = len(class_poly.names)
-    if class_poly.weights != tuple(range(1, g + 1)):
-        raise ValueError("expects class variables of weights 1..g")
-    trunc = class_poly.truncation
-    out = [{} for _ in class_poly._comps]
-    for degree, comp in enumerate(class_poly._comps):
-        for mon, coeff in comp.items():
-            expansion = _elementary_monomial(g, _unpack(mon, g, trunc + 1), trunc)
-            _add_into(out[degree], expansion._comps[degree], coeff)
-    return GradedPolynomial._raw(_names("x", g), (1,) * g, trunc, out)
 
 
 # -- characteristic-class operations ---------------------------------------
@@ -416,11 +383,8 @@ def todd_class(g: int, depth: int, dual: bool = True) -> GradedPolynomial:
     den = lcm(*(c.denominator for c in base))
     base = [c.numerator * (den**k // c.denominator) for k, c in enumerate(base)]
     names, radix = _names("x", g), depth + 1
-    out = None
-    for i in range(g):
-        factor = GradedPolynomial._raw(names, (1,) * g, depth, [
-            {k * radix**i: c} if c else {} for k, c in enumerate(base)])
-        out = factor if out is None else out * factor
+    out = _product(GradedPolynomial._raw(names, (1,) * g, depth, [
+        {k * radix**i: c} if c else {} for k, c in enumerate(base)]) for i in range(g))
     return out._like([{mon: Fraction(c, den**n) for mon, c in comp.items()}
                       for n, comp in enumerate(out._comps)])
 

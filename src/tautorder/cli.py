@@ -143,21 +143,28 @@ def _fast_parse(argv) -> dict:
 # -- payload shaping -------------------------------------------------------
 
 
-def _payload(value):
+def _decimal(n: int, digits: dict) -> str:
+    # int-to-str is quadratic, and a result can repeat a magnitude (prop's signed and
+    # absolute values): `digits` keeps each magnitude's decimal string for one call
+    if abs(n) not in digits:
+        digits[abs(n)] = str(abs(n))
+    return "-" * (n < 0) + digits[abs(n)]
+
+
+def _payload(value, digits: dict):
     """Exact, json-ready structure: ints as decimal strings, rationals as
     {num, den}, never a float."""
     if value is None or isinstance(value, (bool, str)):
         return value
     if _is_rational(value):
-        if value.denominator == 1:
-            return str(value.numerator)
-        return {"num": str(value.numerator), "den": str(value.denominator)}
+        num, den = _decimal(value.numerator, digits), _decimal(value.denominator, digits)
+        return num if den == "1" else {"num": num, "den": den}
     if isinstance(value, _Record):
-        return {name: _payload(getattr(value, name)) for name in value._fields}
+        return {name: _payload(getattr(value, name), digits) for name in value._fields}
     if isinstance(value, dict):
-        return {str(k): _payload(v) for k, v in sorted(value.items())}
+        return {str(k): _payload(v, digits) for k, v in sorted(value.items())}
     if isinstance(value, (list, tuple)):
-        return [_payload(v) for v in value]
+        return [_payload(v, digits) for v in value]
     if isinstance(value, float):
         raise TypeError("floats are forbidden in output")
     return str(value)
@@ -223,7 +230,8 @@ def run(argv=None, out=None) -> int:
         if limit:
             sys.set_int_max_str_digits(0)
         try:
-            envelope.update(parameters=_payload(params), result=_payload(result))
+            digits: dict = {}  # lives for this call only
+            envelope.update(parameters=_payload(params, digits), result=_payload(result, digits))
             out.write(_render(envelope))
         finally:
             if limit:

@@ -27,7 +27,6 @@ __all__ = [
     "PrimeLocalOrder",
     "factorize",
     "is_prime",
-    "valuation",
     "factorial_p_valuation",
     "primes_above",
     "primes_upto",
@@ -142,22 +141,6 @@ class PrimeLocalOrder(_Record):
     @property
     def value(self) -> int:
         return self.prime ** self.exponent
-
-
-def valuation(n: int, p: int) -> int:
-    """Exponent of p in n, by repeated division.
-
-    Raises ValueError for n = 0 (the valuation is infinite) and for non-prime p.
-    """
-    if n == 0:
-        raise ValueError("valuation of zero undefined")
-    _check_prime(p)
-    n = abs(n)
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 def factorial_p_valuation(m: int, p: int) -> int:

@@ -104,22 +104,10 @@ class ModPPolynomial(_Record):
             cs.pop()
         super().__init__(modulus, tuple(cs))
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
     def coefficient(self, i: int) -> int:
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
         return 0
-
-    def __add__(self, other: "ModPPolynomial") -> "ModPPolynomial":
-        self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return ModPPolynomial(
-            self.modulus,
-            [self.coefficient(i) + other.coefficient(i) for i in range(n)],
-        )
 
     def __mul__(self, other: "ModPPolynomial") -> "ModPPolynomial":
         self._check(other)

@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, factorial
 
 import pytest
+from root_ring_oracle import elementary_symmetric, inverse, root_variables, substitute_elementary
 
 import tautorder.bernoulli_zeta as bernoulli_zeta
 import tautorder.chern_symbolics as chern
@@ -15,12 +16,9 @@ from tautorder.chern_symbolics import (
     borel_serre_check,
     chern_character,
     class_variables,
-    elementary_symmetric,
     fundamental_relations,
     lambda_star_class,
     newton_special_case,
-    root_variables,
-    substitute_elementary,
     symmetric_reduce,
     todd_class,
 )
@@ -73,7 +71,7 @@ def test_pow_matches_repeated_multiplication() -> None:
         for k in range(5):
             assert a**k == explicit
             explicit = explicit * a
-    with pytest.raises(ValueError, match="inverse"):
+    with pytest.raises(ValueError, match="negative power"):
         xs[0] ** -1
 
 
@@ -95,19 +93,21 @@ def test_weighted_grading_in_class_ring() -> None:
 
 
 def test_inverse_round_trip() -> None:
+    # the oracle's inverse, which the Todd and subset-product oracles divide by
     rng = random.Random(55103)
     xs = root_variables(3, 4)
     one = xs[0].ring_constant(1)
     for _ in range(20):
-        u = one + _random_poly(rng, xs) * xs[0]
-        assert u * u.inverse() == one
-        assert u.inverse() * u == one
+        for c0 in (1, -2, Fraction(3, 5)):
+            u = one * c0 + _random_poly(rng, xs) * xs[0]
+            assert u * inverse(u) == one
+            assert inverse(u) * u == one
 
 
 def test_inverse_requires_unit_constant_term() -> None:
     xs = root_variables(2, 3)
     with pytest.raises(ValueError, match="nonzero constant term"):
-        (xs[0] + xs[1]).inverse()
+        inverse(xs[0] + xs[1])
 
 
 def test_homogeneous_components_partition() -> None:
@@ -122,20 +122,23 @@ def test_homogeneous_components_partition() -> None:
 
 
 def test_terms_is_a_fresh_dict() -> None:
-    # editing what .terms returns must not reach the polynomial, even a cached one
-    elementary_symmetric(3, 2, 4).terms[(1, 1, 0)] = 7
-    assert elementary_symmetric(3, 2, 4).render() == "x1*x2 + x1*x3 + x2*x3"
+    # editing what .terms returns must not reach the polynomial, nor another
+    # polynomial that shares its components
+    source = elementary_symmetric(3, 2, 4)
+    source.homogeneous_component(2).terms[(1, 1, 0)] = 7
+    assert source.render() == "x1*x2 + x1*x3 + x2*x3"
     x1 = root_variables(2, 3)[0]
     x1.terms.clear()
     assert x1.terms == {(1, 0): 1}
 
 
 def test_no_public_accessor_reaches_the_cached_components() -> None:
-    # the packed components are shared with the cache, so every public accessor
-    # must hand out a copy or an immutable value; a new accessor joins this list
-    e2 = elementary_symmetric(3, 2, 4)
+    # homogeneous_component shares its source's packed components, so every public
+    # accessor must hand out a copy or an immutable value; a new accessor joins this list
+    source = elementary_symmetric(3, 2, 4)
+    e2 = source.homogeneous_component(2)
     assert sorted(n for n in dir(e2) if not n.startswith("_")) == [
-        "coefficient", "homogeneous_component", "inverse", "is_zero", "names", "render",
+        "coefficient", "homogeneous_component", "is_zero", "names", "render",
         "ring_constant", "ring_variable", "terms", "truncation", "weights",
     ]
     with pytest.raises(AttributeError):
@@ -148,10 +151,9 @@ def test_no_public_accessor_reaches_the_cached_components() -> None:
             value[(0, 0, 2)] = 1
         else:
             assert isinstance(value, (tuple, int, str))
-    with pytest.raises(ValueError):
-        e2.inverse()  # no unit constant term, so no result to edit
-    assert elementary_symmetric(3, 2, 4).render() == "x1*x2 + x1*x3 + x2*x3"
-    assert elementary_symmetric(3, 2, 4).terms == {(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1}
+    for poly in (source, e2):
+        assert poly.render() == "x1*x2 + x1*x3 + x2*x3"
+        assert poly.terms == {(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1}
 
 
 def test_coefficient_is_total() -> None:
@@ -198,13 +200,25 @@ def test_render_goldens() -> None:
 
 
 def test_elementary_symmetric_degenerate_cases() -> None:
-    e0 = elementary_symmetric(3, 0, 4)
-    assert e0 == e0.ring_constant(1)
-    e3 = elementary_symmetric(3, 3, 4)
-    assert e3.coefficient((1, 1, 1)) == 1
-    for i in range(4):
-        with pytest.raises(ValueError, match="truncation"):
-            elementary_symmetric(3, i, -1)
+    # the table's empty product is 1 and its e_g is the one monomial x1...xg
+    assert chern._elementary_monomial(3, (0, 0, 0), 5) == {0: 1}
+    assert chern._elementary_monomial(3, (0, 0, 1), 5) == {chern._pack((1, 1, 1), 5): 1}
+
+
+def test_elementary_monomial_table_matches_the_oracle_products() -> None:
+    # every e-monomial e_1^a_1 ... e_g^a_g of weighted degree <= 8 in g <= 5 roots,
+    # against the GradedPolynomial product of the oracle's e_i
+    depth = 8
+    for g in range(1, 6):
+        es = [elementary_symmetric(g, i, depth) for i in range(1, g + 1)]
+        for exps in product(*(range(depth // i + 1) for i in range(1, g + 1))):
+            if sum(i * a for i, a in enumerate(exps, start=1)) > depth:
+                continue
+            want = es[0].ring_constant(1)
+            for e, a in zip(es, exps):
+                want = want * e**a
+            table = chern._elementary_monomial(g, exps, depth + 1)
+            assert {chern._unpack(mon, g, depth + 1): c for mon, c in table.items()} == want.terms
 
 
 def test_symmetric_reduce_round_trip() -> None:
@@ -231,8 +245,7 @@ def _symmetric_reduce_by_fractions(poly: GradedPolynomial) -> GradedPolynomial:
                 raise ValueError("polynomial is not symmetric in the roots")
             exps = tuple(a[g - j + 1] - a[g - j] for j in range(1, g + 1))
             coeff = comp[lead]
-            chern._add_into(comp, chern._elementary_monomial(g, exps, poly.truncation)
-                            ._comps[degree], -coeff)
+            chern._add_into(comp, chern._elementary_monomial(g, exps, radix), -coeff)
             out[degree][chern._pack(exps, radix)] = coeff
     return GradedPolynomial._raw(
         tuple(f"c{i}" for i in range(1, g + 1)), tuple(range(1, g + 1)), poly.truncation, out)
@@ -277,6 +290,13 @@ def test_symmetric_reduce_fraction_edge_cases() -> None:
         _assert_same(out, _symmetric_reduce_by_fractions(poly))
         assert substitute_elementary(out) == poly
     assert symmetric_reduce(sparse).output.render() == "1/2 + 4/3*c2"
+
+
+def test_symmetric_reduce_of_a_high_power_in_one_root() -> None:
+    # x1^d is e_1^d: the table builds it by d multiplications, not d nested calls
+    for d in (600, 1500):
+        x1 = GradedPolynomial(("x1",), (1,), d, {(d,): 3})
+        assert symmetric_reduce(x1).output.render() == f"3*c1^{d}"
 
 
 def test_symmetric_reduce_power_sums() -> None:
@@ -393,7 +413,7 @@ def test_todd_class_is_product_over_roots() -> None:
         quotient = one.ring_constant(0)
         for k in range(depth + 1):
             quotient = quotient + x.ring_constant(Fraction(1, factorial(k + 1))) * x**k
-        rebuilt = rebuilt * quotient.inverse()
+        rebuilt = rebuilt * inverse(quotient)
     assert rebuilt == todd_class(2, depth)
 
 
@@ -411,7 +431,7 @@ def test_lambda_star_payload_small_genus() -> None:
 
 def _lambda_star_by_subset_product(g: int, depth: int) -> GradedPolynomial:
     # slow independent route: prod over nonempty subsets S of (1 + x_S)^{±1},
-    # odd sizes inverted with the generic inverse(), reduced to c1..cg
+    # odd sizes inverted with the oracle's inverse(), reduced to c1..cg
     xs = root_variables(g, depth)
     one = xs[0].ring_constant(1)
     even = odd = one
@@ -424,7 +444,7 @@ def _lambda_star_by_subset_product(g: int, depth: int) -> GradedPolynomial:
                 odd = odd * linear
             else:
                 even = even * linear
-    return symmetric_reduce(even * odd.inverse()).output
+    return symmetric_reduce(even * inverse(odd)).output
 
 
 def test_lambda_star_against_subset_product() -> None:

@@ -16,7 +16,6 @@ from tautorder.exact_arith import (
     is_prime,
     primes_above,
     primes_upto,
-    valuation,
 )
 
 
@@ -126,28 +125,6 @@ def test_primes_above_against_candidate_loop(monkeypatch) -> None:
             assert primes_above(bound, count) == _primes_above_by_is_prime(bound, count)
     with pytest.raises(ValueError, match="count must be nonnegative"):
         primes_above(10, -1)
-
-
-def test_valuation_against_repeated_division() -> None:
-    rng = random.Random(20240517)
-    primes = _sieve(50)
-    for _ in range(300):
-        p = rng.choice(primes)
-        n = rng.randint(1, 10**9)
-        assert valuation(n, p) == _valuation_by_division(n, p)
-        assert valuation(-n, p) == _valuation_by_division(n, p)
-
-
-def test_valuation_exact_powers() -> None:
-    assert valuation(8, 2) == 3
-    assert valuation(9, 3) == 2
-    assert valuation(7, 5) == 0
-    assert valuation(2 * 3**7, 3) == 7
-
-
-def test_valuation_of_zero_rejected() -> None:
-    with pytest.raises(ValueError, match="valuation of zero"):
-        valuation(0, 5)
 
 
 def test_factorial_p_valuation_against_actual_factorials() -> None:

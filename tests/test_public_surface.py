@@ -48,3 +48,36 @@ def test_every_public_annotation_resolves() -> None:
             obj = getattr(module, attr)
             if callable(obj):
                 typing.get_type_hints(obj, localns={"Fraction": Fraction})
+
+
+def _uses(node: ast.AST, enclosing: frozenset = frozenset()):
+    # (name, names of the enclosing defs and classes) for every Name and Attribute
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        enclosing = enclosing | {node.name}
+    if isinstance(node, ast.Name):
+        yield node.id, enclosing
+    elif isinstance(node, ast.Attribute):
+        yield node.attr, enclosing
+    for child in ast.iter_child_nodes(node):
+        yield from _uses(child, enclosing)
+
+
+def test_every_public_name_has_a_caller() -> None:
+    # a name in a submodule's __all__ must be read somewhere in src/ or bench/ outside
+    # its own def or class; __all__ strings and the package's re-exports are no Name
+    root = Path(tautorder.__file__).resolve().parent
+    files = sorted(root.glob("*.py")) + sorted((root.parents[1] / "bench").glob("*.py"))
+    assert len(files) > len(SUBMODULES)
+    used = {
+        name
+        for path in files
+        for name, enclosing in _uses(ast.parse(path.read_text(encoding="utf-8")))
+        if name not in enclosing
+    }
+    unused = sorted(
+        f"{module}.{name}"
+        for module in SUBMODULES
+        for name in importlib.import_module(f"tautorder.{module}").__all__
+        if name not in used
+    )
+    assert unused == []

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import inspect
+import random
 import time
 from fractions import Fraction
 from math import factorial, gcd, prod
@@ -9,7 +10,7 @@ import pytest
 
 from tautorder.bernoulli_zeta import bernoulli, proportionality, zeta_neg
 from tautorder import bernoulli_zeta, chern_symbolics, exact_arith, group_orders, torsion_orders
-from tautorder.exact_arith import is_prime, primes_upto, valuation
+from tautorder.exact_arith import is_prime, primes_upto
 from tautorder.torsion_orders import (
     NG_CROSS_CHECK,
     _ng_values,
@@ -34,6 +35,39 @@ NG_TABLE = {
     7: 24,
     8: 16320,
 }
+
+
+def valuation(n: int, p: int) -> int:
+    """Exponent of the prime p in n, by repeated division: the route to the n_g
+    exponents that shares nothing with ng_local."""
+    if n == 0:
+        raise ValueError("valuation of zero undefined")
+    n, v = abs(n), 0
+    while n % p == 0:
+        n, v = n // p, v + 1
+    return v
+
+
+def test_valuation_against_prime_power_divisibility() -> None:
+    rng = random.Random(20240517)
+    primes = primes_upto(50)
+    for _ in range(300):
+        p = rng.choice(primes)
+        n = rng.randint(1, 10**9)
+        want = max(k for k in range(31) if n % p**k == 0)  # n < 2^30
+        assert valuation(n, p) == valuation(-n, p) == want
+
+
+def test_valuation_exact_powers() -> None:
+    assert valuation(8, 2) == 3
+    assert valuation(9, 3) == 2
+    assert valuation(7, 5) == 0
+    assert valuation(2 * 3**7, 3) == 7
+
+
+def test_valuation_of_zero_rejected() -> None:
+    with pytest.raises(ValueError, match="valuation of zero"):
+        valuation(0, 5)
 
 
 def test_ng_local_frozen_table() -> None:
@@ -164,21 +198,20 @@ def test_ng_local_rejects_nonpositive() -> None:
         ng_local(0)
 
 
-# every public function whose first parameter is g, by name (no two modules share one);
-# unwrap sees through a cache decorator
+# every public function whose first parameter is g, by name (no two modules share one)
 G_FUNCTIONS = {
     name: getattr(module, name)
     for module in (torsion_orders, chern_symbolics, group_orders, bernoulli_zeta)
     for name in module.__all__
-    if inspect.isfunction(inspect.unwrap(getattr(module, name)))
+    if inspect.isfunction(getattr(module, name))
     and next(iter(inspect.signature(getattr(module, name)).parameters)) == "g"
 }
 # a valid value for each later parameter that has no default
-_VALID_ARGUMENTS = {"i": 1, "truncation": 3, "depth": 3, "max_degree": 1, "n": 6, "p": 5}
+_VALID_ARGUMENTS = {"truncation": 3, "depth": 3, "max_degree": 1, "n": 6, "p": 5}
 
 
 def test_g_function_list_is_complete() -> None:
-    assert len(G_FUNCTIONS) == 22 and "product_identity_tail_is_trivial" in G_FUNCTIONS
+    assert len(G_FUNCTIONS) == 20 and "product_identity_tail_is_trivial" in G_FUNCTIONS
     assert {"lambda_star_class", "koblitz_coefficient", "proportionality"} <= set(G_FUNCTIONS)
 
 
