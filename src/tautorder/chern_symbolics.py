@@ -21,14 +21,17 @@ homogeneous components.  root_variables and substitute_elementary, the inverse
 of symmetric_reduce, live in tests/root_ring_oracle.py.
 
 The identities for a rank-g bundle E run in the class ring on one engine:
-Newton's identities give the power sums p_m; Stirling numbers give
-ch(lambda_{-1} E) = (-1)^g e_g(e^{x_1} - 1, ...), empty below degree g by
-construction, like the tests' Adams-operation oracle; one exp recurrence makes
-a multiplicative class of a log series.  lambda_star_class is
+Newton's identities give the power sums p_m; since 1 - e^x = -x z with
+z = (e^x - 1)/x, ch(lambda_{-1} E) = (-1)^g c_g e_g(z_1, ..., z_g), and Newton's
+identities with Stirling numbers build e_g(z) only through degree depth - g,
+reading no Bernoulli number; ch is empty below degree g by construction, like
+the tests' Adams-operation oracle.  One exp recurrence makes a multiplicative
+class of a log series.  lambda_star_class is
 exp(sum_k (-1)^{k-1} (k-1)! ch_k), the total class of sum_i (-1)^i [Lambda^i E],
 with payload -(g-1)! c_g in degree g (the opposite sign convention would flip
 it).  borel_serre_check tests ch(lambda_{-1} E) Td(E) = (-1)^g c_g, where
-Td = exp(sum_k s_k p_k) and sum_k s_k t^k = log(t/(e^t - 1)).
+Td = exp(sum_k s_k p_k) and sum_k s_k t^k = log(t/(e^t - 1)); with c_g
+divided out, it needs p, e_g(z) and Td only through degree depth - g.
 
 The Todd factor of a root x is x/(e^x - 1) = sum_k B_k/k! x^k (dual
 convention), under which prod_i (1 - e^{x_i}) equals (-1)^g (x1...xg) Td^{-1};
@@ -36,13 +39,14 @@ with x/(1 - e^{-x}) the two sides differ by a unit e^{-c1}.
 
 symmetric_reduce, todd_class and borel_serre_check run on ints.  The first two
 clear denominators once (each component's lcm; t -> D t) and divide once at the
-end; borel_serre_check scales degree n by M^n n! and compares M^g g! (-1)^g c_g.
+end; borel_serre_check scales degree n + g by M^n (n + g)! g! / ((-1)^g c_g),
+compares g!^2 in degree g, and reads e_g(z) before its one division by g!.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate, combinations
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, perm
 from operator import mul
 
 from .bernoulli_zeta import todd_inverse_series
@@ -440,27 +444,44 @@ def _stirling_table(g: int, depth: int) -> list[list[int]]:
     return t
 
 
-def _lambda_character(g: int, p: list[dict]) -> list[dict]:
-    # n! ch_n(lambda_{-1} E), n = 0..depth, as e_g(w) with w_j = 1 - e^{x_j}: the
-    # n!-scaled degree-d part of p_k(w) is (-1)^k t[k][d] p_d, so every sign of
-    # Newton's i e_i = sum_k (-1)^{k-1} e_{i-k} p_k is minus.  e_i(w) starts in
-    # degree i, so ch is zero below degree g by construction, and e_g needs e_i
-    # only through degree depth - (g - i).  n! e_i(w)_n is integral: // i is exact.
-    depth = len(p) - 1
-    t = _stirling_table(g, depth)
-    elem = [[{0: 1}] + [{} for _ in range(depth)]]
+def _lambda_quotient(g: int, p: list[dict]) -> list[dict]:
+    # q[m] = g! (m + g)! e_g(z)_m for m = 0..top, with p = p_0..p_top (p_0 is
+    # not read) and z_j = (e^{x_j} - 1)/x_j: as 1 - e^x = -x z,
+    # ch(lambda_{-1} E) = (-1)^g c_g e_g(z), and degree n reads q[n - g].  z^k is
+    # (e^x - 1)^k / x^k, so the degree-d part of P_k(z) = sum_j z_j^k is
+    # t[k][d + k] / (d + k)! p_d, with p_0 = g.  Newton's
+    # i e_i = sum_k (-1)^{k-1} e_{i-k} P_k, times (i - 1)! (m + i)!, runs on
+    # F_i[m] = i! (m + i)! e_i(z)_m with the factors (i - 1)!/(i - k)! and
+    # C(m + i, d + k), and divides by nothing, so no wrong entry floors away.
+    top = len(p) - 1
+    t = _stirling_table(g, top + g)
+    p = [{0: g}] + p[1:]
+    f = [[{0: 1}] + [{} for _ in range(top)]]
     for i in range(1, g + 1):
-        e_i = [{} for _ in range(i)]
-        for n in range(i, depth - g + i + 1):
-            acc = {}
-            for d in range(1, n + 1):
+        f_i = []
+        for m in range(top + 1):
+            acc: dict = {}
+            for d in range(m + 1):
                 combo: dict = {}
-                for k in range(max(1, i - n + d), min(i, d) + 1):
-                    _add_into(combo, elem[i - k][n - d], t[k][d])
-                _mul_into(acc, combo, p[d], -comb(n, d))
-            e_i.append({mon: c // i for mon, c in acc.items()})
-        elem.append(e_i)
-    return elem[g][: depth + 1]
+                for k in range(1, i + 1):
+                    if f[i - k][m - d]:
+                        scale = perm(i - 1, k - 1) * comb(m + i, d + k) * t[k][d + k]
+                        _add_into(combo, f[i - k][m - d], scale if k % 2 else -scale)
+                _mul_into(acc, combo, p[d], 1)
+            f_i.append(acc)
+        f.append(f_i)
+    return f[g]
+
+
+def _lambda_character(g: int, p: list[dict]) -> list[dict]:
+    # n! ch_n(lambda_{-1} E), n = 0..depth: (-1)^g c_g q[n - g] / g!, zero below
+    # degree g by construction.  q[m] is a multiple of g!: (m + g)! e_g(z)_m is
+    # a sum of multinomials (m + g)!/prod_j (n_j + 1)! times root monomials.
+    depth = len(p) - 1
+    c_g, div = (depth + 1) ** (g - 1), (-1) ** g * factorial(g)
+    return [{} for _ in range(min(g, depth + 1))] + [
+        {mon + c_g: c // div for mon, c in comp.items()}
+        for comp in _lambda_quotient(g, p[: max(0, depth - g + 1)])]
 
 
 def _todd_scaled(p: list[dict]) -> tuple[int, list[dict]]:
@@ -497,14 +518,18 @@ def borel_serre_check(g: int, depth: int) -> bool:
     """
     _check_positive("g", g)
     _check_nonnegative("depth", depth)
-    p = _power_sums(g, depth)
-    ch, (m, td) = _lambda_character(g, p), _todd_scaled(p)
-    top = {(depth + 1) ** (g - 1): (-1) ** g * factorial(g) * m**g}  # degree n scaled by M^n n!
-    for n in range(depth + 1):
+    if depth < g:
+        return True  # both sides vanish below degree g
+    # ch is (-1)^g c_g q / g!, so degree n + g of the identity, times
+    # (-1)^g g! M^n (n + g)! / c_g, reads sum_j C(n + g, j + g) M^j q[j] td[n - j]
+    # = g!^2 [n = 0]: it runs in degrees n <= depth - g, on q undivided
+    p = _power_sums(g, depth - g)
+    q, (m, td) = _lambda_quotient(g, p), _todd_scaled(p)
+    for n in range(depth - g + 1):
         acc: dict = {}
-        for k in range(g, n + 1):
-            _mul_into(acc, ch[k], td[n - k], comb(n, k) * m**k)
-        if acc != (top if n == g else {}):
+        for j in range(n + 1):
+            _mul_into(acc, q[j], td[n - j], comb(n + g, j + g) * m**j)
+        if acc != ({0: factorial(g) ** 2} if n == 0 else {}):
             return False
     return True
 

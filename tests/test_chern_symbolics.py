@@ -28,6 +28,7 @@ from tautorder.chern_symbolics import (
     _lambda_character,
     _mul_into,
     _power_sums,
+    _stirling_table,
     _todd_scaled,
 )
 
@@ -626,11 +627,62 @@ def test_lambda_character_matches_the_adams_operations() -> None:
             assert _lambda_character(g, p) == _lambda_character_by_adams(g, p)
 
 
+def _lambda_character_by_newton_on_w(g: int, p: list[dict]) -> list[dict]:
+    # n! ch_n(lambda_{-1} E), n = 0..depth, as e_g(w) with w_j = 1 - e^{x_j}: the
+    # n!-scaled degree-d part of p_k(w) is (-1)^k t[k][d] p_d, so every sign of
+    # Newton's i e_i = sum_k (-1)^{k-1} e_{i-k} p_k is minus.  e_i(w) starts in
+    # degree i, and e_g needs e_i only through degree depth - (g - i).  n! e_i(w)_n
+    # is integral: // i is exact.  The route before c_g was factored out, kept
+    # as an oracle.
+    depth = len(p) - 1
+    t = _stirling_table(g, depth)
+    elem = [[{0: 1}] + [{} for _ in range(depth)]]
+    for i in range(1, g + 1):
+        e_i = [{} for _ in range(i)]
+        for n in range(i, depth - g + i + 1):
+            acc = {}
+            for d in range(1, n + 1):
+                combo: dict = {}
+                for k in range(max(1, i - n + d), min(i, d) + 1):
+                    _add_into(combo, elem[i - k][n - d], t[k][d])
+                _mul_into(acc, combo, p[d], -comb(n, d))
+            e_i.append({mon: c // i for mon, c in acc.items()})
+        elem.append(e_i)
+    return elem[g][: depth + 1]
+
+
+def test_lambda_character_matches_newton_on_w() -> None:
+    for g in range(1, 9):
+        for depth in range(2 * g + 2):
+            p = _power_sums(g, depth)
+            assert _lambda_character(g, p) == _lambda_character_by_newton_on_w(g, p), (g, depth)
+
+
+def test_lambda_character_is_c_g_times_a_polynomial() -> None:
+    # one component per degree 0..depth, also below degree g, and every
+    # monomial carries c_g, the most significant packed digit
+    for g in range(1, 7):
+        for depth in range(2 * g + 2):
+            ch = _lambda_character(g, _power_sums(g, depth))
+            assert len(ch) == depth + 1, (g, depth)
+            assert all(mon // (depth + 1) ** (g - 1) >= 1 for comp in ch for mon in comp)
+            assert any(ch) == (depth >= g)
+
+
+def test_borel_serre_at_the_edges_of_the_truncated_todd_class() -> None:
+    # Td is built only through degree depth - g, which is empty or a constant
+    # at the low depths
+    for g in range(1, 7):
+        for depth in sorted({0, g - 1, g, g + 1, 2 * g, 2 * g + 1}):
+            assert borel_serre_check(g, depth), (g, depth)
+
+
 def test_mutated_stirling_entry_is_rejected_by_borel_serre(monkeypatch) -> None:
-    # the route reads t[k][d] for k <= d <= depth - (g - k): e_{i-k}(w) starts
-    # in degree i - k, and e_g needs e_i only through degree depth - (g - i)
+    # the route reads t[k][j] for k <= j <= depth - g + k: the degree-d part of
+    # P_k(z) is t[k][d + k] / (d + k)! p_d, and e_g(z) is built only through
+    # degree depth - g
     original = chern._stirling_table
-    for g in range(2, 6):
+    for g in range(2, 7):
         for k in range(1, g + 1):
             for d in range(k, g + k + 1):
 

@@ -16,3 +16,10 @@ def test_no_suite_passes_vacuously(max_g: int) -> None:
         for r in results:
             anchor = suite == "oracle-agreement" and r.name.startswith("table-anchor ")
             assert r.name.startswith(f"{suite} ") or anchor, r.name
+
+
+@pytest.mark.parametrize("suite, max_g", [("borel-serre", 9), ("chern-lemma", 16)])
+def test_class_ring_suites_pass_past_their_default_bounds(suite: str, max_g: int) -> None:
+    results = run_suite(suite, max_g)
+    assert len(results) == max_g
+    assert all(r.ok for r in results), [r.name for r in results if not r.ok]
