@@ -20,18 +20,20 @@ e-monomials e_1^a_1 ... e_g^a_g, read from one cached table of packed
 homogeneous components.  root_variables and substitute_elementary, the inverse
 of symmetric_reduce, live in tests/root_ring_oracle.py.
 
-The identities for a rank-g bundle E run in the class ring on one engine:
-Newton's identities give the power sums p_m; since 1 - e^x = -x z with
-z = (e^x - 1)/x, ch(lambda_{-1} E) = (-1)^g c_g e_g(z_1, ..., z_g), and Newton's
-identities with Stirling numbers build e_g(z) only through degree depth - g,
-reading no Bernoulli number; ch is empty below degree g by construction, like
-the tests' Adams-operation oracle.  One exp recurrence makes a multiplicative
-class of a log series.  lambda_star_class is
+The identities for a rank-g bundle E run in the class ring on one pipeline.
+Newton's identities give the power sums p_m.  Since 1 - e^x = -x z with
+z = (e^x - 1)/x, ch(lambda_{-1} E) = (-1)^g c_g e_g(z_1, ..., z_g), and
+_lambda_quotient builds e_g(z) from p by Newton's identities with Stirling
+numbers, reading no Bernoulli number.  Degree n of ch is c_g times degree
+n - g of e_g(z), and ch is empty below degree g, so both identities read p and
+e_g(z) only through degree depth - g.  One exp recurrence makes a
+multiplicative class of a log series.  lambda_star_class is
 exp(sum_k (-1)^{k-1} (k-1)! ch_k), the total class of sum_i (-1)^i [Lambda^i E],
 with payload -(g-1)! c_g in degree g (the opposite sign convention would flip
-it).  borel_serre_check tests ch(lambda_{-1} E) Td(E) = (-1)^g c_g, where
+it): it shifts e_g(z) by the packed c_g and divides once by (-1)^g g!.
+borel_serre_check tests ch(lambda_{-1} E) Td(E) = (-1)^g c_g, where
 Td = exp(sum_k s_k p_k) and sum_k s_k t^k = log(t/(e^t - 1)); with c_g
-divided out, it needs p, e_g(z) and Td only through degree depth - g.
+divided out, it needs Td too only through degree depth - g.
 
 The Todd factor of a root x is x/(e^x - 1) = sum_k B_k/k! x^k (dual
 convention), under which prod_i (1 - e^{x_i}) equals (-1)^g (x1...xg) Td^{-1};
@@ -402,10 +404,15 @@ def lambda_star_class(g: int, depth: int) -> GradedPolynomial:
     _check_positive("g", g)
     if depth < g:
         raise ValueError("depth must reach g: the degree-g coefficient is the payload")
-    ch = _lambda_character(g, _power_sums(g, depth))
-    # k! L_k = (-1)^{k-1} (k-1)! (k! ch_k); ch_0 is empty, as ch vanishes below degree g
-    total = _exp_scaled([{mon: (-1) ** (k - 1) * factorial(k - 1) * c for mon, c in comp.items()}
-                         for k, comp in enumerate(ch)])
+    # n! ch_n = (-1)^g c_g q[n - g] / g!, exactly, and zero below degree g: q[m]
+    # = g! (m + g)! e_g(z)_m is g! times a sum of multinomials (m + g)!/prod_j
+    # (n_j + 1)! on root monomials.  k! L_k = (-1)^{k-1} (k-1)! (k! ch_k).
+    radix = depth + 1
+    c_g, div = radix ** (g - 1), (-1) ** g * factorial(g)
+    q = _lambda_quotient(g, _power_sums(g, depth - g, radix))
+    total = _exp_scaled([{} for _ in range(g)] + [
+        {mon + c_g: (-1) ** (k - 1) * factorial(k - 1) * (c // div) for mon, c in comp.items()}
+        for k, comp in enumerate(q, start=g)])
     # dividing by n! is exact, as the total class of a virtual bundle is integral
     return GradedPolynomial._raw(_names("c", g), tuple(range(1, g + 1)), depth, [
         {mon: c // factorial(n) for mon, c in comp.items()} for n, comp in enumerate(total)])
@@ -420,10 +427,12 @@ def lambda_star_class(g: int, depth: int) -> GradedPolynomial:
 # binomial convolutions.
 
 
-def _power_sums(g: int, depth: int) -> list[dict]:
+def _power_sums(g: int, depth: int, radix: "int | None" = None) -> list[dict]:
     # p_1..p_depth of the roots by Newton's identities (p_0 = g is left out):
-    # p_m = sum_{i<m} (-1)^{i-1} c_i p_{m-i} + (-1)^{m-1} m c_m
-    radix = depth + 1
+    # p_m = sum_{i<m} (-1)^{i-1} c_i p_{m-i} + (-1)^{m-1} m c_m, packed in radix,
+    # depth + 1 by default.  lambda_star_class packs in its ring's radix but
+    # reads p only through depth - g, as borel_serre_check does.
+    radix = radix or depth + 1
     p: list[dict] = [{}]
     for m in range(1, depth + 1):
         acc: dict = {}
@@ -471,17 +480,6 @@ def _lambda_quotient(g: int, p: list[dict]) -> list[dict]:
             f_i.append(acc)
         f.append(f_i)
     return f[g]
-
-
-def _lambda_character(g: int, p: list[dict]) -> list[dict]:
-    # n! ch_n(lambda_{-1} E), n = 0..depth: (-1)^g c_g q[n - g] / g!, zero below
-    # degree g by construction.  q[m] is a multiple of g!: (m + g)! e_g(z)_m is
-    # a sum of multinomials (m + g)!/prod_j (n_j + 1)! times root monomials.
-    depth = len(p) - 1
-    c_g, div = (depth + 1) ** (g - 1), (-1) ** g * factorial(g)
-    return [{} for _ in range(min(g, depth + 1))] + [
-        {mon + c_g: c // div for mon, c in comp.items()}
-        for comp in _lambda_quotient(g, p[: max(0, depth - g + 1)])]
 
 
 def _todd_scaled(p: list[dict]) -> tuple[int, list[dict]]:

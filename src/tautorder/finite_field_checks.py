@@ -174,9 +174,9 @@ class CyclotomicChernReport(_Record):
 def cyclotomic_chern_check(l: int, k: int) -> CyclotomicChernReport:
     """Compare the unit product with (1 -/+ x^{l-1})^{l^{k-1}} and inspect the top term."""
     product = cyclotomic_chern_product(l, k)
-    block = [1] + [0] * (l - 2) + [-1] if l > 2 else [1, 1]
+    block = [1] + [0] * (l - 2) + [-1]
     closed = ModPPolynomial(l, block) ** (l ** (k - 1))
-    plus_block = [1] + [0] * (l - 2) + [1] if l > 2 else [1, 1]
+    plus_block = [1] + [0] * (l - 2) + [1]
     plus_form = ModPPolynomial(l, plus_block) ** (l ** (k - 1))
     top = l ** (k - 1) * (l - 1)
     return CyclotomicChernReport(

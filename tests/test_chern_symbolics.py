@@ -25,7 +25,7 @@ from tautorder.chern_symbolics import (
 from tautorder.chern_symbolics import (
     _add_into,
     _exp_scaled,
-    _lambda_character,
+    _lambda_quotient,
     _mul_into,
     _power_sums,
     _stirling_table,
@@ -526,6 +526,50 @@ def _unscaled(components: list[dict], g: int, depth: int, m: int = 1) -> GradedP
          for n, comp in enumerate(components)],
         g, depth,
     )
+
+
+def _lambda_character(g: int, p: list[dict]) -> list[dict]:
+    # n! ch_n(lambda_{-1} E), n = 0..depth: (-1)^g c_g q[n - g] / g!, zero below
+    # degree g by construction.  The adaptor lambda_star_class read before it
+    # took q through degree depth - g itself, kept as an oracle on
+    # _lambda_quotient.
+    depth = len(p) - 1
+    c_g, div = (depth + 1) ** (g - 1), (-1) ** g * factorial(g)
+    return [{} for _ in range(min(g, depth + 1))] + [
+        {mon + c_g: c // div for mon, c in comp.items()}
+        for comp in _lambda_quotient(g, p[: max(0, depth - g + 1)])]
+
+
+def _lambda_star_by_character(g: int, depth: int) -> GradedPolynomial:
+    # the route before lambda_star_class read _lambda_quotient itself: ch from
+    # _power_sums(g, depth), then exp(sum_k (-1)^{k-1} (k-1)! ch_k), then / n!
+    ch = _lambda_character(g, _power_sums(g, depth))
+    total = _exp_scaled([{mon: (-1) ** (k - 1) * factorial(k - 1) * c for mon, c in comp.items()}
+                         for k, comp in enumerate(ch)])
+    return _class_poly([{mon: c // factorial(n) for mon, c in comp.items()}
+                        for n, comp in enumerate(total)], g, depth)
+
+
+def test_lambda_star_matches_the_character_route() -> None:
+    for g in range(1, 9):
+        for depth in range(g, 2 * g + 2):
+            assert lambda_star_class(g, depth) == _lambda_star_by_character(g, depth), (g, depth)
+
+
+def test_lambda_star_builds_power_sums_only_through_depth_minus_g(monkeypatch) -> None:
+    asked = []
+    original = chern._power_sums
+
+    def spy(g: int, depth: int, *args):
+        asked.append(depth)
+        return original(g, depth, *args)
+
+    monkeypatch.setattr(chern, "_power_sums", spy)
+    for g in range(1, 9):
+        for depth in range(g, 2 * g + 2):
+            asked.clear()
+            lambda_star_class(g, depth)
+            assert asked and max(asked) <= depth - g, (g, depth, asked)
 
 
 def _todd_scaled_by_fractions(p: list[dict]) -> list[dict]:
