@@ -7,8 +7,11 @@ needs k > 2 and gives genus 2^{k-3}.
 
 The unit-indexed Chern product prod_{gcd(i,l)=1} (1 + i x) over F_l has the
 closed form (1 - x^{l-1})^{l^{k-1}}: the product of the units of F_l is -1,
-so the constant in each degree-(l-1) block is -1, not +1.  The +1 variant
-(which coincides mod 2) is reported alongside for comparison.
+so the constant in each degree-(l-1) block is -1, not +1.  As (a + b)^l =
+a^l + b^l mod l, that is 1 - x^top with top = l^{k-1}(l-1), and the check
+writes it down so, sharing no arithmetic with the product it checks.  The +1
+variant 1 + x^top (which coincides mod 2) is written down the same way and
+reported for comparison.
 
 The trace pairing B(a, b) = Tr(a * conj(b) * w) on Z[zeta], zeta of order
 l^k, needs a twist w that generates the inverse different lambda^{-d}, where
@@ -34,15 +37,14 @@ fraction-free Bareiss elimination on integers.  The classical twist, the field
 arithmetic it needs and the matrix trace live on in the tests as the
 independent route these closed forms are checked against.
 
-One dense core does the polynomial arithmetic: `_convolve` multiplies, then
-`ModPPolynomial` reduces mod l, and `_reduce_cyclotomic` reduces mod
-Phi_{l^k} without division, which gives the rows of multiplication by zeta.
+One dense core, `_convolve`, multiplies coefficient lists: the unit product's
+tree here, and the field arithmetic of the test oracle.  `ModPPolynomial` is
+the result record, canonical mod l, with no arithmetic of its own.  The rows
+of multiplication by zeta are the companion matrix of Phi_{l^k}.
 """
 from __future__ import annotations
 
-from operator import mul
-
-from .exact_arith import _Record, _check_positive, _check_prime, _power, _product
+from .exact_arith import _Record, _check_positive, _check_prime, _product
 
 __all__ = [
     "ModPPolynomial",
@@ -71,26 +73,6 @@ def _convolve(a, b) -> list:
     return out
 
 
-def _reduce_cyclotomic(coeffs, l: int, k: int) -> list:
-    """coeffs mod Phi_{l^k}, as its n = l^{k-1}(l-1) power-basis coordinates.
-
-    Exponents fold mod l^k since x^{l^k} = 1; then, as Phi_{l^k} = sum_{j<l}
-    x^{j l^{k-1}}, x^{n+r} = -sum_{j<l-1} x^{j l^{k-1}+r} for 0 <= r < l^{k-1}.
-    """
-    step = l ** (k - 1)
-    level, n = step * l, step * (l - 1)
-    out = [0] * level
-    for i, c in enumerate(coeffs):
-        out[i % level] += c
-    for r in range(step):
-        c = out[n + r]
-        if c:
-            for j in range(r, n, step):
-                out[j] -= c
-    del out[n:]
-    return out
-
-
 class ModPPolynomial(_Record):
     """Dense univariate polynomial over Z/l, coefficients canonical in 0..l-1."""
 
@@ -108,19 +90,6 @@ class ModPPolynomial(_Record):
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
         return 0
-
-    def __mul__(self, other: "ModPPolynomial") -> "ModPPolynomial":
-        self._check(other)
-        return ModPPolynomial(self.modulus, _convolve(self.coeffs, other.coeffs))
-
-    def __pow__(self, k: int) -> "ModPPolynomial":
-        if k < 0:
-            raise ValueError("negative power")
-        return _power(self, k, ModPPolynomial(self.modulus, [1]), mul)
-
-    def _check(self, other: "ModPPolynomial") -> None:
-        if self.modulus != other.modulus:
-            raise ValueError("mismatched moduli")
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -174,11 +143,10 @@ class CyclotomicChernReport(_Record):
 def cyclotomic_chern_check(l: int, k: int) -> CyclotomicChernReport:
     """Compare the unit product with (1 -/+ x^{l-1})^{l^{k-1}} and inspect the top term."""
     product = cyclotomic_chern_product(l, k)
-    block = [1] + [0] * (l - 2) + [-1]
-    closed = ModPPolynomial(l, block) ** (l ** (k - 1))
-    plus_block = [1] + [0] * (l - 2) + [1]
-    plus_form = ModPPolynomial(l, plus_block) ** (l ** (k - 1))
     top = l ** (k - 1) * (l - 1)
+    # (a + b)^l = a^l + b^l mod l, so (1 -/+ x^{l-1})^{l^{k-1}} = 1 -/+ x^top
+    closed = ModPPolynomial(l, [1] + [0] * (top - 1) + [-1])
+    plus_form = ModPPolynomial(l, [1] + [0] * (top - 1) + [1])
     return CyclotomicChernReport(
         l=l,
         k=k,
@@ -275,19 +243,17 @@ def symplectic_pairing_check(l: int, k: int) -> SymplecticPairingReport:
     if l == 2:
         raise ValueError("the pairing is built for odd l")
     d = different_exponent(l, k)  # refuses l not prime and k < 1
-    rank = l ** (k - 1) * (l - 1)
-    quoted = l**k - l ** (k - 1) - 1
+    s = l ** (k - 1)
+    rank, quoted = s * (l - 1), l**k - s - 1
     gram, integral = _pairing_gram(l, k)
     if not integral:
         raise ArithmeticError("the trace pairing twisted by the inverse different must be integral")
     skew = all(gram[j][i] == -gram[i][j] for i in range(rank) for j in range(rank))
     # multiplication by zeta on the power basis must preserve the form:
-    # Z G Z^T == G, where row i of Z is zeta^{i+1}, sparse (a unit vector for
-    # i < rank - 1, l - 1 entries for the last row)
-    zrows = [
-        [(a, c) for a, c in enumerate(_reduce_cyclotomic([0] * (i + 1) + [1], l, k)) if c]
-        for i in range(rank)
-    ]
+    # Z G Z^T == G, Z the companion matrix of Phi_{l^k} = sum_{j<l} x^{j s}:
+    # row i is zeta^{i+1}, a unit vector for i < rank - 1, and
+    # zeta^rank = -sum_{j<l-1} zeta^{j s}
+    zrows = [[(i + 1, 1)] for i in range(rank - 1)] + [[(j * s, -1) for j in range(l - 1)]]
     zg = [[sum(c * gram[a][b] for a, c in zrow) for b in range(rank)] for zrow in zrows]
     transformed = [
         [sum(zg_row[b] * c for b, c in zrow) for zrow in zrows] for zg_row in zg

@@ -11,7 +11,10 @@ divides n_g.
 tables n_1..n_g behind the reports come from one sieve pass, `_ng_values(g)`.
 
 The independent oracle computes the same number as a stabilized running gcd of
-p^{2g} - 1 over primes p > 2g+1.  The two routes share no code.
+p^{2g} - 1 over primes p > 2g+1.  The two routes share only the prime sieve
+(`factorize` and `is_prime` read it here, `primes_above` there) and the input
+checks.  The sieve is the package's one prime source, and sharing it hides no
+fault: a sieve that reports 9 as prime fails `verify oracle-agreement`.
 """
 from __future__ import annotations
 

@@ -7,7 +7,8 @@ the field inverse as the product of the other Galois conjugates over the
 rational norm, and the trace as the trace of the multiplication matrix), the
 twist (zeta - zeta^{-1})^{-d} in closed form through `twist_numerator`, its
 Fraction Gram matrix, and a Bareiss determinant that scales a rational matrix
-to integers.  It shares only `_power`, `_convolve`, `_reduce_cyclotomic` and
+to integers.  `_reduce_cyclotomic`, the division-free reduction mod
+Phi_{l^k}, lives here too.  The module shares only `_power`, `_convolve` and
 `_zeta_power_trace` with the package.
 """
 from __future__ import annotations
@@ -17,7 +18,27 @@ from math import lcm
 from operator import mul
 
 from tautorder.exact_arith import _power
-from tautorder.finite_field_checks import _convolve, _reduce_cyclotomic, _zeta_power_trace
+from tautorder.finite_field_checks import _convolve, _zeta_power_trace
+
+
+def _reduce_cyclotomic(coeffs, l: int, k: int) -> list:
+    """coeffs mod Phi_{l^k}, as its n = l^{k-1}(l-1) power-basis coordinates.
+
+    Exponents fold mod l^k since x^{l^k} = 1; then, as Phi_{l^k} = sum_{j<l}
+    x^{j l^{k-1}}, x^{n+r} = -sum_{j<l-1} x^{j l^{k-1}+r} for 0 <= r < l^{k-1}.
+    """
+    step = l ** (k - 1)
+    level, n = step * l, step * (l - 1)
+    out = [0] * level
+    for i, c in enumerate(coeffs):
+        out[i % level] += c
+    for r in range(step):
+        c = out[n + r]
+        if c:
+            for j in range(r, n, step):
+                out[j] -= c
+    del out[n:]
+    return out
 
 
 class CyclotomicElement:

@@ -8,12 +8,13 @@ import pytest
 
 from cyclotomic_oracle import (
     CyclotomicElement,
+    _reduce_cyclotomic,
     classical_gram,
     classical_pairing,
     rational_det,
     twist_numerator,
 )
-from tautorder import finite_field_checks
+from tautorder import finite_field_checks, verify
 from tautorder.finite_field_checks import (
     ModPPolynomial,
     cyclotomic_chern_check,
@@ -26,11 +27,11 @@ from tautorder.finite_field_checks import (
     _convolve,
     _det,
     _pairing_gram,
-    _reduce_cyclotomic,
     _zeta_power_trace,
 )
 
 CASES = [(3, 1), (3, 2), (5, 1), (7, 1), (2, 3), (2, 4)]
+LARGER_CASES = [(3, 3), (3, 4), (3, 5), (3, 6), (5, 3), (7, 2), (11, 2)]
 PAIRING_CASES = [(3, 1), (5, 1), (7, 1), (3, 2)]
 
 
@@ -43,27 +44,11 @@ def test_modp_polynomial_basics() -> None:
     assert ModPPolynomial(5, [6, 10]) == ModPPolynomial(5, [1, 0])
 
 
-def test_modp_polynomial_arithmetic() -> None:
-    a = ModPPolynomial(7, [1, 1])
-    b = ModPPolynomial(7, [6, 1])
-    # (1+x)(6+x) = 6 + 7x + x^2 = 6 + x^2 mod 7
-    assert a * b == ModPPolynomial(7, [6, 0, 1])
-
-
-def test_modp_pow_matches_repeated_multiplication() -> None:
-    rng = random.Random(771100)
-    for _ in range(25):
-        p = rng.choice((2, 3, 5))
-        a = ModPPolynomial(p, [rng.randrange(p) for _ in range(4)])
-        acc = ModPPolynomial(p, [1])
-        for k in range(6):
-            assert a**k == acc
-            acc = acc * a
-
-
-def test_modp_rejects_mixed_moduli() -> None:
-    with pytest.raises(ValueError):
-        ModPPolynomial(3, [1]) * ModPPolynomial(5, [1])
+def test_modp_polynomial_is_a_record_without_arithmetic() -> None:
+    # the closed forms are written down, not computed, so the record needs no ring
+    for name in ("__mul__", "__pow__", "__add__", "_check"):
+        assert not hasattr(ModPPolynomial, name)
+    assert not hasattr(finite_field_checks, "_reduce_cyclotomic")
 
 
 def test_hurwitz_genus_frozen_values() -> None:
@@ -85,18 +70,19 @@ def test_hurwitz_genus_rejects_low_two_power() -> None:
 
 
 def _unit_product(l: int, k: int) -> ModPPolynomial:
-    # plain reimplementation: prod over units a mod l^k of (1 + a x), coefficients mod l
-    acc = ModPPolynomial(l, [1])
+    # plain reimplementation: prod over units a mod l^k of (1 + a x), coefficients
+    # mod l, one factor at a time with no product routine and no _convolve
+    acc = [1]
     for a in range(1, l**k):
         if gcd(a, l) == 1:
-            acc = acc * ModPPolynomial(l, [1, a])
-    return acc
+            acc = [(c + a * prev) % l for c, prev in zip(acc + [0], [0] + acc)]
+    return ModPPolynomial(l, acc)
 
 
 def test_cyclotomic_product_against_plain_loop() -> None:
     # (3, 3), (3, 4) and (3, 5) are the benchmark's larger pairs, up to degree 162;
     # (3, 6), (5, 3), (7, 2) and (11, 2) give the product tree odd levels and long leaves
-    for l, k in CASES + [(3, 3), (3, 4), (3, 5), (3, 6), (5, 3), (7, 2), (11, 2)]:
+    for l, k in CASES + LARGER_CASES:
         assert cyclotomic_chern_product(l, k) == _unit_product(l, k)
 
 
@@ -110,7 +96,8 @@ def test_cyclotomic_product_frozen_strings() -> None:
 
 
 def test_cyclotomic_report_flags() -> None:
-    for l, k in CASES:
+    # the larger pairs check the written-down closed form against the tree to degree 486
+    for l, k in CASES + LARGER_CASES:
         r = cyclotomic_chern_check(l, k)
         assert r.equal
         assert r.top_degree == l ** (k - 1) * (l - 1)
@@ -118,6 +105,20 @@ def test_cyclotomic_report_flags() -> None:
         # the sign-free variant only survives at the even prime
         assert r.plus_sign_form_matches == (l == 2)
         assert r.product.coefficient(r.top_degree) == (l - 1) % l
+
+
+def test_faulty_convolve_fails_every_cyclotomic_case(monkeypatch: pytest.MonkeyPatch) -> None:
+    # the closed forms share no arithmetic with the product tree, so a fault in
+    # _convolve cannot reach both sides of the comparison
+    convolve = finite_field_checks._convolve
+    monkeypatch.setattr(
+        finite_field_checks, "_convolve", lambda a, b: [2 * c for c in convolve(a, b)]
+    )
+    results = verify.run_suite("cyclotomic")
+    assert len(results) == len(CASES)
+    assert not any(r.ok for r in results)
+    for l, k in CASES:
+        assert not cyclotomic_chern_check(l, k).equal
 
 
 def test_cyclotomic_element_relations() -> None:
@@ -480,7 +481,7 @@ def test_pairing_input_validation() -> None:
 
 
 def test_pairing_check_builds_no_cyclotomic_element() -> None:
-    # the zeta rows come from _reduce_cyclotomic and the checks run on ints
+    # the zeta rows are the companion matrix of Phi_{l^k} and the checks run on ints
     assert "CyclotomicElement" not in vars(finite_field_checks)
     assert "CyclotomicElement" not in finite_field_checks.__all__
     for l, k in PAIRING_CASES + [(17, 1)]:
