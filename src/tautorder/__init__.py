@@ -16,7 +16,6 @@ from .chern_symbolics import (
     SymmetricReduction,
     borel_serre_check,
     chern_character,
-    class_variables,
     fundamental_relations,
     lambda_star_class,
     newton_special_case,

@@ -15,10 +15,14 @@ is adding their packed forms, and `_mul_into` and `_add_into` do every
 product and sum.
 
 The root ring keeps what bench/'s class-ring pool calls: GradedPolynomial,
-chern_character, todd_class and symmetric_reduce.  symmetric_reduce subtracts
-e-monomials e_1^a_1 ... e_g^a_g, read from one cached table of packed
-homogeneous components.  root_variables and substitute_elementary, the inverse
-of symmetric_reduce, live in tests/root_ring_oracle.py.
+chern_character, todd_class and symmetric_reduce.  GradedPolynomial is a
+result record with no arithmetic: todd_class writes its terms down one root at
+a time, as each coefficient is a product of coefficients of one series, and
+fundamental_relations writes each degree down as a sum of l_i l_j.
+symmetric_reduce subtracts e-monomials e_1^a_1 ... e_g^a_g, read from one
+cached table of packed homogeneous components.  The ring operators,
+root_variables and substitute_elementary, the inverse of symmetric_reduce, live
+in tests/root_ring_oracle.py on a plain term map.
 
 The identities for a rank-g bundle E run in the class ring on one pipeline.
 Newton's identities give the power sums p_m.  Since 1 - e^x = -x z with
@@ -49,22 +53,13 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate, combinations
 from math import comb, factorial, lcm, perm
-from operator import mul
 
 from .bernoulli_zeta import todd_inverse_series
-from .exact_arith import (
-    _Record,
-    _check_nonnegative,
-    _check_positive,
-    _is_rational,
-    _power,
-    _product,
-)
+from .exact_arith import _Record, _check_nonnegative, _check_positive
 
 __all__ = [
     "GradedPolynomial",
     "SymmetricReduction",
-    "class_variables",
     "symmetric_reduce",
     "chern_character",
     "todd_class",
@@ -116,11 +111,10 @@ def _names(symbol: str, g: int) -> tuple[str, ...]:
 class GradedPolynomial(_Record):
     """Sparse polynomial with weighted generators and hard degree truncation.
 
-    Instances are immutable records; every operation returns a new object.
-    Coefficients are exact (int or Fraction, freely mixed).  The private
-    `_comps[d]`, which instances may share (homogeneous_component hands its
-    source's on), holds the packed monomials of degree d; `terms` is the same
-    data by exponent tuples, fresh on each read.
+    A result record with no arithmetic: the functions of this module return
+    one, and nothing multiplies it.  Coefficients are exact (int or Fraction,
+    freely mixed).  The private `_comps[d]` holds the packed monomials of
+    degree d; `terms` is the same data by exponent tuples, fresh on each read.
     """
 
     names: tuple[str, ...]
@@ -149,104 +143,11 @@ class GradedPolynomial(_Record):
                 comps[degree][_pack(mon, truncation + 1)] = coeff
         super().__init__(names, weights, truncation, comps)
 
-    def _like(self, comps) -> "GradedPolynomial":
-        return GradedPolynomial._raw(self.names, self.weights, self.truncation, comps)
-
     @property
     def terms(self) -> dict:
         """{exponent tuple: coefficient}, as a fresh dict the caller may keep."""
         n, radix = len(self.names), self.truncation + 1
         return {_unpack(mon, n, radix): c for comp in self._comps for mon, c in comp.items()}
-
-    # -- ring bookkeeping -------------------------------------------------
-
-    def _check_ring(self, other: "GradedPolynomial") -> None:
-        if (
-            self.names != other.names
-            or self.weights != other.weights
-            or self.truncation != other.truncation
-        ):
-            raise ValueError("polynomials live in different rings")
-
-    def ring_constant(self, value) -> "GradedPolynomial":
-        comps = [{} for _ in self._comps]
-        if value != 0:
-            comps[0][0] = value
-        return self._like(comps)
-
-    def ring_variable(self, index: int) -> "GradedPolynomial":
-        if not 0 <= index < len(self.names):
-            raise ValueError("variable index out of range")
-        comps = [{} for _ in self._comps]
-        if self.weights[index] <= self.truncation:
-            comps[self.weights[index]][(self.truncation + 1) ** index] = 1
-        return self._like(comps)
-
-    # -- arithmetic -------------------------------------------------------
-
-    def __add__(self, other):
-        if _is_rational(other):
-            other = self.ring_constant(other)
-        self._check_ring(other)
-        comps = [dict(comp) for comp in self._comps]
-        for acc, comp in zip(comps, other._comps):
-            _add_into(acc, comp, 1)
-        return self._like(comps)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self._scaled(-1)
-
-    def __sub__(self, other):
-        if _is_rational(other):
-            other = self.ring_constant(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def _scaled(self, scale) -> "GradedPolynomial":
-        comps = [{} for _ in self._comps]
-        for acc, comp in zip(comps, self._comps):
-            _add_into(acc, comp, scale)
-        return self._like(comps)
-
-    def __mul__(self, other):
-        if _is_rational(other):
-            return self._scaled(other)
-        self._check_ring(other)
-        comps = [{} for _ in self._comps]
-        for da, a in enumerate(self._comps):
-            if a:
-                for db in range(len(comps) - da):
-                    _mul_into(comps[da + db], a, other._comps[db], 1)
-        return self._like(comps)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power")
-        return _power(self, k, self.ring_constant(1), mul)
-
-    # -- structure --------------------------------------------------------
-
-    def homogeneous_component(self, degree: int) -> "GradedPolynomial":
-        comps = [{} for _ in self._comps]
-        if 0 <= degree <= self.truncation:
-            comps[degree] = self._comps[degree]
-        return self._like(comps)
-
-    def coefficient(self, mon) -> "int | Fraction":
-        mon, radix = tuple(mon), self.truncation + 1
-        if len(mon) != len(self.names) or not all(0 <= e < radix for e in mon):
-            return 0  # no term has this monomial, and packing it could alias one
-        degree = sum(e * w for e, w in zip(mon, self.weights))
-        return self._comps[degree].get(_pack(mon, radix), 0) if degree < radix else 0
-
-    def is_zero(self) -> bool:
-        return not any(self._comps)
 
     __hash__ = None
 
@@ -287,16 +188,6 @@ class GradedPolynomial(_Record):
 
     def __repr__(self) -> str:
         return f"GradedPolynomial({self.render()!r})"
-
-
-# -- generator factories ---------------------------------------------------
-
-
-def class_variables(g: int, truncation: int, symbol: str = "c") -> tuple[GradedPolynomial, ...]:
-    """Generators of weights 1..g named symbol1..symbolg."""
-    _check_positive("g", g)
-    proto = GradedPolynomial(_names(symbol, g), range(1, g + 1), truncation, {})
-    return tuple(proto.ring_variable(i) for i in range(g))
 
 
 # -- symmetric function machinery ------------------------------------------
@@ -388,11 +279,19 @@ def todd_class(g: int, depth: int, dual: bool = True) -> GradedPolynomial:
     # t -> D t makes each B_k D^k / k! an int; degree n of the product is D^n Td_n
     den = lcm(*(c.denominator for c in base))
     base = [c.numerator * (den**k // c.denominator) for k, c in enumerate(base)]
-    names, radix = _names("x", g), depth + 1
-    out = _product(GradedPolynomial._raw(names, (1,) * g, depth, [
-        {k * radix**i: c} if c else {} for k, c in enumerate(base)]) for i in range(g))
-    return out._like([{mon: Fraction(c, den**n) for mon, c in comp.items()}
-                      for n, comp in enumerate(out._comps)])
+    # the coefficient of x1^a1 ... xg^ag is prod_i base[a_i] (base[0] = 1): root i
+    # appends each exponent k to every monomial of degree n - k, and degrees
+    # fall, so comps[n - k] does not hold root i yet
+    radix = depth + 1
+    comps = [{0: 1}] + [{} for _ in range(depth)]
+    for step in (radix**i for i in range(g)):
+        for n in range(depth, 0, -1):
+            for k in range(1, n + 1):
+                if base[k]:
+                    shift, b = k * step, base[k]
+                    comps[n].update({mon + shift: c * b for mon, c in comps[n - k].items()})
+    return GradedPolynomial._raw(_names("x", g), (1,) * g, depth, [
+        {mon: Fraction(c, den**n) for mon, c in comp.items()} for n, comp in enumerate(comps)])
 
 
 def lambda_star_class(g: int, depth: int) -> GradedPolynomial:
@@ -549,11 +448,16 @@ def fundamental_relations(g: int, max_degree: int) -> list[GradedPolynomial]:
     _check_positive("g", g)
     if not 1 <= max_degree <= 2 * g:
         raise ValueError("max_degree must lie in 1..2g")
-    ls = class_variables(g, 2 * g, symbol="l")
-    plus = ls[0].ring_constant(1)
-    minus = ls[0].ring_constant(1)
-    for i, li in enumerate(ls, start=1):
-        plus = plus + li
-        minus = minus + (-li if i % 2 else li)
-    product = plus * minus - 1
-    return [product.homogeneous_component(d) for d in range(1, max_degree + 1)]
+    # degree d is sum_{i+j=d} (-1)^j l_i l_j with l_0 = 1, on packed monomials
+    radix = 2 * g + 1
+    ls = [0] + [radix ** (i - 1) for i in range(1, g + 1)]
+    out = []
+    for d in range(1, max_degree + 1):
+        comp: dict = {}
+        for j in range(max(0, d - g), min(d, g) + 1):
+            mon = ls[d - j] + ls[j]
+            comp[mon] = comp.get(mon, 0) + (-1) ** j
+        comps = [{} for _ in range(radix)]
+        comps[d] = {mon: c for mon, c in comp.items() if c}
+        out.append(GradedPolynomial._raw(_names("l", g), tuple(range(1, g + 1)), 2 * g, comps))
+    return out

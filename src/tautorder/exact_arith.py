@@ -12,7 +12,7 @@ sieve once instead of testing every candidate.
 
 `factorize`, for both `ng_local` and `sp_order`, splits cofactors past 1000 by Pollard's
 rho in Brent's form (BIT 1975; BIT 1980): about n^(1/4) steps, 3*10^4 for two primes near 10^9.
-`_power` and `_product` are the package's power and product routines.
+`_product` is the package's product routine.
 """
 from __future__ import annotations
 
@@ -252,22 +252,6 @@ def _rho_factor(n: int) -> int:
                 d = gcd(x - ys, n)
         if d != n:
             return d
-
-
-def _power(base, m: int, one, times):
-    """base^m for m >= 0, by square-and-multiply under `times`.
-
-    The one power routine of the package: the mod-l and graded polynomial
-    rings raise to powers through it.
-    """
-    result = one
-    while m:
-        if m & 1:
-            result = times(result, base)
-        m >>= 1
-        if m:
-            base = times(base, base)
-    return result
 
 
 def _product(factors, one=1, times=mul):

@@ -8,8 +8,9 @@ rational norm, and the trace as the trace of the multiplication matrix), the
 twist (zeta - zeta^{-1})^{-d} in closed form through `twist_numerator`, its
 Fraction Gram matrix, and a Bareiss determinant that scales a rational matrix
 to integers.  `_reduce_cyclotomic`, the division-free reduction mod
-Phi_{l^k}, lives here too.  The module shares only `_power`, `_convolve` and
-`_zeta_power_trace` with the package.
+Phi_{l^k}, and `_power`, the square-and-multiply that `CyclotomicElement`
+powers and `twist_numerator` run on, live here too.  The module shares only `_convolve` and `_zeta_power_trace` with
+the package.
 """
 from __future__ import annotations
 
@@ -17,8 +18,19 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from tautorder.exact_arith import _power
 from tautorder.finite_field_checks import _convolve, _zeta_power_trace
+
+
+def _power(base, m: int, one, times):
+    """base^m for m >= 0, by square-and-multiply under `times`."""
+    result = one
+    while m:
+        if m & 1:
+            result = times(result, base)
+        m >>= 1
+        if m:
+            base = times(base, base)
+    return result
 
 
 def _reduce_cyclotomic(coeffs, l: int, k: int) -> list:

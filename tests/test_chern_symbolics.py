@@ -1,13 +1,23 @@
 from __future__ import annotations
 
+import ast
 import random
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
-from root_ring_oracle import elementary_symmetric, inverse, root_variables, substitute_elementary
+from root_ring_oracle import (
+    RingElement,
+    class_variables,
+    elementary_symmetric,
+    inverse,
+    root_variables,
+    substitute_elementary,
+)
 
+import tautorder
 import tautorder.bernoulli_zeta as bernoulli_zeta
 import tautorder.chern_symbolics as chern
 from tautorder.bernoulli_zeta import todd_inverse_series
@@ -15,7 +25,6 @@ from tautorder.chern_symbolics import (
     GradedPolynomial,
     borel_serre_check,
     chern_character,
-    class_variables,
     fundamental_relations,
     lambda_star_class,
     newton_special_case,
@@ -33,24 +42,59 @@ from tautorder.chern_symbolics import (
 )
 
 
-def _random_poly(rng: random.Random, vars_: tuple[GradedPolynomial, ...]) -> GradedPolynomial:
-    acc = vars_[0].ring_constant(rng.randint(-3, 3))
+def _random_poly(rng: random.Random, vars_: tuple[RingElement, ...]) -> RingElement:
+    acc = vars_[0].constant(rng.randint(-3, 3))
     for _ in range(rng.randint(1, 4)):
-        term = vars_[0].ring_constant(Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3))))
+        term = vars_[0].constant(Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3))))
         for v in vars_:
             term = term * v ** rng.randint(0, 2)
         acc = acc + term
     return acc
 
 
-def _exp_minus_one(x: GradedPolynomial, depth: int) -> GradedPolynomial:
-    acc = x.ring_constant(0)
+def _exp_minus_one(x: RingElement, depth: int) -> RingElement:
+    acc = x.constant(0)
     for k in range(1, depth + 1):
-        acc = acc + x.ring_constant(Fraction(1, factorial(k))) * x**k
+        acc = acc + Fraction(1, factorial(k)) * x**k
     return acc
 
 
+REMOVED_ARITHMETIC = (
+    "_like", "_check_ring", "ring_constant", "ring_variable", "__add__", "__radd__", "__neg__",
+    "__sub__", "__rsub__", "_scaled", "__mul__", "__rmul__", "__pow__", "homogeneous_component",
+    "coefficient", "is_zero",
+)
+
+
+def test_graded_polynomial_is_a_record_without_arithmetic() -> None:
+    # todd_class and fundamental_relations write their terms down, so the record
+    # needs no ring; the ring the tests compute in is root_ring_oracle's
+    for name in REMOVED_ARITHMETIC:
+        assert not hasattr(GradedPolynomial, name), name
+    for module in (chern, tautorder):
+        assert not hasattr(module, "class_variables")
+
+
+def test_root_ring_oracle_shares_nothing_with_the_packed_ring() -> None:
+    # the oracle imports GradedPolynomial alone and reads only its public fields,
+    # so a fault in the packed components or in _mul_into cannot reach both sides
+    tree = ast.parse((Path(__file__).parent / "root_ring_oracle.py").read_text(encoding="utf-8"))
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "tautorder"
+        for alias in node.names
+    ]
+    assert imported == ["GradedPolynomial"]
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.Import)
+                and any(a.name.split(".")[0] == "tautorder" for a in node.names)]
+    package = {*dir(GradedPolynomial), *GradedPolynomial._fields, *vars(chern), *REMOVED_ARITHMETIC}
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert read & package <= {"names", "weights", "truncation", "terms"}
+
+
 def test_ring_laws_on_random_triples() -> None:
+    # the oracle's ring, in which the tests below build their expected values
     rng = random.Random(55101)
     xs = root_variables(3, 5)
     for _ in range(40):
@@ -59,8 +103,8 @@ def test_ring_laws_on_random_triples() -> None:
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
         assert a + b == b + a
-        assert a - a == xs[0].ring_constant(0)
-        assert a * xs[0].ring_constant(1) == a
+        assert a - a == xs[0].constant(0)
+        assert a * xs[0].constant(1) == a
 
 
 def test_pow_matches_repeated_multiplication() -> None:
@@ -68,7 +112,7 @@ def test_pow_matches_repeated_multiplication() -> None:
     xs = root_variables(2, 6)
     for _ in range(20):
         a = _random_poly(rng, xs)
-        explicit = xs[0].ring_constant(1)
+        explicit = xs[0].constant(1)
         for k in range(5):
             assert a**k == explicit
             explicit = explicit * a
@@ -78,26 +122,26 @@ def test_pow_matches_repeated_multiplication() -> None:
 
 def test_truncation_discards_high_degrees() -> None:
     xs = root_variables(2, 3)
-    assert (xs[0] ** 4).is_zero()
-    assert ((xs[0] + xs[1]) ** 3).coefficient((2, 1)) == 3
-    assert ((xs[0] + xs[1]) ** 4).is_zero()
+    assert (xs[0] ** 4).terms == {}
+    assert ((xs[0] + xs[1]) ** 3).terms[(2, 1)] == 3
+    assert ((xs[0] + xs[1]) ** 4).terms == {}
 
 
 def test_weighted_grading_in_class_ring() -> None:
     cs = class_variables(3, 4)
     # c3 has weight 3, so c3*c2 falls outside truncation 4
-    assert (cs[2] * cs[1]).is_zero()
-    assert not (cs[2] * cs[0]).is_zero()
+    assert (cs[2] * cs[1]).terms == {}
+    assert (cs[2] * cs[0]).terms == {(1, 0, 1): 1}
     p = cs[0] + cs[1] + cs[2]
-    assert p.homogeneous_component(2) == cs[1]
-    assert p.homogeneous_component(3) == cs[2]
+    assert p.component(2) == cs[1]
+    assert p.component(3) == cs[2]
 
 
 def test_inverse_round_trip() -> None:
     # the oracle's inverse, which the Todd and subset-product oracles divide by
     rng = random.Random(55103)
     xs = root_variables(3, 4)
-    one = xs[0].ring_constant(1)
+    one = xs[0].constant(1)
     for _ in range(20):
         for c0 in (1, -2, Fraction(3, 5)):
             u = one * c0 + _random_poly(rng, xs) * xs[0]
@@ -116,70 +160,55 @@ def test_homogeneous_components_partition() -> None:
     xs = root_variables(3, 5)
     for _ in range(10):
         a = _random_poly(rng, xs)
-        acc = xs[0].ring_constant(0)
+        acc = xs[0].constant(0)
         for d in range(6):
-            acc = acc + a.homogeneous_component(d)
+            acc = acc + a.component(d)
         assert acc == a
 
 
 def test_terms_is_a_fresh_dict() -> None:
-    # editing what .terms returns must not reach the polynomial, nor another
-    # polynomial that shares its components
-    source = elementary_symmetric(3, 2, 4)
-    source.homogeneous_component(2).terms[(1, 1, 0)] = 7
+    # editing what .terms returns must not reach the polynomial
+    source = elementary_symmetric(3, 2, 4).polynomial()
+    source.terms[(1, 1, 0)] = 7
     assert source.render() == "x1*x2 + x1*x3 + x2*x3"
-    x1 = root_variables(2, 3)[0]
+    x1 = root_variables(2, 3)[0].polynomial()
     x1.terms.clear()
     assert x1.terms == {(1, 0): 1}
 
 
 def test_no_public_accessor_reaches_the_cached_components() -> None:
-    # homogeneous_component shares its source's packed components, so every public
-    # accessor must hand out a copy or an immutable value; a new accessor joins this list
-    source = elementary_symmetric(3, 2, 4)
-    e2 = source.homogeneous_component(2)
-    assert sorted(n for n in dir(e2) if not n.startswith("_")) == [
-        "coefficient", "homogeneous_component", "is_zero", "names", "render",
-        "ring_constant", "ring_variable", "terms", "truncation", "weights",
-    ]
-    with pytest.raises(AttributeError):
-        e2.comps[2][6] = 7
-    parts = [e2.homogeneous_component(d) for d in range(5)] + [e2.ring_constant(1), e2.ring_variable(0)]
-    for value in [e2.names, e2.weights, e2.truncation, e2.terms, e2.coefficient((1, 1, 0)), e2.is_zero(),
-                  e2.render()] + [p.terms for p in parts]:
-        if isinstance(value, dict):
-            value[(1, 1, 0)] = 7
-            value[(0, 0, 2)] = 1
-        else:
-            assert isinstance(value, (tuple, int, str))
-    for poly in (source, e2):
-        assert poly.render() == "x1*x2 + x1*x3 + x2*x3"
-        assert poly.terms == {(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1}
-
-
-def test_coefficient_is_total() -> None:
-    x1 = root_variables(2, 3)[0]
-    assert x1.coefficient((1, 0)) == 1
-    assert x1.coefficient((1,)) == 0  # too short
-    assert x1.coefficient((1, 0, 0)) == 0  # too long
-    assert x1.coefficient((-3, 1)) == 0  # negative exponent; packs to 1
-    assert x1.coefficient((5, 0)) == 0  # exponent beyond the radix
-    assert x1.coefficient((0, 4)) == 0  # weighted degree beyond the truncation
-    c2 = class_variables(2, 3)[1]
-    assert c2.coefficient((0, 1)) == 1
-    assert c2.coefficient((0, 2)) == 0  # degree 4 > 3, though each exponent fits
+    # every public accessor must hand out a copy or an immutable value; a new
+    # accessor joins this list
+    for poly in (elementary_symmetric(3, 2, 4).polynomial(), fundamental_relations(2, 2)[1]):
+        assert sorted(n for n in dir(poly) if not n.startswith("_")) == [
+            "names", "render", "terms", "truncation", "weights",
+        ]
+        with pytest.raises(AttributeError):
+            poly.comps[2][6] = 7
+        before = (poly.render(), poly.terms)
+        for value in (poly.names, poly.weights, poly.truncation, poly.terms, poly.render()):
+            if isinstance(value, dict):
+                value[(1, 1, 0)] = 7
+                value[(0, 0, 2)] = 1
+            else:
+                assert isinstance(value, (tuple, int, str))
+        assert (poly.render(), poly.terms) == before
 
 
 def test_round_trip_through_terms() -> None:
+    # the validating constructor rebuilds every record the package builds raw
     rng = random.Random(55106)
-    for vars_ in (root_variables(3, 5), class_variables(3, 5)):
-        for _ in range(20):
-            p = _random_poly(rng, vars_)
-            assert GradedPolynomial(p.names, p.weights, p.truncation, p.terms) == p
+    polys = [_random_poly(rng, vars_).polynomial()
+             for vars_ in (root_variables(3, 5), class_variables(3, 5)) for _ in range(20)]
+    polys += [todd_class(3, 5), todd_class(2, 4, dual=False), chern_character(3, 4),
+              lambda_star_class(4, 7), symmetric_reduce(chern_character(3, 4)).output,
+              *fundamental_relations(3, 6)]
+    for p in polys:
+        assert GradedPolynomial(p.names, p.weights, p.truncation, p.terms) == p
 
 
 def test_immutability_and_unhashability() -> None:
-    x1 = root_variables(2, 3)[0]
+    x1 = root_variables(2, 3)[0].polynomial()
     with pytest.raises(AttributeError, match="immutable"):
         x1.terms = {}
     with pytest.raises(TypeError):
@@ -195,9 +224,9 @@ def test_mixed_ring_operations_rejected() -> None:
 
 def test_render_goldens() -> None:
     xs = root_variables(2, 6)
-    assert ((xs[0] + xs[0].ring_constant(1)) ** 4).render() == "1 + 4*x1 + 6*x1^2 + 4*x1^3 + x1^4"
-    assert elementary_symmetric(3, 2, 4).render() == "x1*x2 + x1*x3 + x2*x3"
-    assert xs[0].ring_constant(0).render() == "0"
+    assert ((xs[0] + 1) ** 4).polynomial().render() == "1 + 4*x1 + 6*x1^2 + 4*x1^3 + x1^4"
+    assert elementary_symmetric(3, 2, 4).polynomial().render() == "x1*x2 + x1*x3 + x2*x3"
+    assert xs[0].constant(0).polynomial().render() == "0"
 
 
 def test_elementary_symmetric_degenerate_cases() -> None:
@@ -215,7 +244,7 @@ def test_elementary_monomial_table_matches_the_oracle_products() -> None:
         for exps in product(*(range(depth // i + 1) for i in range(1, g + 1))):
             if sum(i * a for i, a in enumerate(exps, start=1)) > depth:
                 continue
-            want = es[0].ring_constant(1)
+            want = es[0].constant(1)
             for e, a in zip(es, exps):
                 want = want * e**a
             table = chern._elementary_monomial(g, exps, depth + 1)
@@ -228,7 +257,7 @@ def test_symmetric_reduce_round_trip() -> None:
         cs = class_variables(g, 5)
         for _ in range(8):
             q = _random_poly(rng, cs)
-            reduction = symmetric_reduce(substitute_elementary(q))
+            reduction = symmetric_reduce(substitute_elementary(q).polynomial())
             assert reduction.output == q
 
 
@@ -270,22 +299,22 @@ def test_symmetric_reduce_clears_mixed_denominators() -> None:
     c1, c2, c3 = class_variables(3, 5)
     q = (Fraction(5, 6) + Fraction(1, 2) * c1 + 5 * c1**2 + Fraction(2, 3) * c2
          + Fraction(-7, 4) * c3 + Fraction(3, 10) * c1 * c2 + c1**3 + Fraction(1, 7) * c2 * c3)
-    roots = substitute_elementary(q)
-    _assert_same(symmetric_reduce(roots).output, q)
+    roots = substitute_elementary(q).polynomial()
+    _assert_same(symmetric_reduce(roots).output, q.polynomial())
     _assert_same(symmetric_reduce(roots).output, _symmetric_reduce_by_fractions(roots))
 
 
 def test_symmetric_reduce_fraction_edge_cases() -> None:
     x1, x2 = root_variables(2, 3)
     with pytest.raises(ValueError, match="not symmetric"):
-        symmetric_reduce(Fraction(1, 3) * x1 + Fraction(1, 2) * x2)
+        symmetric_reduce((Fraction(1, 3) * x1 + Fraction(1, 2) * x2).polynomial())
     # an integral Fraction input renders as the Fraction route renders it
     p2 = GradedPolynomial(x1.names, x1.weights, 3, {(2, 0): Fraction(3), (0, 2): Fraction(3)})
     assert symmetric_reduce(p2).output.render() == "3*c1^2 - 6*c2"
     _assert_same(symmetric_reduce(p2).output, _symmetric_reduce_by_fractions(p2))
     # empty components (degrees 1 and 3 here, every degree of zero) and truncation 0
-    sparse = Fraction(1, 2) + Fraction(4, 3) * x1 * x2
-    for poly in (sparse, x1.ring_constant(0), GradedPolynomial(x1.names, x1.weights, 0, {
+    sparse = (Fraction(1, 2) + Fraction(4, 3) * x1 * x2).polynomial()
+    for poly in (sparse, x1.constant(0).polynomial(), GradedPolynomial(x1.names, x1.weights, 0, {
             (0, 0): Fraction(2, 3), (1, 0): 5})):
         out = symmetric_reduce(poly).output
         _assert_same(out, _symmetric_reduce_by_fractions(poly))
@@ -306,10 +335,9 @@ def test_symmetric_reduce_power_sums() -> None:
     cs = class_variables(3, 4)
     c1, c2, c3 = cs
     p2 = xs[0] ** 2 + xs[1] ** 2 + xs[2] ** 2
-    assert symmetric_reduce(p2).output == c1**2 - c2 - c2
+    assert symmetric_reduce(p2.polynomial()).output == c1**2 - c2 - c2
     p3 = xs[0] ** 3 + xs[1] ** 3 + xs[2] ** 3
-    three = c1.ring_constant(3)
-    assert symmetric_reduce(p3).output == c1**3 - three * c1 * c2 + three * c3
+    assert symmetric_reduce(p3.polynomial()).output == c1**3 - 3 * c1 * c2 + 3 * c3
 
 
 def test_symmetric_reduce_rejects_asymmetric_input() -> None:
@@ -317,7 +345,7 @@ def test_symmetric_reduce_rejects_asymmetric_input() -> None:
     # x1*x2^2 passes as a first leading term, x1^2*x2 does not
     for poly in (xs[0], xs[0] * xs[1] ** 2, xs[0] ** 2 * xs[1]):
         with pytest.raises(ValueError, match="not symmetric"):
-            symmetric_reduce(poly)
+            symmetric_reduce(poly.polynomial())
 
 
 # rendered before the polynomials changed their internal representation
@@ -346,11 +374,12 @@ PARITY = {
         " - 1/6*c1^2*c2 + 1/6*c1*c3 + 1/12*c2^2",
     ),
     "substitute_elementary(c1*c2 + c3)": (
-        lambda: (lambda c1, c2, c3: substitute_elementary(c1 * c2 + c3))(*class_variables(3, 5)),
+        lambda: (lambda c1, c2, c3: substitute_elementary(c1 * c2 + c3))(
+            *class_variables(3, 5)).polynomial(),
         "x1^2*x2 + x1^2*x3 + x1*x2^2 + 4*x1*x2*x3 + x1*x3^2 + x2^2*x3 + x2*x3^2",
     ),
     "elementary_symmetric(4, 2, 4)": (
-        lambda: elementary_symmetric(4, 2, 4),
+        lambda: elementary_symmetric(4, 2, 4).polynomial(),
         "x1*x2 + x1*x3 + x1*x4 + x2*x3 + x2*x4 + x3*x4",
     ),
     "lambda_star_class(5, 7)": (
@@ -368,11 +397,11 @@ def test_render_parity(name: str) -> None:
 
 def test_chern_character_is_sum_of_exponentials() -> None:
     ch = chern_character(2, 4)
-    assert ch.coefficient((0, 0)) == 2
+    assert ch.terms[(0, 0)] == 2
     for k in range(1, 5):
-        assert ch.coefficient((k, 0)) == Fraction(1, factorial(k))
-        assert ch.coefficient((0, k)) == Fraction(1, factorial(k))
-    assert ch.coefficient((1, 1)) == 0
+        assert ch.terms[(k, 0)] == Fraction(1, factorial(k))
+        assert ch.terms[(0, k)] == Fraction(1, factorial(k))
+    assert (1, 1) not in ch.terms
     assert ch.render() == (
         "2 + x1 + x2 + 1/2*x1^2 + 1/2*x2^2 + 1/6*x1^3 + 1/6*x2^3"
         " + 1/24*x1^4 + 1/24*x2^4"
@@ -388,13 +417,13 @@ def _todd_class_by_fractions(g: int, depth: int, dual: bool) -> GradedPolynomial
     # prod_i f(x_i) multiplied out on the Fraction series, the route before t -> D t
     xs = root_variables(g, depth)
     series = todd_inverse_series(depth)
-    out = xs[0].ring_constant(1)
+    out = xs[0].constant(1)
     for x in xs:
-        factor = x.ring_constant(0)
+        factor = x.constant(0)
         for k, c in enumerate(series):
-            factor = factor + x.ring_constant(c if dual or k % 2 == 0 else -c) * x**k
+            factor = factor + (c if dual or k % 2 == 0 else -c) * x**k
         out = out * factor
-    return out
+    return out.polynomial()
 
 
 def test_todd_class_matches_the_fraction_product() -> None:
@@ -408,12 +437,12 @@ def test_todd_class_is_product_over_roots() -> None:
     # rebuild from the one-variable series: invert (e^x - 1)/x per root
     depth = 4
     xs = root_variables(2, depth)
-    one = xs[0].ring_constant(1)
+    one = xs[0].constant(1)
     rebuilt = one
     for x in xs:
-        quotient = one.ring_constant(0)
+        quotient = one.constant(0)
         for k in range(depth + 1):
-            quotient = quotient + x.ring_constant(Fraction(1, factorial(k + 1))) * x**k
+            quotient = quotient + Fraction(1, factorial(k + 1)) * x**k
         rebuilt = rebuilt * inverse(quotient)
     assert rebuilt == todd_class(2, depth)
 
@@ -422,19 +451,18 @@ def test_lambda_star_payload_small_genus() -> None:
     assert lambda_star_class(3, 3).render() == "1 - 2*c3"
     assert lambda_star_class(4, 4).render() == "1 - 6*c4"
     for g in range(1, 6):
-        lam = lambda_star_class(g, g)
+        lam = RingElement.of(lambda_star_class(g, g))
         for d in range(1, g):
-            assert lam.homogeneous_component(d).is_zero()
-        top = lam.homogeneous_component(g)
+            assert lam.component(d).terms == {}
         mono = tuple(0 for _ in range(g - 1)) + (1,)
-        assert top.coefficient(mono) == -factorial(g - 1)
+        assert lam.component(g).terms == {mono: -factorial(g - 1)}
 
 
 def _lambda_star_by_subset_product(g: int, depth: int) -> GradedPolynomial:
     # slow independent route: prod over nonempty subsets S of (1 + x_S)^{±1},
     # odd sizes inverted with the oracle's inverse(), reduced to c1..cg
     xs = root_variables(g, depth)
-    one = xs[0].ring_constant(1)
+    one = xs[0].constant(1)
     even = odd = one
     for size in range(1, g + 1):
         for subset in combinations(range(g), size):
@@ -445,7 +473,7 @@ def _lambda_star_by_subset_product(g: int, depth: int) -> GradedPolynomial:
                 odd = odd * linear
             else:
                 even = even * linear
-    return symmetric_reduce(even * inverse(odd)).output
+    return symmetric_reduce((even * inverse(odd)).polynomial()).output
 
 
 def test_lambda_star_against_subset_product() -> None:
@@ -469,7 +497,7 @@ def test_lambda_star_payload_beyond_the_subset_product() -> None:
     for g in (9, 10):
         lam = lambda_star_class(g, g)
         cs = class_variables(g, g)
-        assert lam == cs[0].ring_constant(1) - factorial(g - 1) * cs[g - 1]
+        assert lam == 1 - factorial(g - 1) * cs[g - 1]
         assert all(type(c) is int for c in lam.terms.values())
 
 
@@ -489,23 +517,23 @@ def test_borel_serre_one_variable_by_hand() -> None:
     # (1 - e^x) * x/(e^x - 1) = -x identically
     depth = 6
     x = root_variables(1, depth)[0]
-    lhs = x.ring_constant(0) - _exp_minus_one(x, depth)
-    assert lhs * todd_class(1, depth) == x.ring_constant(-1) * x
+    lhs = -_exp_minus_one(x, depth)
+    assert lhs * todd_class(1, depth) == -x
 
 
 def _one_minus_exp_product(g: int, depth: int) -> GradedPolynomial:
     # prod_i (1 - e^{x_i}), which is ch(lambda_{-1} E), in the root ring
     xs = root_variables(g, depth)
-    product = xs[0].ring_constant(1)
+    product = xs[0].constant(1)
     for x in xs:
         product = product * -_exp_minus_one(x, depth)
-    return product
+    return product.polynomial()
 
 
 def _borel_serre_in_roots(g: int, depth: int) -> bool:
     # independent route: prod_i (1 - e^{x_i}) * Td == (-1)^g x1...xg, expanded
-    # by the generic multiply in the root ring
-    lhs = _one_minus_exp_product(g, depth)
+    # by the oracle's multiply in the root ring
+    lhs = RingElement.of(_one_minus_exp_product(g, depth))
     target = GradedPolynomial(lhs.names, lhs.weights, depth, {(1,) * g: (-1) ** g})
     return lhs * todd_class(g, depth) == target
 
@@ -615,7 +643,7 @@ def test_power_sums_match_symmetric_reduction() -> None:
             power_sum = xs[0] ** m
             for x in xs[1:]:
                 power_sum = power_sum + x**m
-            assert _class_poly([p[m]], g, depth) == symmetric_reduce(power_sum).output
+            assert _class_poly([p[m]], g, depth) == symmetric_reduce(power_sum.polynomial()).output
 
 
 def test_mutated_todd_coefficient_is_rejected_by_both_routes(monkeypatch) -> None:
@@ -760,8 +788,7 @@ def test_class_ring_checks_build_no_graded_polynomial(monkeypatch) -> None:
     def refuse(*args, **kwargs):
         raise AssertionError("GradedPolynomial used")
 
-    for name in ("__init__", "__mul__", "__rmul__"):
-        monkeypatch.setattr(GradedPolynomial, name, refuse)
+    monkeypatch.setattr(GradedPolynomial, "__init__", refuse)
     monkeypatch.setattr(GradedPolynomial, "_raw", classmethod(refuse))
     for g in range(1, 9):
         assert borel_serre_check(g, 2 * g)
@@ -792,10 +819,10 @@ def test_fundamental_relations_frozen_g2() -> None:
 
 
 def test_fundamental_relations_match_direct_expansion() -> None:
-    # (1 + sum l_i)(1 + sum (-1)^i l_i) - 1, expanded in the test by hand
+    # (1 + sum l_i)(1 + sum (-1)^i l_i) - 1, expanded in the oracle's ring
     g = 3
     ls = class_variables(g, 2 * g, symbol="l")
-    one = ls[0].ring_constant(1)
+    one = ls[0].constant(1)
     plus = one
     minus = one
     for i, v in enumerate(ls, start=1):
@@ -805,10 +832,10 @@ def test_fundamental_relations_match_direct_expansion() -> None:
     components = fundamental_relations(g, 2 * g)
     assert len(components) == 2 * g
     for d, comp in enumerate(components, start=1):
-        assert comp == expected.homogeneous_component(d)
+        assert comp == expected.component(d)
     # odd-degree components vanish
     for d in (1, 3, 5):
-        assert components[d - 1].is_zero()
+        assert components[d - 1].terms == {}
     assert components[3].render() == "-2*l1*l3 + l2^2"
     assert components[5].render() == "-l3^2"
     assert [comp.render() for comp in components] == [

@@ -129,7 +129,7 @@ def test_record_is_frozen(name: str) -> None:
     assert repr(rec) == before
 
 
-POLYNOMIALS = [root_variables(2, 3)[0] * 3 + 1, ModPPolynomial(5, [1, 2, 3])]
+POLYNOMIALS = [(root_variables(2, 3)[0] * 3 + 1).polynomial(), ModPPolynomial(5, [1, 2, 3])]
 
 
 @pytest.mark.parametrize("poly", POLYNOMIALS, ids=lambda p: type(p).__name__)
@@ -144,21 +144,12 @@ def test_polynomial_is_an_immutable_record(poly) -> None:
     assert str(poly) == before
 
 
-def test_cached_polynomial_survives_a_refused_delete() -> None:
-    # a homogeneous component shares its source's packed components
-    source = elementary_symmetric(3, 2, 4)
-    part = source.homogeneous_component(2)
-    with pytest.raises(AttributeError):
-        del part._comps
-    assert part.render() == source.render() == "x1*x2 + x1*x3 + x2*x3"
-
-
 def test_polynomial_hashing() -> None:
     assert hash(ModPPolynomial(5, [1, 2])) == hash((5, (1, 2)))
     assert hash(ModPPolynomial(5, [6, 7, 0])) == hash(ModPPolynomial(5, [1, 2]))
     assert GradedPolynomial.__hash__ is None
     with pytest.raises(TypeError):
-        hash(elementary_symmetric(3, 2, 4))
+        hash(elementary_symmetric(3, 2, 4).polynomial())
 
 
 def test_prime_local_order_still_validates() -> None:

@@ -211,7 +211,7 @@ _VALID_ARGUMENTS = {"truncation": 3, "depth": 3, "max_degree": 1, "n": 6, "p": 5
 
 
 def test_g_function_list_is_complete() -> None:
-    assert len(G_FUNCTIONS) == 20 and "product_identity_tail_is_trivial" in G_FUNCTIONS
+    assert len(G_FUNCTIONS) == 19 and "product_identity_tail_is_trivial" in G_FUNCTIONS
     assert {"lambda_star_class", "koblitz_coefficient", "proportionality"} <= set(G_FUNCTIONS)
 
 
