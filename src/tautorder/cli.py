@@ -3,7 +3,10 @@
 Every command accepts --format text|json|csv.  All output is exact: integers
 are rendered as decimal strings, rationals as num/den (text, csv) or
 {"num": ..., "den": ...} objects (json), and no float is ever produced.
-JSON output is byte-deterministic (sorted keys, fixed separators).
+JSON output is byte-deterministic: byte for byte json.dumps(envelope,
+sort_keys=True, indent=2) plus a newline.  CSV output is byte for byte what
+csv.writer writes with a "\n" line terminator: a field is quoted, with each '"'
+doubled, exactly when it holds ',', '"' or a newline.
 
 Arguments follow the command in any order: options by their full names,
 integers as ASCII digits with an optional leading "-".  -h or --help prints help.
@@ -190,17 +193,68 @@ def _flatten(payload, prefix: str = "") -> list[tuple[str, str]]:
     return [row for key, value in items for row in _flatten(value, key)]
 
 
+# json and csv load re and enum, which a call that builds no Fraction never needs
+# otherwise; so the two formats are written here, to their modules' bytes
+_JSON_ESCAPES = {c: "\\" + e for c, e in zip('"\\\b\f\n\r\t', '"\\bfnrt')}  # the short escapes
+
+
+def _json_char(c: str) -> str:
+    if c in _JSON_ESCAPES:
+        return _JSON_ESCAPES[c]
+    if " " <= c <= "~":
+        return c
+    n = ord(c)
+    if n > 0xFFFF:  # a surrogate pair
+        n -= 0x10000
+        return f"\\u{0xD800 | n >> 10:04x}\\u{0xDC00 | n & 0x3FF:04x}"
+    return f"\\u{n:04x}"
+
+
+def _json_string(s: str) -> str:
+    """s quoted as json.dumps quotes it with ensure_ascii."""
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return f'"{s}"'
+    return '"' + "".join(map(_json_char, s)) + '"'
+
+
+def _json(value, newline: str = "\n") -> str:
+    """A payload (dicts with str keys, lists, str, bool, None) as
+    json.dumps(value, sort_keys=True, indent=2) writes it."""
+    if isinstance(value, str):
+        return _json_string(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    inner = newline + "  "
+    if isinstance(value, dict):
+        brackets = "{}"
+        items = [f"{_json_string(k)}: {_json(v, inner)}" for k, v in sorted(value.items())]
+    else:
+        brackets, items = "[]", [_json(v, inner) for v in value]
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
+
+
+def _csv_field(field: str) -> str:
+    # Python 3.11's minimal quoting, with "\n" the line terminator; it leaves "\r" bare
+    if "," in field or '"' in field or "\n" in field:
+        return '"' + field.replace('"', '""') + '"'
+    return field
+
+
+def _csv(pairs) -> str:
+    """(key, value) rows of text as csv.writer(out, lineterminator="\n") writes them."""
+    return "".join(f"{_csv_field(key)},{_csv_field(value)}\n" for key, value in pairs)
+
+
 def _render(envelope: dict) -> str:
     fmt, result = envelope["format"], envelope["result"]
     if fmt == "json":
-        import json
-        return json.dumps(envelope, sort_keys=True, indent=2) + "\n"
+        return _json(envelope) + "\n"
     if fmt == "csv":
-        import csv
-        import io
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(_flatten(result))
-        return buf.getvalue()
+        return _csv(_flatten(result))
     if envelope["command"] == "verify":
         lines = [
             f"PASS {c['name']}" if c["ok"] else f"FAIL {c['name']} ({c['detail']})"

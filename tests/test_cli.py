@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import io
 import json
 import os
@@ -9,8 +10,10 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from tautorder.cli import run
+from tautorder.cli import _csv, _json, run
 from tautorder.torsion_orders import NG_CROSS_CHECK
 from tautorder.verify import run_suite
 
@@ -298,20 +301,60 @@ def test_closed_stdout_exits_one_without_traceback(argv: list[str], tmp_path) ->
     assert stderr == ""
 
 
+# the stdlib encoders are the oracle of cli's own: json and csv are imported only here
+_encoder_settings = settings(max_examples=150, derandomize=True, database=None, deadline=None)
+
+# every kind of character an encoder tells apart: the short json escapes, other
+# control characters, U+007F, non-ASCII and astral characters, lone surrogates,
+# and the three that csv quotes for, beside "\r", which it leaves bare
+_TRICKY = '"\\\b\f\n\r\t\x00\x1f\x7f\x80\xe9\u2028\ud800\udfff\uffff\U0001f600\U0010ffff,az ~'
+_text = st.lists(st.one_of(st.sampled_from(_TRICKY), st.characters()), max_size=6).map("".join)
+_trees = st.recursive(
+    st.one_of(st.none(), st.booleans(), _text),
+    lambda kids: st.one_of(st.lists(kids, max_size=4), st.dictionaries(_text, kids, max_size=4)),
+    max_leaves=12,
+)
+
+
+@_encoder_settings
+@given(tree=_trees)
+@example(tree={"": [], "b": {}, '"\\': ["\x00\x1f\x7f", "\xe9\U0001f600", "\ud800", True, None]})
+def test_json_encoder_matches_the_stdlib(tree) -> None:
+    assert _json(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+
+def test_json_encoder_matches_the_stdlib_on_a_large_envelope() -> None:
+    code, text = _run(["prop", "300", "--format", "json"])
+    assert code == 0 and len(text) > 200000
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+@_encoder_settings
+@given(rows=st.lists(st.tuples(_text, _text), max_size=5))
+@example(rows=[("", ""), ("a,b", 'say "x"'), ("two\nlines", "cr\r")])
+def test_csv_encoder_matches_the_stdlib(rows: list[tuple[str, str]]) -> None:
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    assert _csv(rows) == out.getvalue()
+
+
 def test_cold_import_loads_only_what_a_call_uses() -> None:
     # module names, not timings, so this cannot flake on a busy machine:
-    # dataclasses brings inspect, ast and dis; json and csv load only for their
-    # own --format; the cache and sieve locks come from _thread, not threading;
-    # run lifts the digit limit in its own try/finally, not through contextlib.
-    # fractions (with decimal, numbers and re) loads only where a Fraction is
-    # built; the one argv parser needs no argparse (with gettext and re), not even
-    # for help or a usage error; json and csv import re themselves, so only text
-    # calls, help and usage errors are held to that
+    # dataclasses brings inspect, ast and dis; the cache and sieve locks come from
+    # _thread, not threading; run lifts the digit limit in its own try/finally, not
+    # through contextlib.  fractions (with decimal, numbers and re) loads only where
+    # a Fraction is built; the one argv parser needs no argparse (with gettext and
+    # re), not even for help or a usage error; cli writes json and csv itself, so
+    # no call loads those modules, nor the re and enum they bring, and a call that
+    # builds no Fraction loads no re in any format
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     probe = (
         "import io, sys, tautorder.cli\n"
         "print(' '.join(sorted(sys.modules)))\n"
-        "for argv in (['ng', '12'], ['hurwitz', '3', '2'], ['-h'], ['ng', '--help']):\n"
+        "calls = [['ng', '12'], ['hurwitz', '3', '2'], ['sp-order', '2', '3'],\n"
+        "         ['verify', 'newton']]\n"
+        "calls += [argv + ['--format', fmt] for argv in calls for fmt in ('json', 'csv')]\n"
+        "for argv in calls + [['-h'], ['ng', '--help']]:\n"
         "    assert tautorder.cli.run(argv, out=io.StringIO()) == 0\n"
         "for argv in ([], ['ng'], ['ng', '+3'], ['ng', '3', '--form', 'json']):\n"
         "    assert tautorder.cli.run(argv, out=io.StringIO()) == 1\n"
@@ -326,7 +369,8 @@ def test_cold_import_loads_only_what_a_call_uses() -> None:
     engine = {f"tautorder.{path.stem}" for path in Path(src, "tautorder").glob("*.py")}
     engine.discard("tautorder.__init__")
     assert len(engine) == 8 and engine <= imported, sorted(engine - imported)
-    unused = {"dataclasses", "inspect", "ast", "dis", "json", "csv", "threading", "contextlib"}
+    unused = {"dataclasses", "inspect", "ast", "dis", "threading", "contextlib"}
+    unused |= {"json", "csv", "enum"}
     lazy = {"fractions", "decimal", "numbers", "argparse", "gettext", "re"}
     assert imported.isdisjoint(unused | lazy), sorted(imported & (unused | lazy))
     assert after_calls.isdisjoint(unused | lazy), sorted(after_calls & (unused | lazy))

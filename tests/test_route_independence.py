@@ -15,8 +15,13 @@ from pathlib import Path
 import tautorder
 
 # each pair computes one headline value two ways: n_g (the local rule and the gcd
-# oracle), and the exterior-power identity (its Chern side and its Todd side)
-PAIRS = [("ng_local", "ng_oracle"), ("_lambda_quotient", "_todd_scaled")]
+# oracle), the exterior-power identity (its Chern side and its Todd side), and the
+# denominator of B_m (the exact Bernoulli number and the von Staudt-Clausen rule)
+PAIRS = [
+    ("ng_local", "ng_oracle"),
+    ("_lambda_quotient", "_todd_scaled"),
+    ("bernoulli", "von_staudt_denominator"),
+]
 ALLOWED = {
     "_check_positive": "the input rules, raised before either route computes",
     "_check_nonnegative": "the input rules, raised before either route computes",

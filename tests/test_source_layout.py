@@ -3,8 +3,9 @@ line count of src/ cannot fall just by packing lines together; and the package
 reads no environment variable, so a call's answer depends on its arguments alone.
 The single-value input rules are raised from exact_arith alone.  The modules a
 cold call does not need are imported inside the functions that use them, and
-argparse not at all: the command line has one parser of its own.  Products go
-through exact_arith._product, so math.prod is not imported."""
+argparse, json and csv not at all: the command line has one parser and writes
+its json and csv itself.  Products go through exact_arith._product, so math.prod
+is not imported."""
 from __future__ import annotations
 
 import ast
@@ -81,7 +82,7 @@ def test_no_module_level_import_of_what_a_cold_call_avoids() -> None:
 
 
 def test_no_source_imports_argparse() -> None:
-    # anywhere, inside functions too
+    # anywhere, inside functions too; nor json or csv, which bring re and enum
     imports = [
         (path.name, name.split(".")[0])
         for path in SRC.glob("*.py")
@@ -90,7 +91,8 @@ def test_no_source_imports_argparse() -> None:
         for name in ([a.name for a in node.names] if isinstance(node, ast.Import) else [node.module or ""])
     ]
     assert len(imports) > 20
-    assert [(path, module) for path, module in imports if module == "argparse"] == []
+    forbidden = {"argparse", "json", "csv"}
+    assert [(path, module) for path, module in imports if module in forbidden] == []
 
 
 def test_no_source_imports_prod_from_math() -> None:
