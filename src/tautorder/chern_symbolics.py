@@ -55,7 +55,7 @@ from itertools import accumulate, combinations
 from math import comb, factorial, lcm, perm
 
 from .bernoulli_zeta import todd_inverse_series
-from .exact_arith import _Record, _check_nonnegative, _check_positive
+from .exact_arith import _Record, _check_nonnegative, _check_positive, _is_rational
 
 __all__ = [
     "GradedPolynomial",
@@ -113,8 +113,10 @@ class GradedPolynomial(_Record):
 
     A result record with no arithmetic: the functions of this module return
     one, and nothing multiplies it.  Coefficients are exact (int or Fraction,
-    freely mixed).  The private `_comps[d]` holds the packed monomials of
-    degree d; `terms` is the same data by exponent tuples, fresh on each read.
+    freely mixed), and weights, exponents and the truncation are ints; any
+    other type is refused with TypeError.  The private `_comps[d]` holds the
+    packed monomials of degree d; `terms` is the same data by exponent tuples,
+    fresh on each read.
     """
 
     names: tuple[str, ...]
@@ -123,21 +125,25 @@ class GradedPolynomial(_Record):
     _comps: list
 
     def __init__(self, names, weights, truncation, terms):
-        names = tuple(names)
-        weights = tuple(int(w) for w in weights)
+        names, weights = tuple(names), tuple(weights)
         if len(names) != len(weights):
             raise ValueError("names and weights must align")
+        if not all(isinstance(w, int) for w in weights):
+            raise TypeError("weights must be ints")
         if any(w < 1 for w in weights):
             raise ValueError("weights must be positive")
         _check_nonnegative("truncation", truncation)
-        truncation = int(truncation)
         comps = [{} for _ in range(truncation + 1)]
         for mon, coeff in dict(terms).items():
-            mon = tuple(int(e) for e in mon)
+            mon = tuple(mon)
             if len(mon) != len(names):
                 raise ValueError("exponent vector length mismatch")
+            if not all(isinstance(e, int) for e in mon):
+                raise TypeError("exponents must be ints")
             if any(e < 0 for e in mon):
                 raise ValueError("exponents must be nonnegative")
+            if not _is_rational(coeff):
+                raise TypeError(f"coefficients must be int or Fraction, not {type(coeff).__name__}")
             degree = sum(e * w for e, w in zip(mon, weights))
             if coeff != 0 and degree <= truncation:
                 comps[degree][_pack(mon, truncation + 1)] = coeff

@@ -1,14 +1,15 @@
 """Exact scalar arithmetic and small prime utilities.
 
 Everything downstream is exact: rationals are `fractions.Fraction`, integers
-are Python ints.  No float ever enters or leaves this package, and only a
-function that builds a `Fraction` imports `fractions`.  `is_prime`
-trial-divides by the sieve's primes up to 1000, which alone decides every n
-below 997^2, and runs deterministic Miller-Rabin with the twelve prime bases
-2..37 beyond that.  `primes_upto` and `primes_above` read one process-wide
-sieve of Eratosthenes that grows by doubling and never shrinks, so the torsion
-tables, which ask for primes up to 2g+1 once per table, and the gcd oracle
-sieve once instead of testing every candidate.
+are Python ints.  No float ever enters or leaves this package: the input rules
+below refuse any integer parameter that is not an int, and only a function
+that builds a `Fraction` imports `fractions`.  `is_prime` trial-divides by the
+sieve's primes up to 1000, which alone decides every n below 997^2, and runs
+deterministic Miller-Rabin with the twelve prime bases 2..37 beyond that.
+`primes_upto` and `primes_above` read one process-wide sieve of Eratosthenes
+that grows by doubling and never shrinks, so the torsion tables, which ask for
+primes up to 2g+1 once per table, and the gcd oracle sieve once instead of
+testing every candidate.
 
 `factorize`, for both `ng_local` and `sp_order`, splits cofactors past 1000 by Pollard's
 rho in Brent's form (BIT 1975; BIT 1980): about n^(1/4) steps, 3*10^4 for two primes near 10^9.
@@ -73,18 +74,24 @@ def _miller_rabin(n: int) -> bool:
     return True
 
 
-# The package's three single-value input rules, each raised from here alone.
+# The package's three single-value input rules, raised from here alone; each refuses a non-int.
 def _check_positive(name: str, value: int) -> None:
+    if not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, not {type(value).__name__}")
     if value < 1:
         raise ValueError(f"{name} must be positive")
 
 
 def _check_nonnegative(name: str, value: int) -> None:
+    if not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, not {type(value).__name__}")
     if value < 0:
         raise ValueError(f"{name} must be nonnegative")
 
 
-def _check_prime(p: int) -> None:
+def _check_prime(name: str, p: int) -> None:
+    if not isinstance(p, int):
+        raise TypeError(f"{name} must be an int, not {type(p).__name__}")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
 
@@ -134,7 +141,7 @@ class PrimeLocalOrder(_Record):
     exponent: int
 
     def __init__(self, prime: int, exponent: int) -> None:
-        _check_prime(prime)
+        _check_prime("prime", prime)
         _check_nonnegative("exponent", exponent)
         super().__init__(prime, exponent)
 
@@ -149,7 +156,7 @@ def factorial_p_valuation(m: int, p: int) -> int:
     Never forms m! itself.
     """
     _check_nonnegative("m", m)
-    _check_prime(p)
+    _check_prime("p", p)
     total = 0
     q = p
     while q <= m:

@@ -63,5 +63,5 @@ def koblitz_coefficient(g: int, p: int) -> int:
     """prod_{i=1}^{g} (p^i - 1), the multiplicity of the top class on the
     supersingular locus in characteristic p."""
     _check_positive("g", g)
-    _check_prime(p)
+    _check_prime("p", p)
     return _product(p**i - 1 for i in range(1, g + 1))

@@ -142,6 +142,7 @@ def product_identity_tail_is_trivial(g: int) -> bool:
 
 def denominator_corollary_check(g: int) -> bool:
     """Denominator of |proportionality constant| divides prod_{i<=g} n_i."""
+    _check_positive("g", g)
     return _product(_ng_values(g)) % proportionality(g).absolute_value.denominator == 0
 
 

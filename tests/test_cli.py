@@ -126,6 +126,13 @@ def test_domain_errors_exit_one_with_message(capsys: pytest.CaptureFixture) -> N
     code, text = _run(["ng", "0", "--oracle"])
     assert (code, text) == (1, "")
     assert capsys.readouterr().err == "tautorder: error: g must be positive\n"
+    # an OverflowError (an ArithmeticError) from an index past sys.maxsize ends in one line
+    huge = str(10**20)
+    for argv in (["ng", huge, "--oracle"], ["bernoulli", huge], ["zeta", huge], ["boundary", huge]):
+        code, text = _run(argv)
+        assert (code, text) == (1, ""), argv
+        err = capsys.readouterr().err
+        assert err.startswith("tautorder: error: ") and err.count("\n") == 1 and err.endswith("\n"), argv
 
 
 def test_oracle_route_reports_parameters() -> None:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import random
 from fractions import Fraction
 from math import gcd
@@ -14,7 +15,7 @@ from cyclotomic_oracle import (
     rational_det,
     twist_numerator,
 )
-from tautorder import finite_field_checks, verify
+from tautorder import cli, finite_field_checks, verify
 from tautorder.finite_field_checks import (
     ModPPolynomial,
     cyclotomic_chern_check,
@@ -533,7 +534,7 @@ def test_pairing_past_the_old_rank_cap(l: int, k: int) -> None:
         assert r.quoted_exponent_determinant == 3**28
 
 
-def test_non_integral_entry_raises(monkeypatch: pytest.MonkeyPatch) -> None:
+def test_non_integral_entry_is_reported(monkeypatch: pytest.MonkeyPatch) -> None:
     trace = finite_field_checks._zeta_power_trace
 
     def off_by_one(l: int, k: int, m: int) -> int:
@@ -541,5 +542,10 @@ def test_non_integral_entry_raises(monkeypatch: pytest.MonkeyPatch) -> None:
 
     monkeypatch.setattr(finite_field_checks, "_zeta_power_trace", off_by_one)
     assert finite_field_checks._pairing_gram(3, 2)[1] is False
-    with pytest.raises(ArithmeticError, match="integral"):
-        symplectic_pairing_check(3, 2)
+    assert symplectic_pairing_check(3, 2).integral is False
+    # the violated identity is a FAIL row of `verify symplectic`, not a crash
+    out = io.StringIO()
+    assert cli.run(["verify", "symplectic"], out=out) == 2
+    rows = out.getvalue().splitlines()
+    assert "FAIL symplectic l=3 k=2 (rank 6; det 1; integral False; skew False; invariant False)" in rows
+    assert rows[-1] == "0 passed, 4 failed"

@@ -3,9 +3,12 @@ from __future__ import annotations
 import ast
 import importlib
 import pkgutil
+import types
 import typing
 from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 import tautorder
 
@@ -22,21 +25,28 @@ def test_every_submodule_exports_only_names_it_defines() -> None:
         assert not missing, f"tautorder.{name}.__all__ names {missing}, which it does not define"
 
 
-def test_package_reexports_only_public_names() -> None:
-    # every `from .submodule import name` in tautorder/__init__.py must name
-    # something in that submodule's __all__
-    tree = ast.parse(Path(tautorder.__file__).read_text())
-    imports = [
-        node for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
-    ]
-    assert imports
-    for node in imports:
-        public = importlib.import_module(f"tautorder.{node.module}").__all__
-        stray = [alias.name for alias in node.names if alias.name not in public]
-        assert not stray, f"tautorder re-exports {stray}, not in tautorder.{node.module}.__all__"
-        for alias in node.names:
-            assert hasattr(tautorder, alias.asname or alias.name)
+def test_package_exports_exactly_the_union_of_module_all() -> None:
+    # tautorder/__init__.py star-imports every submodule but cli, so each module's
+    # __all__ is the one list of public names; nothing else may leak into the package
+    # (a stray `from __future__ import annotations` binds `annotations`)
+    exported = {
+        name: value for name, value in vars(tautorder).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    union = {}
+    for name in SUBMODULES:
+        if name != "cli":
+            module = importlib.import_module(f"tautorder.{name}")
+            union.update((attr, getattr(module, attr)) for attr in module.__all__)
+    assert exported == union
+
+
+def test_version_matches_pyproject() -> None:
+    # the version is stated twice, here and in pyproject.toml; tomllib is 3.11+
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(tautorder.__file__).resolve().parents[2] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
+    assert tautorder.__version__ == project["version"]
 
 
 def test_every_public_annotation_resolves() -> None:
@@ -64,7 +74,7 @@ def _uses(node: ast.AST, enclosing: frozenset = frozenset()):
 
 def test_every_public_name_has_a_caller() -> None:
     # a name in a submodule's __all__ must be read somewhere in src/ or bench/ outside
-    # its own def or class; __all__ strings and the package's re-exports are no Name
+    # its own def or class; __all__ strings and the package's star imports are no Name
     root = Path(tautorder.__file__).resolve().parent
     files = sorted(root.glob("*.py")) + sorted((root.parents[1] / "bench").glob("*.py"))
     assert len(files) > len(SUBMODULES)

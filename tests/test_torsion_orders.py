@@ -9,7 +9,8 @@ from math import factorial, gcd, prod
 import pytest
 
 from tautorder.bernoulli_zeta import bernoulli, proportionality, zeta_neg
-from tautorder import bernoulli_zeta, chern_symbolics, exact_arith, group_orders, torsion_orders
+from tautorder import bernoulli_zeta, chern_symbolics, exact_arith, finite_field_checks, group_orders
+from tautorder import torsion_orders
 from tautorder.exact_arith import is_prime, primes_upto
 from tautorder.torsion_orders import (
     NG_CROSS_CHECK,
@@ -224,6 +225,45 @@ def test_every_g_function_refuses_nonpositive_g(name: str, g: int) -> None:
     function(2, *others)  # the other arguments are valid
     with pytest.raises(ValueError, match="g must be positive"):
         function(g, *others)
+
+
+@pytest.mark.parametrize("name", G_FUNCTIONS)
+@pytest.mark.parametrize("g", [2.0, Fraction(2)], ids=["float", "Fraction"])
+def test_every_g_function_refuses_a_non_integer_g(name: str, g: object) -> None:
+    # an integral float or Fraction is refused too: no float enters the package
+    function = G_FUNCTIONS[name]
+    later = list(inspect.signature(function).parameters.values())[1:]
+    others = [_VALID_ARGUMENTS[p.name] for p in later if p.default is p.empty]
+    with pytest.raises(TypeError, match=f"^g must be an int, not {type(g).__name__}$"):
+        function(g, *others)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ng_local(6.0), "g must be an int, not float"),
+        (lambda: group_orders.koblitz_coefficient(2, 3.0), "p must be an int, not float"),
+        (lambda: group_orders.sp_order(1, 3.0), "n must be an int, not float"),
+        (lambda: finite_field_checks.hurwitz_genus(3, 2.0), "k must be an int, not float"),
+        (lambda: finite_field_checks.hurwitz_genus(3.0, 2), "l must be an int, not float"),
+        (lambda: finite_field_checks.ModPPolynomial(5.0, [1]), "modulus must be an int, not float"),
+        (lambda: exact_arith.PrimeLocalOrder(3.0, 1), "prime must be an int, not float"),
+        (lambda: exact_arith.PrimeLocalOrder(3, Fraction(1)), "exponent must be an int, not Fraction"),
+        (lambda: exact_arith.factorial_p_valuation(6, 2.0), "p must be an int, not float"),
+        (lambda: exact_arith.factorize(12.0), "n must be an int, not float"),
+        (lambda: bernoulli(4.0), "index must be an int, not float"),
+        (lambda: chern_symbolics.GradedPolynomial(("x",), (1.5,), 2, {}), "weights must be ints"),
+        (lambda: chern_symbolics.GradedPolynomial(("x",), (1,), 2.5, {}),
+         "truncation must be an int, not float"),
+        (lambda: chern_symbolics.GradedPolynomial(("x",), (1,), 2, {(1.9,): 1}),
+         "exponents must be ints"),
+        (lambda: chern_symbolics.GradedPolynomial(("x",), (1,), 2, {(1,): 0.5}),
+         "coefficients must be int or Fraction, not float"),
+    ],
+)
+def test_non_integer_arguments_are_refused(call, message: str) -> None:
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        call()
 
 
 def test_oracle_agrees_with_local_rule() -> None:
