@@ -97,13 +97,10 @@ def bernoulli_table(max_index: int) -> BernoulliTable:
 
 def von_staudt_denominator(m: int) -> int:
     """Product of the primes p with (p-1) | m; the denominator of B_m for even m."""
-    if m <= 0 or m % 2:
+    _check_positive("m", m)
+    if m % 2:
         raise ValueError("defined for positive even m")
-    out = 1
-    for p in primes_upto(m + 1):
-        if m % (p - 1) == 0:
-            out *= p
-    return out
+    return _product(p for p in primes_upto(m + 1) if m % (p - 1) == 0)
 
 
 def zeta_neg(g: int) -> Fraction:

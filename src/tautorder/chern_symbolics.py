@@ -50,12 +50,11 @@ compares g!^2 in degree g, and reads e_g(z) before its one division by g!.
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import accumulate, combinations
 from math import comb, factorial, lcm, perm
 
 from .bernoulli_zeta import todd_inverse_series
-from .exact_arith import _Record, _check_nonnegative, _check_positive, _is_rational
+from .exact_arith import _Record, _check_int, _check_nonnegative, _check_positive, _is_rational
 
 __all__ = [
     "GradedPolynomial",
@@ -128,20 +127,16 @@ class GradedPolynomial(_Record):
         names, weights = tuple(names), tuple(weights)
         if len(names) != len(weights):
             raise ValueError("names and weights must align")
-        if not all(isinstance(w, int) for w in weights):
-            raise TypeError("weights must be ints")
-        if any(w < 1 for w in weights):
-            raise ValueError("weights must be positive")
+        for w in weights:
+            _check_positive("weight", w)
         _check_nonnegative("truncation", truncation)
         comps = [{} for _ in range(truncation + 1)]
         for mon, coeff in dict(terms).items():
             mon = tuple(mon)
             if len(mon) != len(names):
                 raise ValueError("exponent vector length mismatch")
-            if not all(isinstance(e, int) for e in mon):
-                raise TypeError("exponents must be ints")
-            if any(e < 0 for e in mon):
-                raise ValueError("exponents must be nonnegative")
+            for e in mon:
+                _check_nonnegative("exponent", e)
             if not _is_rational(coeff):
                 raise TypeError(f"coefficients must be int or Fraction, not {type(coeff).__name__}")
             degree = sum(e * w for e, w in zip(mon, weights))
@@ -199,12 +194,16 @@ class GradedPolynomial(_Record):
 # -- symmetric function machinery ------------------------------------------
 
 
-@lru_cache(maxsize=None)
+_elementary: dict = {}  # (g, exps, radix) -> _elementary_monomial's entry; it only grows
+
+
 def _elementary_monomial(g: int, exps: tuple, radix: int) -> dict:
     # the packed component of e_1^a_1 ... e_g^a_g in x1..xg, exps the a_i, one
     # factor at a time in a loop: a recursion on the entry with one factor fewer
     # nests sum_i a_i calls, past the interpreter's limit by x1^500.  Callers
     # only read the entry.
+    if (g, exps, radix) in _elementary:
+        return _elementary[g, exps, radix]
     out = {0: 1}
     for i, a in enumerate(exps, start=1):
         if not a:
@@ -214,7 +213,7 @@ def _elementary_monomial(g: int, exps: tuple, radix: int) -> dict:
             acc: dict = {}
             _mul_into(acc, out, e_i, 1)
             out = acc
-    return out
+    return _elementary.setdefault((g, exps, radix), out)
 
 
 class SymmetricReduction(_Record):
@@ -307,6 +306,7 @@ def lambda_star_class(g: int, depth: int) -> GradedPolynomial:
     Vanishes in degrees 1..g-1 by construction; the degree-g term is -(g-1)! c_g.
     """
     _check_positive("g", g)
+    _check_int("depth", depth)
     if depth < g:
         raise ValueError("depth must reach g: the degree-g coefficient is the payload")
     # n! ch_n = (-1)^g c_g q[n - g] / g!, exactly, and zero below degree g: q[m]
@@ -452,6 +452,7 @@ def fundamental_relations(g: int, max_degree: int) -> list[GradedPolynomial]:
     Each component is a relation; the odd ones vanish identically.
     """
     _check_positive("g", g)
+    _check_int("max_degree", max_degree)
     if not 1 <= max_degree <= 2 * g:
         raise ValueError("max_degree must lie in 1..2g")
     # degree d is sum_{i+j=d} (-1)^j l_i l_j with l_0 = 1, on packed monomials

@@ -16,7 +16,6 @@ verify suite found a violated identity.
 """
 from __future__ import annotations
 
-import os
 import sys
 
 from .bernoulli_zeta import bernoulli, proportionality, zeta_neg
@@ -303,6 +302,7 @@ def main() -> None:
     except BrokenPipeError:
         # the reader closed stdout; send the interpreter's final flush to
         # devnull so it raises nothing either (the recipe in the signal docs)
+        import os
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
     sys.exit(code)

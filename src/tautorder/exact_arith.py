@@ -47,6 +47,7 @@ def is_prime(n: int) -> bool:
     A composite is recognised at any size; a probable prime at or beyond
     _MR_LIMIT, where the bases prove nothing, raises ValueError.
     """
+    _check_int("n", n)
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -74,24 +75,27 @@ def _miller_rabin(n: int) -> bool:
     return True
 
 
-# The package's three single-value input rules, raised from here alone; each refuses a non-int.
-def _check_positive(name: str, value: int) -> None:
+# The package's input rules, raised from here alone: the type rule, and three
+# single-value rules that call it first.
+def _check_int(name: str, value: int) -> None:
     if not isinstance(value, int):
         raise TypeError(f"{name} must be an int, not {type(value).__name__}")
+
+
+def _check_positive(name: str, value: int) -> None:
+    _check_int(name, value)
     if value < 1:
         raise ValueError(f"{name} must be positive")
 
 
 def _check_nonnegative(name: str, value: int) -> None:
-    if not isinstance(value, int):
-        raise TypeError(f"{name} must be an int, not {type(value).__name__}")
+    _check_int(name, value)
     if value < 0:
         raise ValueError(f"{name} must be nonnegative")
 
 
 def _check_prime(name: str, p: int) -> None:
-    if not isinstance(p, int):
-        raise TypeError(f"{name} must be an int, not {type(p).__name__}")
+    _check_int(name, p)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
 
@@ -168,6 +172,7 @@ def factorial_p_valuation(m: int, p: int) -> int:
 def primes_above(bound: int, count: int) -> list[int]:
     """First `count` primes strictly greater than `bound`, ascending, read from
     the shared sieve, which doubles until it holds that many."""
+    _check_int("bound", bound)
     _check_nonnegative("count", count)
     limit, primes = _sieve
     while True:
@@ -201,6 +206,7 @@ def _grow_sieve(bound: int) -> tuple[int, list[int]]:
 
 def primes_upto(bound: int) -> list[int]:
     """All primes p <= bound, ascending, as a fresh list the caller may keep."""
+    _check_int("bound", bound)
     limit, primes = _sieve
     if bound > limit:
         _, primes = _grow_sieve(bound)

@@ -9,7 +9,7 @@ p^{(k-1)g(2g+1)}, and #Sp(2g, F_p) = p^{g^2} prod_{i=1}^{g} (p^{2i}-1).
 from __future__ import annotations
 
 from .bernoulli_zeta import proportionality
-from .exact_arith import _Record, _check_positive, _check_prime, _product, factorize
+from .exact_arith import _Record, _check_int, _check_positive, _check_prime, _product, factorize
 
 __all__ = [
     "SpOrderResult",
@@ -35,6 +35,7 @@ class SpOrderResult(_Record):
 def sp_order(g: int, n: int) -> SpOrderResult:
     """#Sp(2g, Z/n), multiplicative over the prime powers in n."""
     _check_positive("g", g)
+    _check_int("n", n)
     if n < 2:
         raise ValueError("n must be at least 2")
     local = {p: _local_order(g, p, k) for p, k in factorize(n).items()}
@@ -53,6 +54,7 @@ def degree_integrality(g: int, n: int) -> DegreeIntegralityReport:
 
     Claimed integral only once the level rigidifies, hence the n >= 3 gate.
     """
+    _check_int("n", n)
     if n < 3:
         raise ValueError("integrality only claimed for n >= 3")
     degree = sp_order(g, n).order * proportionality(g).absolute_value

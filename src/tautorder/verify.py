@@ -19,7 +19,7 @@ from .chern_symbolics import (
     lambda_star_class,
     newton_special_case,
 )
-from .exact_arith import _Record
+from .exact_arith import _Record, _check_positive
 from .finite_field_checks import cyclotomic_chern_check, hurwitz_genus, symplectic_pairing_check
 from .group_orders import degree_integrality
 from .torsion_orders import (
@@ -185,8 +185,8 @@ def run_suite(name: str, max_g: "int | None" = None) -> list[CheckResult]:
 
     An override below 1 is refused: it would select no case and pass vacuously.
     """
-    if max_g is not None and max_g < 1:
-        raise ValueError(f"max_g must be at least 1, got {max_g}")
+    if max_g is not None:
+        _check_positive("max_g", max_g)
     if name == "all":
         # one call per suite, so a caller tracing run_suite sees each suite
         return [c for sub in _SUITES for c in run_suite(sub, max_g)]

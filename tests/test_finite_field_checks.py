@@ -39,8 +39,8 @@ PAIRING_CASES = [(3, 1), (5, 1), (7, 1), (3, 2)]
 def test_modp_polynomial_basics() -> None:
     p = ModPPolynomial(5, [1, 2, 3])
     assert str(p) == "1 + 2*x + 3*x^2"
-    assert p.coefficient(1) == 2
-    assert p.coefficient(7) == 0
+    assert p.coeffs == (1, 2, 3)
+    assert repr(p) == "ModPPolynomial(modulus=5, coeffs=(1, 2, 3))"
     assert ModPPolynomial(5, [0]).coeffs == ()
     assert ModPPolynomial(5, [6, 10]) == ModPPolynomial(5, [1, 0])
 
@@ -104,8 +104,8 @@ def test_cyclotomic_report_flags() -> None:
         assert r.top_degree == l ** (k - 1) * (l - 1)
         assert r.top_coefficient_nonzero
         # the sign-free variant only survives at the even prime
-        assert r.plus_sign_form_matches == (l == 2)
-        assert r.product.coefficient(r.top_degree) == (l - 1) % l
+        assert (r.product == r.plus_sign_form) == (l == 2)
+        assert r.product.coeffs[r.top_degree] == (l - 1) % l
 
 
 def test_faulty_convolve_fails_every_cyclotomic_case(monkeypatch: pytest.MonkeyPatch) -> None:
@@ -446,12 +446,12 @@ def test_pairing_reports_unimodular() -> None:
 def test_pairing_quoted_exponent_comparison() -> None:
     for l, k in ((3, 1), (5, 1), (7, 1)):
         r = symplectic_pairing_check(l, k)
-        assert r.exponent_matches_quoted
+        assert r.exponent == r.quoted_exponent
         assert r.quoted_exponent_determinant is None
     r = symplectic_pairing_check(3, 2)
     assert r.exponent == 9
     assert r.quoted_exponent == 5
-    assert not r.exponent_matches_quoted
+    assert r.exponent != r.quoted_exponent
     assert r.quoted_exponent_determinant == 81
 
 
@@ -460,7 +460,7 @@ def test_quoted_determinant_closed_form_against_bareiss() -> None:
     # matrix: at every pair under the rank cap, and at (3, 3), rank 18, past it
     for l, k in ODD_PAIRS_TO_RANK_16:
         r = symplectic_pairing_check(l, k)
-        if r.exponent_matches_quoted:
+        if r.exponent == r.quoted_exponent:
             assert r.quoted_exponent_determinant is None
         else:
             assert r.quoted_exponent_determinant == rational_det(
@@ -501,7 +501,7 @@ def test_classical_and_small_twist_agree() -> None:
         expected = classical_pairing(l, k)
         assert {name: getattr(r, name) for name in expected} == expected
         assert r.quoted_exponent_determinant == (
-            None if r.exponent_matches_quoted else l ** (r.exponent - r.quoted_exponent)
+            None if r.exponent == r.quoted_exponent else l ** (r.exponent - r.quoted_exponent)
         )
 
 

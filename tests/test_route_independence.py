@@ -23,6 +23,7 @@ PAIRS = [
     ("bernoulli", "von_staudt_denominator"),
 ]
 ALLOWED = {
+    "_check_int": "the input rules, raised before either route computes",
     "_check_positive": "the input rules, raised before either route computes",
     "_check_nonnegative": "the input rules, raised before either route computes",
     "_mul_into": "the class ring's one product kernel; the two sides multiply different series",

@@ -24,6 +24,7 @@ from tautorder.torsion_orders import (
     product_identity_tail_is_trivial,
     torsion_report,
 )
+from tautorder.verify import run_suite
 
 # value and factorisation fixed by hand from the per-prime rules
 NG_TABLE = {
@@ -252,13 +253,30 @@ def test_every_g_function_refuses_a_non_integer_g(name: str, g: object) -> None:
         (lambda: exact_arith.factorial_p_valuation(6, 2.0), "p must be an int, not float"),
         (lambda: exact_arith.factorize(12.0), "n must be an int, not float"),
         (lambda: bernoulli(4.0), "index must be an int, not float"),
-        (lambda: chern_symbolics.GradedPolynomial(("x",), (1.5,), 2, {}), "weights must be ints"),
+        # the ids of these two cases keep the names they had before the
+        # message came from the shared int type rule
+        pytest.param(lambda: chern_symbolics.GradedPolynomial(("x",), (1.5,), 2, {}),
+                     "weight must be an int, not float", id="<lambda>-weights must be ints"),
         (lambda: chern_symbolics.GradedPolynomial(("x",), (1,), 2.5, {}),
          "truncation must be an int, not float"),
-        (lambda: chern_symbolics.GradedPolynomial(("x",), (1,), 2, {(1.9,): 1}),
-         "exponents must be ints"),
+        pytest.param(lambda: chern_symbolics.GradedPolynomial(("x",), (1,), 2, {(1.9,): 1}),
+                     "exponent must be an int, not float", id="<lambda>-exponents must be ints"),
         (lambda: chern_symbolics.GradedPolynomial(("x",), (1,), 2, {(1,): 0.5}),
          "coefficients must be int or Fraction, not float"),
+        (lambda: is_prime(7.5), "n must be an int, not float"),
+        (lambda: is_prime(Fraction(7)), "n must be an int, not Fraction"),
+        (lambda: primes_upto(10.5), "bound must be an int, not float"),
+        (lambda: exact_arith.primes_above(10.5, 3), "bound must be an int, not float"),
+        (lambda: finite_field_checks.ModPPolynomial(5, [1.5]), "coefficient must be an int, not float"),
+        (lambda: finite_field_checks.ModPPolynomial(5, [1, Fraction(2)]),
+         "coefficient must be an int, not Fraction"),
+        (lambda: chern_symbolics.lambda_star_class(2, 2.0), "depth must be an int, not float"),
+        (lambda: chern_symbolics.fundamental_relations(2, 2.0), "max_degree must be an int, not float"),
+        (lambda: bernoulli_zeta.von_staudt_denominator(4.0), "m must be an int, not float"),
+        (lambda: run_suite("newton", 2.0), "max_g must be an int, not float"),
+        (lambda: group_orders.sp_order(1, 1.5), "n must be an int, not float"),
+        (lambda: group_orders.degree_integrality(2, 2.0), "n must be an int, not float"),
+        (lambda: finite_field_checks.symplectic_pairing_check(2.0, 3), "l must be an int, not float"),
     ],
 )
 def test_non_integer_arguments_are_refused(call, message: str) -> None:
