@@ -49,7 +49,7 @@ def bernoulli(m: int) -> Fraction:
     A miss fills the cache up to max(m, twice its top index), so a sequential
     fill costs a constant factor over one call at its last index.
     """
-    _check_nonnegative("index", m)
+    _check_nonnegative("m", m)
     if m < len(_cache):
         return _cache[m]
     with _cache_lock:
@@ -89,7 +89,7 @@ class BernoulliTable(_Record):
 
 
 def bernoulli_table(max_index: int) -> BernoulliTable:
-    _check_nonnegative("index", max_index)
+    _check_nonnegative("max_index", max_index)
     keys = [0, 1] if max_index >= 1 else [0]
     keys += [m for m in range(2, max_index + 1, 2)]
     return BernoulliTable(max_index, {m: bernoulli(m) for m in keys})

@@ -54,7 +54,9 @@ from itertools import accumulate, combinations
 from math import comb, factorial, lcm, perm
 
 from .bernoulli_zeta import todd_inverse_series
-from .exact_arith import _Record, _check_int, _check_nonnegative, _check_positive, _is_rational
+from .exact_arith import (
+    _Record, _check_int, _check_iterable, _check_nonnegative, _check_positive, _is_rational,
+)
 
 __all__ = [
     "GradedPolynomial",
@@ -112,10 +114,10 @@ class GradedPolynomial(_Record):
 
     A result record with no arithmetic: the functions of this module return
     one, and nothing multiplies it.  Coefficients are exact (int or Fraction,
-    freely mixed), and weights, exponents and the truncation are ints; any
-    other type is refused with TypeError.  The private `_comps[d]` holds the
-    packed monomials of degree d; `terms` is the same data by exponent tuples,
-    fresh on each read.
+    freely mixed, never a bool), and weights, exponents and the truncation are
+    ints; any other type, or names, weights or terms that are not iterable, is
+    refused with TypeError.  The private `_comps[d]` holds the packed monomials
+    of degree d; `terms` is the same data by exponent tuples, fresh on each read.
     """
 
     names: tuple[str, ...]
@@ -124,6 +126,8 @@ class GradedPolynomial(_Record):
     _comps: list
 
     def __init__(self, names, weights, truncation, terms):
+        for name, value in (("names", names), ("weights", weights), ("terms", terms)):
+            _check_iterable(name, value)
         names, weights = tuple(names), tuple(weights)
         if len(names) != len(weights):
             raise ValueError("names and weights must align")
@@ -316,11 +320,22 @@ def lambda_star_class(g: int, depth: int) -> GradedPolynomial:
     c_g, div = radix ** (g - 1), (-1) ** g * factorial(g)
     q = _lambda_quotient(g, _power_sums(g, depth - g, radix))
     total = _exp_scaled([{} for _ in range(g)] + [
-        {mon + c_g: (-1) ** (k - 1) * factorial(k - 1) * (c // div) for mon, c in comp.items()}
-        for k, comp in enumerate(q, start=g)])
+        {mon + c_g: (-1) ** (k - 1) * factorial(k - 1) * c for mon, c in comp.items()}
+        for k, comp in enumerate((_divided(comp, div) for comp in q), start=g)])
     # dividing by n! is exact, as the total class of a virtual bundle is integral
     return GradedPolynomial._raw(_names("c", g), tuple(range(1, g + 1)), depth, [
-        {mon: c // factorial(n) for mon, c in comp.items()} for n, comp in enumerate(total)])
+        _divided(comp, factorial(n)) for n, comp in enumerate(total)])
+
+
+def _divided(comp: dict, div: int) -> dict:
+    # comp with every coefficient divided by div, which must be exact: a remainder
+    # means a wrong entry, and no wrong entry may floor away
+    out = {}
+    for mon, c in comp.items():
+        out[mon], rem = divmod(c, div)
+        if rem:
+            raise ArithmeticError(f"a coefficient {c} is not divisible by {div}")
+    return out
 
 
 # -- the class-ring engine -------------------------------------------------

@@ -4,9 +4,9 @@ Every command accepts --format text|json|csv.  All output is exact: integers
 are rendered as decimal strings, rationals as num/den (text, csv) or
 {"num": ..., "den": ...} objects (json), and no float is ever produced.
 JSON output is byte-deterministic: byte for byte json.dumps(envelope,
-sort_keys=True, indent=2) plus a newline.  CSV output is byte for byte what
-csv.writer writes with a "\n" line terminator: a field is quoted, with each '"'
-doubled, exactly when it holds ',', '"' or a newline.
+sort_keys=True, indent=2) plus a newline; CSV output is byte for byte what
+csv.writer writes with a "\n" line terminator.  The CLI writes plain text itself
+and leaves every escape and quote to the running Python's json and csv C encoders.
 
 Arguments follow the command in any order: options by their full names,
 integers as ASCII digits with an optional leading "-".  -h or --help prints help.
@@ -192,28 +192,14 @@ def _flatten(payload, prefix: str = "") -> list[tuple[str, str]]:
     return [row for key, value in items for row in _flatten(value, key)]
 
 
-# json and csv load re and enum, which a call that builds no Fraction never needs
-# otherwise; so the two formats are written here, to their modules' bytes
-_JSON_ESCAPES = {c: "\\" + e for c, e in zip('"\\\b\f\n\r\t', '"\\bfnrt')}  # the short escapes
-
-
-def _json_char(c: str) -> str:
-    if c in _JSON_ESCAPES:
-        return _JSON_ESCAPES[c]
-    if " " <= c <= "~":
-        return c
-    n = ord(c)
-    if n > 0xFFFF:  # a surrogate pair
-        n -= 0x10000
-        return f"\\u{0xD800 | n >> 10:04x}\\u{0xDC00 | n & 0x3FF:04x}"
-    return f"\\u{n:04x}"
-
-
+# json and csv load re and enum; so plain text is written here, and only a string that
+# needs an escape or a quote loads _json or _csv, the C encoder json.dumps or csv.writer calls
 def _json_string(s: str) -> str:
     """s quoted as json.dumps quotes it with ensure_ascii."""
     if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
         return f'"{s}"'
-    return '"' + "".join(map(_json_char, s)) + '"'
+    from _json import encode_basestring_ascii
+    return encode_basestring_ascii(s)
 
 
 def _json(value, newline: str = "\n") -> str:
@@ -236,16 +222,17 @@ def _json(value, newline: str = "\n") -> str:
     return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
 
 
-def _csv_field(field: str) -> str:
-    # Python 3.11's minimal quoting, with "\n" the line terminator; it leaves "\r" bare
-    if "," in field or '"' in field or "\n" in field:
-        return '"' + field.replace('"', '""') + '"'
-    return field
-
-
 def _csv(pairs) -> str:
     """(key, value) rows of text as csv.writer(out, lineterminator="\n") writes them."""
-    return "".join(f"{_csv_field(key)},{_csv_field(value)}\n" for key, value in pairs)
+    text = "".join(f"{key},{value}\n" for key, value in pairs)
+    # rows of plain fields hold one "," and one "\n" each, and no '"' or "\r"
+    if text.count(",") == text.count("\n") == len(pairs) and '"' not in text and "\r" not in text:
+        return text
+    from _csv import writer
+    from io import StringIO  # loaded at start-up, for sys.stdout
+    out = StringIO()
+    writer(out, lineterminator="\n").writerows(pairs)
+    return out.getvalue()
 
 
 def _render(envelope: dict) -> str:

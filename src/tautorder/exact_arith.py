@@ -75,10 +75,10 @@ def _miller_rabin(n: int) -> bool:
     return True
 
 
-# The package's input rules, raised from here alone: the type rule, and three
-# single-value rules that call it first.
+# The package's input rules, raised from here alone: the type rule, three
+# single-value rules that call it first, and the rule for a record's iterables.
 def _check_int(name: str, value: int) -> None:
-    if not isinstance(value, int):
+    if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"{name} must be an int, not {type(value).__name__}")
 
 
@@ -100,9 +100,17 @@ def _check_prime(name: str, p: int) -> None:
         raise ValueError(f"{p} is not prime")
 
 
+def _check_iterable(name: str, value) -> None:
+    try:
+        iter(value)
+    except TypeError:
+        raise TypeError(f"{name} must be iterable, not {type(value).__name__}") from None
+
+
 def _is_rational(x) -> bool:
-    """An int or a Fraction?  Until `fractions` is loaded no Fraction exists."""
-    return isinstance(x, (int, getattr(sys.modules.get("fractions"), "Fraction", int)))
+    """An int (not a bool) or a Fraction?  Until `fractions` is loaded no Fraction exists."""
+    fraction = getattr(sys.modules.get("fractions"), "Fraction", int)
+    return isinstance(x, (int, fraction)) and not isinstance(x, bool)
 
 
 class _Record:

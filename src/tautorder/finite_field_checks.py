@@ -44,7 +44,9 @@ of multiplication by zeta are the companion matrix of Phi_{l^k}.
 """
 from __future__ import annotations
 
-from .exact_arith import _Record, _check_int, _check_positive, _check_prime, _product
+from .exact_arith import (
+    _Record, _check_int, _check_iterable, _check_positive, _check_prime, _product,
+)
 
 __all__ = [
     "ModPPolynomial",
@@ -81,6 +83,7 @@ class ModPPolynomial(_Record):
 
     def __init__(self, modulus: int, coeffs) -> None:
         _check_prime("modulus", modulus)
+        _check_iterable("coeffs", coeffs)
         cs = list(coeffs)
         for c in cs:
             _check_int("coefficient", c)

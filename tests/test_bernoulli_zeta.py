@@ -131,8 +131,10 @@ def test_bernoulli_odd_vanish() -> None:
 
 
 def test_bernoulli_rejects_negative_index() -> None:
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^m must be nonnegative$"):
         bernoulli(-1)
+    with pytest.raises(ValueError, match="^max_index must be nonnegative$"):
+        bernoulli_table(-1)
 
 
 def test_bernoulli_table_lists_nonzero_indices() -> None:

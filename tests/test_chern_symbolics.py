@@ -600,6 +600,23 @@ def test_lambda_star_builds_power_sums_only_through_depth_minus_g(monkeypatch) -
             assert asked and max(asked) <= depth - g, (g, depth, asked)
 
 
+def test_lambda_star_refuses_a_quotient_entry_that_does_not_divide(monkeypatch) -> None:
+    # q[m] is a multiple of g!; an entry raised by 1 used to floor away, and at
+    # g = 3, depth 6 the class came out as the correct one
+    original = chern._lambda_quotient
+    for entry in range(len(original(3, chern._power_sums(3, 3, 7))[1])):
+
+        def mutated(g: int, p: list[dict], entry=entry) -> list[dict]:
+            q = original(g, p)
+            mon = sorted(q[1])[entry]
+            q[1][mon] += 1
+            return q
+
+        monkeypatch.setattr(chern, "_lambda_quotient", mutated)
+        with pytest.raises(ArithmeticError, match="not divisible by -6$"):
+            lambda_star_class(3, 6)
+
+
 def _todd_scaled_by_fractions(p: list[dict]) -> list[dict]:
     # n! Td_n(E) with the Fraction k! s_k fed to the exp recurrence as they are,
     # the route before M cleared them, kept as an oracle

@@ -308,12 +308,13 @@ def test_closed_stdout_exits_one_without_traceback(argv: list[str], tmp_path) ->
     assert stderr == ""
 
 
-# the stdlib encoders are the oracle of cli's own: json and csv are imported only here
+# the stdlib writers are the oracle of cli's layout and plain-text fast paths: json
+# and csv are imported only here
 _encoder_settings = settings(max_examples=150, derandomize=True, database=None, deadline=None)
 
 # every kind of character an encoder tells apart: the short json escapes, other
 # control characters, U+007F, non-ASCII and astral characters, lone surrogates,
-# and the three that csv quotes for, beside "\r", which it leaves bare
+# and the four that csv may quote for ("\r" only from Python 3.13 on)
 _TRICKY = '"\\\b\f\n\r\t\x00\x1f\x7f\x80\xe9\u2028\ud800\udfff\uffff\U0001f600\U0010ffff,az ~'
 _text = st.lists(st.one_of(st.sampled_from(_TRICKY), st.characters()), max_size=6).map("".join)
 _trees = st.recursive(
@@ -345,6 +346,27 @@ def test_csv_encoder_matches_the_stdlib(rows: list[tuple[str, str]]) -> None:
     assert _csv(rows) == out.getvalue()
 
 
+@pytest.mark.parametrize("field", ["local 24, gcd oracle 24", "cr\r"])
+def test_a_csv_field_that_may_need_a_quote_goes_to_the_c_writer(field: str) -> None:
+    # the fast path joins plain rows itself; a "," or a "\r" (which Python 3.13
+    # quotes and earlier versions leave bare) hands every row to csv.writer's _csv
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    rows = [("checks[0].detail", field), ("checks[0].ok", "true")]
+    probe = (
+        "import sys, tautorder.cli\n"
+        "loaded = '_csv' in sys.modules\n"
+        f"text = tautorder.cli._csv({rows!r})\n"
+        "print(repr((loaded, '_csv' in sys.modules, text)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    assert proc.stdout == repr((False, True, out.getvalue())) + "\n"
+
+
 def test_cold_import_loads_only_what_a_call_uses() -> None:
     # module names, not timings, so this cannot flake on a busy machine:
     # dataclasses brings inspect, ast and dis; the cache and sieve locks come from
@@ -352,9 +374,10 @@ def test_cold_import_loads_only_what_a_call_uses() -> None:
     # through contextlib; no lru_cache brings functools and collections, and only a
     # closed stdout brings os.  fractions (with decimal, numbers and re) loads only where
     # a Fraction is built; the one argv parser needs no argparse (with gettext and
-    # re), not even for help or a usage error; cli writes json and csv itself, so
+    # re), not even for help or a usage error; cli lays json and csv out itself, so
     # no call loads those modules, nor the re and enum they bring, and a call that
-    # builds no Fraction loads no re in any format
+    # builds no Fraction loads no re in any format; plain text needs no escape and
+    # no quote, so these calls load neither C encoder, _json nor _csv
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     probe = (
         "import io, sys, tautorder.cli\n"
@@ -378,7 +401,7 @@ def test_cold_import_loads_only_what_a_call_uses() -> None:
     engine.discard("tautorder.__init__")
     assert len(engine) == 8 and engine <= imported, sorted(engine - imported)
     unused = {"dataclasses", "inspect", "ast", "dis", "threading", "contextlib"}
-    unused |= {"json", "csv", "enum", "functools", "collections", "os"}
+    unused |= {"json", "csv", "enum", "functools", "collections", "os", "_json", "_csv"}
     lazy = {"fractions", "decimal", "numbers", "argparse", "gettext", "re"}
     assert imported.isdisjoint(unused | lazy), sorted(imported & (unused | lazy))
     assert after_calls.isdisjoint(unused | lazy), sorted(after_calls & (unused | lazy))

@@ -140,6 +140,8 @@ _SUITES = ", ".join(SUITE_NAMES)
     (["verify", "all", "--max-g"], "--max-g needs a value"),
     (["verify", "all", "--max-g", "x"], "--max-g must be an integer; got 'x'"),
     (["verify", "no-such-suite"], f"suite must be one of {_SUITES}; got 'no-such-suite'"),
+    # a value the library refuses, in the library's words
+    (["bernoulli", "-1"], "m must be nonnegative"),
     # past Python's int-to-str digit limit, 4300 by default
     pytest.param(["ng", "9" * 5000], "g must have at most 4300 digits; got 5000",
                  id="['ng', 5000 nines]"),

@@ -252,9 +252,10 @@ def test_every_g_function_refuses_a_non_integer_g(name: str, g: object) -> None:
         (lambda: exact_arith.PrimeLocalOrder(3, Fraction(1)), "exponent must be an int, not Fraction"),
         (lambda: exact_arith.factorial_p_valuation(6, 2.0), "p must be an int, not float"),
         (lambda: exact_arith.factorize(12.0), "n must be an int, not float"),
-        (lambda: bernoulli(4.0), "index must be an int, not float"),
-        # the ids of these two cases keep the names they had before the
-        # message came from the shared int type rule
+        # the ids of these three cases keep the names they had before the
+        # message came from the shared int type rule or named the parameter
+        pytest.param(lambda: bernoulli(4.0), "m must be an int, not float",
+                     id="<lambda>-index must be an int, not float"),
         pytest.param(lambda: chern_symbolics.GradedPolynomial(("x",), (1.5,), 2, {}),
                      "weight must be an int, not float", id="<lambda>-weights must be ints"),
         (lambda: chern_symbolics.GradedPolynomial(("x",), (1,), 2.5, {}),
@@ -277,6 +278,22 @@ def test_every_g_function_refuses_a_non_integer_g(name: str, g: object) -> None:
         (lambda: group_orders.sp_order(1, 1.5), "n must be an int, not float"),
         (lambda: group_orders.degree_integrality(2, 2.0), "n must be an int, not float"),
         (lambda: finite_field_checks.symplectic_pairing_check(2.0, 3), "l must be an int, not float"),
+        (lambda: bernoulli_zeta.bernoulli_table(2.0), "max_index must be an int, not float"),
+        # a bool is an int to isinstance, and refused all the same
+        (lambda: ng_local(True), "g must be an int, not bool"),
+        (lambda: is_prime(True), "n must be an int, not bool"),
+        (lambda: run_suite("newton", True), "max_g must be an int, not bool"),
+        (lambda: bernoulli(False), "m must be an int, not bool"),
+        (lambda: finite_field_checks.ModPPolynomial(5, [True]), "coefficient must be an int, not bool"),
+        (lambda: chern_symbolics.GradedPolynomial(("x",), (True,), 2, {}),
+         "weight must be an int, not bool"),
+        (lambda: chern_symbolics.GradedPolynomial(("x",), (1,), 2, {(1,): True}),
+         "coefficients must be int or Fraction, not bool"),
+        # a record input that is iterated is refused by name when it is not iterable
+        (lambda: finite_field_checks.ModPPolynomial(5, 7), "coeffs must be iterable, not int"),
+        (lambda: chern_symbolics.GradedPolynomial(("x",), (1,), 2, 5), "terms must be iterable, not int"),
+        (lambda: chern_symbolics.GradedPolynomial(("x",), 1, 2, {}), "weights must be iterable, not int"),
+        (lambda: chern_symbolics.GradedPolynomial(1, (1,), 2, {}), "names must be iterable, not int"),
     ],
 )
 def test_non_integer_arguments_are_refused(call, message: str) -> None:
