@@ -27,14 +27,15 @@ in tests/root_ring_oracle.py on a plain term map.
 The identities for a rank-g bundle E run in the class ring on one pipeline.
 Newton's identities give the power sums p_m.  Since 1 - e^x = -x z with
 z = (e^x - 1)/x, ch(lambda_{-1} E) = (-1)^g c_g e_g(z_1, ..., z_g), and
-_lambda_quotient builds e_g(z) from p by Newton's identities with Stirling
-numbers, reading no Bernoulli number.  Degree n of ch is c_g times degree
-n - g of e_g(z), and ch is empty below degree g, so both identities read p and
-e_g(z) only through degree depth - g.  One exp recurrence makes a
-multiplicative class of a log series.  lambda_star_class is
-exp(sum_k (-1)^{k-1} (k-1)! ch_k), the total class of sum_i (-1)^i [Lambda^i E],
-with payload -(g-1)! c_g in degree g (the opposite sign convention would flip
-it): it shifts e_g(z) by the packed c_g and divides once by (-1)^g g!.
+_lambda_quotient builds e_g(z) = sum_r e_r(w), w = z - 1, from p by Newton's
+identities with associated Stirling numbers, reading no Bernoulli number.
+Degree n of ch is c_g times degree n - g of e_g(z), and ch is empty below
+degree g, so both identities read p and e_g(z) only through degree depth - g.
+One exp recurrence makes a multiplicative class of a log series.
+lambda_star_class is exp(sum_k (-1)^{k-1} (k-1)! ch_k), the total class of
+sum_i (-1)^i [Lambda^i E], with payload -(g-1)! c_g in degree g (the opposite
+sign convention would flip it): it shifts e_g(z) by the packed c_g and divides
+once by (-1)^g g!.
 borel_serre_check tests ch(lambda_{-1} E) Td(E) = (-1)^g c_g, where
 Td = exp(sum_k s_k p_k) and sum_k s_k t^k = log(t/(e^t - 1)); with c_g
 divided out, it needs Td too only through degree depth - g.
@@ -50,7 +51,7 @@ compares g!^2 in degree g, and reads e_g(z) before its one division by g!.
 """
 from __future__ import annotations
 
-from itertools import accumulate, combinations
+from itertools import combinations
 from math import comb, factorial, lcm, perm
 
 from .bernoulli_zeta import todd_inverse_series
@@ -115,9 +116,10 @@ class GradedPolynomial(_Record):
     A result record with no arithmetic: the functions of this module return
     one, and nothing multiplies it.  Coefficients are exact (int or Fraction,
     freely mixed, never a bool), and weights, exponents and the truncation are
-    ints; any other type, or names, weights or terms that are not iterable, is
-    refused with TypeError.  The private `_comps[d]` holds the packed monomials
-    of degree d; `terms` is the same data by exponent tuples, fresh on each read.
+    ints; any other type, names, weights or terms that are not iterable, or
+    terms that do not map exponent tuples to coefficients, is refused with
+    TypeError.  The private `_comps[d]` holds the packed monomials of degree d;
+    `terms` is the same data by exponent tuples, fresh on each read.
     """
 
     names: tuple[str, ...]
@@ -134,9 +136,12 @@ class GradedPolynomial(_Record):
         for w in weights:
             _check_positive("weight", w)
         _check_nonnegative("truncation", truncation)
+        try:
+            terms = [(tuple(mon), coeff) for mon, coeff in dict(terms).items()]
+        except (TypeError, ValueError):
+            raise TypeError("terms must map exponent tuples to coefficients") from None
         comps = [{} for _ in range(truncation + 1)]
-        for mon, coeff in dict(terms).items():
-            mon = tuple(mon)
+        for mon, coeff in terms:
             if len(mon) != len(names):
                 raise ValueError("exponent vector length mismatch")
             for e in mon:
@@ -364,42 +369,55 @@ def _power_sums(g: int, depth: int, radix: "int | None" = None) -> list[dict]:
     return p
 
 
-def _stirling_table(g: int, depth: int) -> list[list[int]]:
-    # t[k][n] = k! S(n, k) = sum_m C(k, m) (-1)^{k-m} m^n, n! times the degree-n
-    # part of (e^x - 1)^k, whose derivative is k ((e^x - 1)^k + (e^x - 1)^{k-1})
-    t = [[1] + [0] * depth]
-    for k in range(1, g + 1):
-        t.append(list(accumulate(t[k - 1][:-1], lambda r, s: k * (r + s), initial=0)))
-    return t
+def _associated_stirling(rows: int, size: int) -> list[list[int]]:
+    # u[k][n] = k! S2(n, k) for k <= rows, n <= size, with S2 the associated
+    # Stirling numbers (blocks of two or more): n! times the degree-n part of
+    # (e^x - 1 - x)^k, whose derivative is k ((e^x - 1 - x)^k + x (e^x - 1 - x)^{k-1}).
+    # u[k][n] is 0 for n < 2k.
+    u = [[1] + [0] * size]
+    for k in range(1, rows + 1):
+        row = [0] * (size + 1)
+        for n in range(2 * k, size + 1):
+            row[n] = k * (row[n - 1] + (n - 1) * u[k - 1][n - 2])
+        u.append(row)
+    return u
 
 
 def _lambda_quotient(g: int, p: list[dict]) -> list[dict]:
     # q[m] = g! (m + g)! e_g(z)_m for m = 0..top, with p = p_0..p_top (p_0 is
     # not read) and z_j = (e^{x_j} - 1)/x_j: as 1 - e^x = -x z,
-    # ch(lambda_{-1} E) = (-1)^g c_g e_g(z), and degree n reads q[n - g].  z^k is
-    # (e^x - 1)^k / x^k, so the degree-d part of P_k(z) = sum_j z_j^k is
-    # t[k][d + k] / (d + k)! p_d, with p_0 = g.  Newton's
-    # i e_i = sum_k (-1)^{k-1} e_{i-k} P_k, times (i - 1)! (m + i)!, runs on
-    # F_i[m] = i! (m + i)! e_i(z)_m with the factors (i - 1)!/(i - k)! and
-    # C(m + i, d + k), and divides by nothing, so no wrong entry floors away.
+    # ch(lambda_{-1} E) = (-1)^g c_g e_g(z), and degree n reads q[n - g].  With
+    # w_j = z_j - 1 = (e^{x_j} - 1 - x_j)/x_j, e_g(z) = sum_{r<=g} e_r(w), and
+    # e_r(w) starts in degree r.  The degree-d part of P_k(w) = sum_j w_j^k is
+    # u[k][d + k] / (d + k)! p_d, zero unless d >= k.  Newton's
+    # r e_r = sum_k (-1)^{k-1} e_{r-k} P_k, times (r - 1)! (m + r)!, runs on the
+    # triangle m >= r of G_r[m] = r! (m + r)! e_r(w)_m with the factors
+    # (r - 1)!/(r - k)! and C(m + r, d + k); q[m] sums (g!/r!) ((m + g)!/(m + r)!)
+    # G_r[m].  Nothing is divided, so no wrong entry floors away.
     top = len(p) - 1
-    t = _stirling_table(g, top + g)
-    p = [{0: g}] + p[1:]
-    f = [[{0: 1}] + [{} for _ in range(top)]]
-    for i in range(1, g + 1):
-        f_i = []
-        for m in range(top + 1):
+    rows = min(g, top)
+    u = _associated_stirling(rows, top + rows)
+    grid = [[{0: 1}] + [{} for _ in range(top)]]
+    for r in range(1, rows + 1):
+        g_r = [{} for _ in range(r)]
+        for m in range(r, top + 1):
             acc: dict = {}
-            for d in range(m + 1):
+            for d in range(1, m + 1):
                 combo: dict = {}
-                for k in range(1, i + 1):
-                    if f[i - k][m - d]:
-                        scale = perm(i - 1, k - 1) * comb(m + i, d + k) * t[k][d + k]
-                        _add_into(combo, f[i - k][m - d], scale if k % 2 else -scale)
+                for k in range(max(1, r - m + d), min(r, d) + 1):
+                    if grid[r - k][m - d]:
+                        scale = perm(r - 1, k - 1) * comb(m + r, d + k) * u[k][d + k]
+                        _add_into(combo, grid[r - k][m - d], scale if k % 2 else -scale)
                 _mul_into(acc, combo, p[d], 1)
-            f_i.append(acc)
-        f.append(f_i)
-    return f[g]
+            g_r.append(acc)
+        grid.append(g_r)
+    q = []
+    for m in range(top + 1):
+        acc = {}
+        for r in range(min(g, m) + 1):
+            _add_into(acc, grid[r][m], perm(g, g - r) * perm(m + g, g - r))
+        q.append(acc)
+    return q
 
 
 def _todd_scaled(p: list[dict]) -> tuple[int, list[dict]]:

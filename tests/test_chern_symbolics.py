@@ -3,8 +3,8 @@ from __future__ import annotations
 import ast
 import random
 from fractions import Fraction
-from itertools import combinations, product
-from math import comb, factorial
+from itertools import accumulate, combinations, product
+from math import comb, factorial, perm
 from pathlib import Path
 
 import pytest
@@ -37,7 +37,6 @@ from tautorder.chern_symbolics import (
     _lambda_quotient,
     _mul_into,
     _power_sums,
-    _stirling_table,
     _todd_scaled,
 )
 
@@ -716,6 +715,80 @@ def test_lambda_character_matches_the_adams_operations() -> None:
             assert _lambda_character(g, p) == _lambda_character_by_adams(g, p)
 
 
+def _stirling_table(g: int, depth: int) -> list[list[int]]:
+    # t[k][n] = k! S(n, k) = sum_m C(k, m) (-1)^{k-m} m^n, n! times the degree-n
+    # part of (e^x - 1)^k, whose derivative is k ((e^x - 1)^k + (e^x - 1)^{k-1})
+    t = [[1] + [0] * depth]
+    for k in range(1, g + 1):
+        t.append(list(accumulate(t[k - 1][:-1], lambda r, s: k * (r + s), initial=0)))
+    return t
+
+
+def _lambda_quotient_on_the_square(g: int, p: list[dict]) -> list[dict]:
+    # q[m] = g! (m + g)! e_g(z)_m for m = 0..top, z_j = (e^{x_j} - 1)/x_j, by
+    # Newton on z itself: the degree-d part of P_k(z) is t[k][d + k] / (d + k)! p_d,
+    # with p_0 = g, and i e_i = sum_k (-1)^{k-1} e_{i-k} P_k, times
+    # (i - 1)! (m + i)!, runs on F_i[m] = i! (m + i)! e_i(z)_m for every i <= g
+    # and m <= top.  The route before _lambda_quotient expanded around
+    # w = z - 1, kept as an oracle.
+    top = len(p) - 1
+    t = _stirling_table(g, top + g)
+    p = [{0: g}] + p[1:]
+    f = [[{0: 1}] + [{} for _ in range(top)]]
+    for i in range(1, g + 1):
+        f_i = []
+        for m in range(top + 1):
+            acc: dict = {}
+            for d in range(m + 1):
+                combo: dict = {}
+                for k in range(1, i + 1):
+                    if f[i - k][m - d]:
+                        scale = perm(i - 1, k - 1) * comb(m + i, d + k) * t[k][d + k]
+                        _add_into(combo, f[i - k][m - d], scale if k % 2 else -scale)
+                _mul_into(acc, combo, p[d], 1)
+            f_i.append(acc)
+        f.append(f_i)
+    return f[g]
+
+
+def test_lambda_quotient_matches_the_square_route() -> None:
+    for g in range(1, 9):
+        for top in range(2 * g + 2):
+            p = _power_sums(g, top, top + g + 1)
+            assert _lambda_quotient(g, p) == _lambda_quotient_on_the_square(g, p), (g, top)
+
+
+def _term_operations(monkeypatch, route, g: int, top: int) -> int:
+    # the term operations of _add_into (one per term added) and _mul_into (one
+    # per pair of terms multiplied) that route(g, p_1..p_top) makes, read
+    # through chern or through this module's imports of the same kernels
+    count, add_into, mul_into = [0], chern._add_into, chern._mul_into
+
+    def counting_add(acc: dict, comp: dict, scale) -> None:
+        count[0] += len(comp)
+        add_into(acc, comp, scale)
+
+    def counting_mul(acc: dict, a: dict, b: dict, scale) -> None:
+        count[0] += len(a) * len(b)
+        mul_into(acc, a, b, scale)
+
+    p = _power_sums(g, top)
+    with monkeypatch.context() as patch:
+        for namespace in (vars(chern), globals()):
+            patch.setitem(namespace, "_add_into", counting_add)
+            patch.setitem(namespace, "_mul_into", counting_mul)
+        route(g, p)
+    return count[0]
+
+
+def test_lambda_quotient_does_at_most_half_the_square_routes_work(monkeypatch) -> None:
+    # a count of term operations, not a timing: 28,587 on the square at
+    # g = 10, top = 10, and 9,174 on the triangle r <= m
+    fast = _term_operations(monkeypatch, _lambda_quotient, 10, 10)
+    slow = _term_operations(monkeypatch, _lambda_quotient_on_the_square, 10, 10)
+    assert 0 < fast <= slow // 2, (fast, slow)
+
+
 def _lambda_character_by_newton_on_w(g: int, p: list[dict]) -> list[dict]:
     # n! ch_n(lambda_{-1} E), n = 0..depth, as e_g(w) with w_j = 1 - e^{x_j}: the
     # n!-scaled degree-d part of p_k(w) is (-1)^k t[k][d] p_d, so every sign of
@@ -767,21 +840,32 @@ def test_borel_serre_at_the_edges_of_the_truncated_todd_class() -> None:
 
 
 def test_mutated_stirling_entry_is_rejected_by_borel_serre(monkeypatch) -> None:
-    # the route reads t[k][j] for k <= j <= depth - g + k: the degree-d part of
-    # P_k(z) is t[k][d + k] / (d + k)! p_d, and e_g(z) is built only through
-    # degree depth - g
-    original = chern._stirling_table
+    # the route reads u[k][n] for 2k <= n <= depth - g + k: the degree-d part of
+    # P_k(w) is u[k][d + k] / (d + k)! p_d with d >= k, and e_g(z) is built only
+    # through degree depth - g
+    original = chern._associated_stirling
     for g in range(2, 7):
         for k in range(1, g + 1):
-            for d in range(k, g + k + 1):
+            for n in range(2 * k, g + k + 1):
 
-                def mutated(g_: int, depth: int, k=k, d=d) -> list[list[int]]:
-                    table = original(g_, depth)
-                    table[k][d] += 1
+                def mutated(rows: int, size: int, k=k, n=n) -> list[list[int]]:
+                    table = original(rows, size)
+                    table[k][n] += 1
                     return table
 
-                monkeypatch.setattr(chern, "_stirling_table", mutated)
-                assert not borel_serre_check(g, 2 * g), (g, k, d)
+                monkeypatch.setattr(chern, "_associated_stirling", mutated)
+                assert not borel_serre_check(g, 2 * g), (g, k, n)
+
+
+def test_associated_stirling_table_counts_set_partitions() -> None:
+    # k! S2(n, k) is the number of ordered partitions of n things into k blocks
+    # of two or more, counted here by the block of each thing
+    u = chern._associated_stirling(4, 8)
+    for k in range(5):
+        for n in range(9):
+            ordered = sum(1 for blocks in product(range(k), repeat=n)
+                          if all(blocks.count(b) >= 2 for b in range(k)))
+            assert u[k][n] == ordered, (k, n)
 
 
 def test_lambda_character_reads_no_bernoulli_number(monkeypatch) -> None:

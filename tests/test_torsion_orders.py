@@ -294,6 +294,13 @@ def test_every_g_function_refuses_a_non_integer_g(name: str, g: object) -> None:
         (lambda: chern_symbolics.GradedPolynomial(("x",), (1,), 2, 5), "terms must be iterable, not int"),
         (lambda: chern_symbolics.GradedPolynomial(("x",), 1, 2, {}), "weights must be iterable, not int"),
         (lambda: chern_symbolics.GradedPolynomial(1, (1,), 2, {}), "names must be iterable, not int"),
+        # and terms that are iterable but not a map of exponent tuples to coefficients
+        (lambda: chern_symbolics.GradedPolynomial(("x",), (1,), 2, [1, 2]),
+         "terms must map exponent tuples to coefficients"),
+        (lambda: chern_symbolics.GradedPolynomial(("x",), (1,), 2, {1: 1}),
+         "terms must map exponent tuples to coefficients"),
+        (lambda: chern_symbolics.GradedPolynomial(("x",), (1,), 2, [((1,), 1, 2)]),
+         "terms must map exponent tuples to coefficients"),
     ],
 )
 def test_non_integer_arguments_are_refused(call, message: str) -> None:
