@@ -21,7 +21,6 @@ downstream consumes the absolute value.
 from __future__ import annotations
 
 from _thread import allocate_lock
-from math import factorial
 
 from .exact_arith import _Record, _check_nonnegative, _check_positive, _product, primes_upto
 
@@ -32,7 +31,6 @@ __all__ = [
     "bernoulli_table",
     "zeta_neg",
     "proportionality",
-    "todd_inverse_series",
     "von_staudt_denominator",
 ]
 
@@ -126,8 +124,3 @@ def proportionality(g: int) -> ProportionalityResult:
     signed = Fraction(num, _product(4 * j * b.denominator for j, b in enumerate(bs, 1)))
     return ProportionalityResult(g, signed, abs(signed), abs(signed).denominator)
 
-
-def todd_inverse_series(depth: int) -> list[Fraction]:
-    """Coefficients of t/(e^t - 1) through degree `depth`, i.e. B_k/k!."""
-    _check_nonnegative("depth", depth)
-    return [bernoulli(k) / factorial(k) for k in range(depth + 1)]

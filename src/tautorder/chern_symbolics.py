@@ -18,7 +18,8 @@ The root ring keeps what bench/'s class-ring pool calls: GradedPolynomial,
 chern_character, todd_class and symmetric_reduce.  GradedPolynomial is a
 result record with no arithmetic: todd_class writes its terms down one root at
 a time, as each coefficient is a product of coefficients of one series, and
-fundamental_relations writes each degree down as a sum of l_i l_j.
+fundamental_relations writes each degree down as a sum of l_i l_j.  Its text
+form comes from exact_arith's term writer, as ModPPolynomial's does.
 symmetric_reduce subtracts e-monomials e_1^a_1 ... e_g^a_g, read from one
 cached table of packed homogeneous components.  The ring operators,
 root_variables and substitute_elementary, the inverse of symmetric_reduce, live
@@ -42,7 +43,9 @@ divided out, it needs Td too only through degree depth - g.
 
 The Todd factor of a root x is x/(e^x - 1) = sum_k B_k/k! x^k (dual
 convention), under which prod_i (1 - e^{x_i}) equals (-1)^g (x1...xg) Td^{-1};
-with x/(1 - e^{-x}) the two sides differ by a unit e^{-c1}.
+with x/(1 - e^{-x}) the two sides differ by a unit e^{-c1}.  Both Todd routes
+read `bernoulli` directly: todd_class the series B_k/k!, _todd_scaled the
+k! s_k = -B_k/k of its log.
 
 symmetric_reduce, todd_class and borel_serre_check run on ints.  The first two
 clear denominators once (each component's lcm; t -> D t) and divide once at the
@@ -54,9 +57,10 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb, factorial, lcm, perm
 
-from .bernoulli_zeta import todd_inverse_series
+from .bernoulli_zeta import bernoulli
 from .exact_arith import (
     _Record, _check_int, _check_iterable, _check_nonnegative, _check_positive, _is_rational,
+    _render_terms,
 )
 
 __all__ = [
@@ -133,6 +137,8 @@ class GradedPolynomial(_Record):
         names, weights = tuple(names), tuple(weights)
         if len(names) != len(weights):
             raise ValueError("names and weights must align")
+        if len(set(names)) != len(names):
+            raise ValueError("names must be distinct")
         for w in weights:
             _check_positive("weight", w)
         _check_nonnegative("truncation", truncation)
@@ -164,35 +170,11 @@ class GradedPolynomial(_Record):
     # -- canonical rendering ----------------------------------------------
 
     def render(self) -> str:
-        """Canonical text form: terms sorted by (degree, exponents), exact coefficients."""
+        """Canonical text form: terms by degree, exponents descending within one,
+        exact coefficients, written by exact_arith's one term writer."""
         n, radix = len(self.names), self.truncation + 1
-        ordered = [term for comp in self._comps for term in sorted(
-            ((_unpack(m, n, radix), c) for m, c in comp.items()), reverse=True)]
-        if not ordered:
-            return "0"
-        pieces = []
-        for mon, coeff in ordered:
-            factors = []
-            for name, e in zip(self.names, mon):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            body = "*".join(factors)
-            mag = abs(coeff)
-            mag_str = str(mag)  # Fraction renders as n/d, int as n
-            if body and mag == 1:
-                text = body
-            elif body:
-                text = f"{mag_str}*{body}"
-            else:
-                text = mag_str
-            pieces.append(("-" if coeff < 0 else "+", text))
-        sign, text = pieces[0]
-        out = ("-" if sign == "-" else "") + text
-        for sign, text in pieces[1:]:
-            out += f" {sign} {text}"
-        return out
+        return _render_terms(self.names, [term for comp in self._comps for term in sorted(
+            ((_unpack(m, n, radix), c) for m, c in comp.items()), reverse=True)])
 
     __str__ = render
 
@@ -272,7 +254,7 @@ def chern_character(g: int, depth: int) -> GradedPolynomial:
     """sum_i e^{x_i} through total degree `depth`; constant term is the rank g."""
     from fractions import Fraction
     _check_positive("g", g)
-    _check_positive("depth", depth)
+    _check_nonnegative("depth", depth)
     radix = depth + 1
     comps = [{0: g}] + [{k * radix**i: Fraction(1, factorial(k)) for i in range(g)}
                         for k in range(1, radix)]
@@ -287,7 +269,7 @@ def todd_class(g: int, depth: int, dual: bool = True) -> GradedPolynomial:
     from fractions import Fraction
     _check_positive("g", g)
     _check_nonnegative("depth", depth)
-    base = todd_inverse_series(depth)
+    base = [bernoulli(k) / factorial(k) for k in range(depth + 1)]
     if not dual:
         base = [(-c if k % 2 else c) for k, c in enumerate(base)]
     # t -> D t makes each B_k D^k / k! an int; degree n of the product is D^n Td_n
@@ -423,10 +405,9 @@ def _lambda_quotient(g: int, p: list[dict]) -> list[dict]:
 def _todd_scaled(p: list[dict]) -> tuple[int, list[dict]]:
     # (M, [M^n n! Td_n(E)]) as ints, Td = exp(sum_k s_k p_k) with sum_k s_k t^k
     # the log of t/(e^t - 1): s_1 = -1/2 and s_k = -B_k/(k k!) for k >= 2, so
-    # the exp recurrence's k! s_k is -(k-1)! B_k/k!, and M clears every one.
+    # the exp recurrence's k! s_k is -B_k/k, and M clears every one.
     from fractions import Fraction
-    series = todd_inverse_series(len(p) - 1)
-    scale = [Fraction(-1, 2)] + [-factorial(k - 1) * series[k] for k in range(2, len(p))]
+    scale = [Fraction(-1, 2)] + [-bernoulli(k) / k for k in range(2, len(p))]
     m = lcm(*(s.denominator for s in scale))
     scale = [s.numerator * (m**k // s.denominator) for k, s in enumerate(scale, start=1)]
     return m, _exp_scaled([{}] + [{mon: c * s for mon, c in comp.items()} if s else {}
@@ -493,11 +474,8 @@ def fundamental_relations(g: int, max_degree: int) -> list[GradedPolynomial]:
     ls = [0] + [radix ** (i - 1) for i in range(1, g + 1)]
     out = []
     for d in range(1, max_degree + 1):
-        comp: dict = {}
-        for j in range(max(0, d - g), min(d, g) + 1):
-            mon = ls[d - j] + ls[j]
-            comp[mon] = comp.get(mon, 0) + (-1) ** j
         comps = [{} for _ in range(radix)]
-        comps[d] = {mon: c for mon, c in comp.items() if c}
+        for j in range(max(0, d - g), min(d, g) + 1):
+            _add_into(comps[d], {ls[d - j] + ls[j]: 1}, (-1) ** j)
         out.append(GradedPolynomial._raw(_names("l", g), tuple(range(1, g + 1)), 2 * g, comps))
     return out

@@ -155,7 +155,7 @@ def _decimal(n: int, digits: dict) -> str:
 
 def _payload(value, digits: dict):
     """Exact, json-ready structure: ints as decimal strings, rationals as
-    {num, den}, never a float."""
+    {num, den}, never a float: a value of any other type is refused with TypeError."""
     if value is None or isinstance(value, (bool, str)):
         return value
     if _is_rational(value):
@@ -169,7 +169,7 @@ def _payload(value, digits: dict):
         return [_payload(v, digits) for v in value]
     if isinstance(value, float):
         raise TypeError("floats are forbidden in output")
-    return str(value)
+    raise TypeError(f"cannot write a value of type {type(value).__name__}")
 
 
 def _scalar_text(value) -> str:

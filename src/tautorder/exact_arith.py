@@ -146,6 +146,19 @@ class _Record:
         return f"{type(self).__qualname__}({fields})"
 
 
+def _render_terms(names, terms) -> str:
+    """The one term writer of the polynomial records: `terms` are (exponent tuple,
+    nonzero coefficient) pairs in print order, each written c*x^e with a coefficient
+    of magnitude 1 dropped, joined by their signs; "0" when there are none."""
+    out = ""
+    for mon, coeff in terms:
+        body = "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(names, mon) if e)
+        mag = str(abs(coeff))  # a Fraction writes n/d, an int n
+        text = f"{mag}*{body}" if body and mag != "1" else body or mag
+        out += f" {'-' if coeff < 0 else '+'} {text}"
+    return (out[3:] if out[1] == "+" else "-" + out[3:]) if out else "0"
+
+
 class PrimeLocalOrder(_Record):
     """One prime-power factor p^k of a multiplicative order."""
 

@@ -39,13 +39,14 @@ independent route these closed forms are checked against.
 
 One dense core, `_convolve`, multiplies coefficient lists: the unit product's
 tree here, and the field arithmetic of the test oracle.  `ModPPolynomial` is
-the result record, canonical mod l, with no arithmetic of its own.  The rows
-of multiplication by zeta are the companion matrix of Phi_{l^k}.
+the result record, canonical mod l, with no arithmetic of its own; it prints its
+nonzero terms ascending through exact_arith's term writer, as GradedPolynomial
+does.  The rows of multiplication by zeta are the companion matrix of Phi_{l^k}.
 """
 from __future__ import annotations
 
 from .exact_arith import (
-    _Record, _check_int, _check_iterable, _check_positive, _check_prime, _product,
+    _Record, _check_int, _check_iterable, _check_positive, _check_prime, _product, _render_terms,
 )
 
 __all__ = [
@@ -93,18 +94,7 @@ class ModPPolynomial(_Record):
         super().__init__(modulus, tuple(cs))
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                x = "x" if i == 1 else f"x^{i}"
-                parts.append(x if c == 1 else f"{c}*{x}")
-        return " + ".join(parts)
+        return _render_terms(("x",), (((i,), c) for i, c in enumerate(self.coeffs) if c))
 
 
 def hurwitz_genus(l: int, k: int) -> int:

@@ -20,7 +20,7 @@ from root_ring_oracle import (
 import tautorder
 import tautorder.bernoulli_zeta as bernoulli_zeta
 import tautorder.chern_symbolics as chern
-from tautorder.bernoulli_zeta import todd_inverse_series
+from tautorder.bernoulli_zeta import bernoulli
 from tautorder.chern_symbolics import (
     GradedPolynomial,
     borel_serre_check,
@@ -407,6 +407,17 @@ def test_chern_character_is_sum_of_exponentials() -> None:
     )
 
 
+def test_chern_character_at_depth_zero_is_the_rank() -> None:
+    # as todd_class(g, 0) and borel_serre_check(g, 0) accept depth 0
+    for g in range(1, 5):
+        ch = chern_character(g, 0)
+        assert ch.terms == {(0,) * g: g}
+        assert ch.render() == str(g)
+        assert ch.truncation == 0
+    assert todd_class(3, 0).render() == "1"
+    assert borel_serre_check(3, 0)
+
+
 def test_todd_class_single_variable_series() -> None:
     assert todd_class(1, 2).render() == "1 - 1/2*x1 + 1/12*x1^2"
     assert todd_class(1, 2, dual=False).render() == "1 + 1/2*x1 + 1/12*x1^2"
@@ -415,7 +426,7 @@ def test_todd_class_single_variable_series() -> None:
 def _todd_class_by_fractions(g: int, depth: int, dual: bool) -> GradedPolynomial:
     # prod_i f(x_i) multiplied out on the Fraction series, the route before t -> D t
     xs = root_variables(g, depth)
-    series = todd_inverse_series(depth)
+    series = [bernoulli(k) / factorial(k) for k in range(depth + 1)]
     out = xs[0].constant(1)
     for x in xs:
         factor = x.constant(0)
@@ -619,7 +630,7 @@ def test_lambda_star_refuses_a_quotient_entry_that_does_not_divide(monkeypatch) 
 def _todd_scaled_by_fractions(p: list[dict]) -> list[dict]:
     # n! Td_n(E) with the Fraction k! s_k fed to the exp recurrence as they are,
     # the route before M cleared them, kept as an oracle
-    series = todd_inverse_series(len(p) - 1)
+    series = [bernoulli(k) / factorial(k) for k in range(len(p))]
     scale = [Fraction(-1, 2)] + [-factorial(k - 1) * series[k] for k in range(2, len(p))]
     return _exp_scaled([{}] + [{mon: c * s for mon, c in comp.items()} if s else {}
                                for s, comp in zip(scale, p[1:])])
@@ -663,15 +674,14 @@ def test_power_sums_match_symmetric_reduction() -> None:
 
 
 def test_mutated_todd_coefficient_is_rejected_by_both_routes(monkeypatch) -> None:
-    # s_2 = -B_2/(2 2!) is read from B_2/2! = 1/12; both routes read that series
-    original = chern.todd_inverse_series
+    # s_2 = -B_2/(2 2!) and the series' B_2/2! = 1/12 both read B_2 = 1/6, from
+    # the same bernoulli; B_2 -> 1/3 doubles both
+    original = chern.bernoulli
 
-    def mutated(depth: int) -> list[Fraction]:
-        series = original(depth)
-        series[2] = Fraction(1, 6)
-        return series
+    def mutated(m: int) -> Fraction:
+        return Fraction(1, 3) if m == 2 else original(m)
 
-    monkeypatch.setattr(chern, "todd_inverse_series", mutated)
+    monkeypatch.setattr(chern, "bernoulli", mutated)
     for g in range(2, 6):
         assert not borel_serre_check(g, 2 * g)
     for g in range(2, 4):
@@ -877,8 +887,7 @@ def test_lambda_character_reads_no_bernoulli_number(monkeypatch) -> None:
         raise AssertionError("Bernoulli number read")
 
     for module in (chern, bernoulli_zeta):
-        monkeypatch.setattr(module, "todd_inverse_series", refuse)
-    monkeypatch.setattr(bernoulli_zeta, "bernoulli", refuse)
+        monkeypatch.setattr(module, "bernoulli", refuse)
     for g, ch in want.items():
         assert _lambda_character(g, _power_sums(g, 2 * g)) == ch
     with pytest.raises(AssertionError, match="Bernoulli"):

@@ -259,6 +259,17 @@ def test_rendering_failure_exits_one_with_one_line(
     assert capsys.readouterr().err == "tautorder: error: floats are forbidden in output\n"
 
 
+def test_unknown_output_type_exits_one_with_one_line(
+    monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture
+) -> None:
+    # a value the writer does not know is refused by its type, not written with str()
+    monkeypatch.setattr("tautorder.cli.hurwitz_genus", lambda l, k: 1.5j)
+    code, text = _run(["hurwitz", "3", "2"])
+    assert code == 1
+    assert text == ""
+    assert capsys.readouterr().err == "tautorder: error: cannot write a value of type complex\n"
+
+
 def test_large_prime_moduli_answer_at_once() -> None:
     # both trial-divided up to 10^9 before the primality test stopped them
     p = 10**18 + 3

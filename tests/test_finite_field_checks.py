@@ -16,6 +16,7 @@ from cyclotomic_oracle import (
     twist_numerator,
 )
 from tautorder import cli, finite_field_checks, verify
+from tautorder.chern_symbolics import GradedPolynomial
 from tautorder.finite_field_checks import (
     ModPPolynomial,
     cyclotomic_chern_check,
@@ -43,6 +44,19 @@ def test_modp_polynomial_basics() -> None:
     assert repr(p) == "ModPPolynomial(modulus=5, coeffs=(1, 2, 3))"
     assert ModPPolynomial(5, [0]).coeffs == ()
     assert ModPPolynomial(5, [6, 10]) == ModPPolynomial(5, [1, 0])
+
+
+def test_modp_polynomial_prints_as_the_graded_record() -> None:
+    # both records print through one term writer: ModPPolynomial ascending, and a
+    # univariate GradedPolynomial of weight 1 orders by degree, so the two agree
+    cases = [[], [0], [1], [0, 1], [0, 0, 0, 4], [1, 2, 3], [6, 0, 10, 0, 1, 0],
+             [-1, 5, 0, 0, 2, 7], [12, 1, 0, 3]]
+    rng = random.Random(33)
+    cases += [[rng.randrange(-20, 20) for _ in range(rng.randrange(1, 12))] for _ in range(30)]
+    for l in (2, 3, 5, 7, 11):
+        for cs in cases:
+            graded = GradedPolynomial(("x",), (1,), len(cs), {(i,): c % l for i, c in enumerate(cs)})
+            assert str(ModPPolynomial(l, cs)) == graded.render(), (l, cs)
 
 
 def test_modp_polynomial_is_a_record_without_arithmetic() -> None:

@@ -5,7 +5,8 @@ The input rules, the int type rule among them, are raised from exact_arith
 alone.  The modules a cold call does not need are imported inside the functions
 that use them, and argparse, json and csv not at all: the command line has one
 parser and writes its json and csv itself.  Products go through exact_arith._product, so math.prod
-is not imported."""
+is not imported, and polynomial terms through exact_arith._render_terms, so no
+other module writes a power x^{e}."""
 from __future__ import annotations
 
 import ast
@@ -106,3 +107,17 @@ def test_no_source_imports_prod_from_math() -> None:
     ]
     assert len(imports) > 5
     assert [(path, name) for path, name in imports if name == "prod"] == []
+
+
+def test_only_exact_arith_writes_a_power_in_an_f_string() -> None:
+    # exact_arith._render_terms is the one term writer of the polynomial records
+    writers = sorted(
+        path.name
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.JoinedStr)
+        and any(isinstance(part, ast.Constant) and part.value.endswith("^")
+                and isinstance(after, ast.FormattedValue)
+                for part, after in zip(node.values, node.values[1:]))
+    )
+    assert writers == ["exact_arith.py"]

@@ -308,6 +308,28 @@ def test_non_integer_arguments_are_refused(call, message: str) -> None:
         call()
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: chern_symbolics.GradedPolynomial(("x", "y"), (1,), 2, {}),
+         "names and weights must align"),
+        (lambda: chern_symbolics.GradedPolynomial(("x", "y"), (1, 1), 2, {(1,): 1}),
+         "exponent vector length mismatch"),
+        # x*x would read as one variable
+        (lambda: chern_symbolics.GradedPolynomial(("x", "x"), (1, 1), 2, {(1, 1): 1, (2, 0): 3}),
+         "names must be distinct"),
+        (lambda: chern_symbolics.symmetric_reduce(
+            chern_symbolics.GradedPolynomial(("c1",), (2,), 2, {(1,): 1})),
+         "symmetric reduction expects weight-1 root variables"),
+        (lambda: bernoulli_zeta.von_staudt_denominator(3), "defined for positive even m"),
+        (lambda: run_suite("nope"), "unknown suite: nope"),
+    ],
+)
+def test_out_of_range_arguments_are_refused(call, message: str) -> None:
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_oracle_agrees_with_local_rule() -> None:
     for g in range(1, 9):
         assert ng_oracle(g) == ng_local(g).value
