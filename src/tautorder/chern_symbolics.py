@@ -137,6 +137,11 @@ class GradedPolynomial(_Record):
         names, weights = tuple(names), tuple(weights)
         if len(names) != len(weights):
             raise ValueError("names and weights must align")
+        for name in names:  # so the term writer prints each as one variable
+            if not isinstance(name, str):
+                raise TypeError(f"name must be a str, not {type(name).__name__}")
+            if not name.isidentifier():
+                raise ValueError(f"name must be an identifier; got {name!r}")
         if len(set(names)) != len(names):
             raise ValueError("names must be distinct")
         for w in weights:
@@ -435,8 +440,6 @@ def borel_serre_check(g: int, depth: int) -> bool:
     """
     _check_positive("g", g)
     _check_nonnegative("depth", depth)
-    if depth < g:
-        return True  # both sides vanish below degree g
     # ch is (-1)^g c_g q / g!, so degree n + g of the identity, times
     # (-1)^g g! M^n (n + g)! / c_g, reads sum_j C(n + g, j + g) M^j q[j] td[n - j]
     # = g!^2 [n = 0]: it runs in degrees n <= depth - g, on q undivided

@@ -56,42 +56,34 @@ def _verify(suite: str, max_g: "int | None") -> dict:
     }
 
 
-# subcommand -> (help, integer positionals, compute).  compute takes the parsed
-# arguments as keywords; the lambdas look library names up when called.
+# subcommand -> (help, arguments, compute): arguments maps every argument but --format,
+# positionals first, to (default, kind), kind a tuple of choices, int, or bool for a flag;
+# compute takes them as keywords, and the lambdas look library names up when called.
+_INT = (None, int)
 _COMMANDS = {
-    "ng": ("torsion invariant n_g with its prime factorization", ["g"], _ng),
-    "bernoulli": ("Bernoulli number B_m", ["m"], lambda m: {"m": m, "value": bernoulli(m)}),
-    "zeta": ("zeta value at 1-2g", ["g"], lambda g: {"g": g, "value": zeta_neg(g)}),
-    "prop": ("proportionality constant for index g", ["g"], lambda g: proportionality(g)),
-    "bounds": ("torsion order bounds for index g", ["g"], lambda g: torsion_report(g)),
-    "sp-order": ("order of Sp(2g, Z/n)", ["g", "n"], lambda g, n: sp_order(g, n)),
-    "degree": ("integrality of #Sp(2g, Z/n) times |proportionality|", ["g", "n"],
+    "ng": ("torsion invariant n_g with its prime factorization",
+           {"g": _INT, "--oracle": (False, bool)}, _ng),
+    "bernoulli": ("Bernoulli number B_m", {"m": _INT}, lambda m: {"m": m, "value": bernoulli(m)}),
+    "zeta": ("zeta value at 1-2g", {"g": _INT}, lambda g: {"g": g, "value": zeta_neg(g)}),
+    "prop": ("proportionality constant for index g", {"g": _INT}, lambda g: proportionality(g)),
+    "bounds": ("torsion order bounds for index g", {"g": _INT}, lambda g: torsion_report(g)),
+    "sp-order": ("order of Sp(2g, Z/n)", {"g": _INT, "n": _INT}, lambda g, n: sp_order(g, n)),
+    "degree": ("integrality of #Sp(2g, Z/n) times |proportionality|", {"g": _INT, "n": _INT},
                lambda g, n: degree_integrality(g, n)),
-    "koblitz": ("supersingular multiplicity prod (p^i - 1)", ["g", "p"],
+    "koblitz": ("supersingular multiplicity prod (p^i - 1)", {"g": _INT, "p": _INT},
                 lambda g, p: {"g": g, "p": p, "value": koblitz_coefficient(g, p)}),
-    "boundary": ("boundary coefficient (-1)^g / zeta(1-2g)", ["g"],
+    "boundary": ("boundary coefficient (-1)^g / zeta(1-2g)", {"g": _INT},
                  lambda g: {"g": g, "value": boundary_coefficient(g)}),
-    "hurwitz": ("genus of the l^k cyclic cover", ["l", "k"],
+    "hurwitz": ("genus of the l^k cyclic cover", {"l": _INT, "k": _INT},
                 lambda l, k: {"l": l, "k": k, "genus": hurwitz_genus(l, k)}),
-    "verify": ("run an identity verification suite", [], _verify),
-}
-
-
-# every argument past the integer positionals: name -> (the one command that takes
-# it, None for all; its default; its kind: a tuple of choices, int, or bool for a flag)
-_OPTIONS = {
-    "suite": ("verify", None, tuple(SUITE_NAMES)),
-    "--oracle": ("ng", False, bool),
-    "--max-g": ("verify", None, int),
-    "--format": (None, "text", ("text", "json", "csv")),
+    "verify": ("run an identity verification suite",
+               {"suite": (None, tuple(SUITE_NAMES)), "--max-g": _INT}, _verify),
 }
 
 
 def _arguments(command: str) -> dict:
     """name -> (default, kind) of every argument `command` takes, positionals first."""
-    arguments = {name: (None, int) for name in _COMMANDS[command][1]}
-    arguments.update((name, row[1:]) for name, row in _OPTIONS.items() if row[0] in (None, command))
-    return arguments
+    return _COMMANDS[command][1] | {"--format": ("text", ("text", "json", "csv"))}
 
 
 def _help(command: str) -> str:
@@ -177,8 +169,6 @@ def _scalar_text(value) -> str:
         return f"{value['num']}/{value['den']}"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if value is None:
-        return "none"
     return str(value)
 
 

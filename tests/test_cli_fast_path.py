@@ -1,9 +1,9 @@
 """The one argv grammar, `cli._fast_parse`: every well-formed argv of the
 totality test reads and prints the same wherever its options stand, every
 other spelling is a one-line usage error that names the token at fault, and
--h or --help anywhere prints the help built from the command and option tables.
-On any argv, mangled or not, the grammar either refuses it in one line or reads
-exactly the namespace that argparse, built from the same tables, reads."""
+-h or --help anywhere prints the help built from the command table.  On any argv,
+mangled or not, the grammar either refuses it in one line or reads exactly the
+namespace that argparse, built from the same table, reads."""
 from __future__ import annotations
 
 import contextlib
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from test_cli_totality import _argv, _mangled
 
 from tautorder import cli
-from tautorder.cli import _COMMANDS, _OPTIONS, _fast_parse, run
+from tautorder.cli import _COMMANDS, _arguments, _fast_parse, run
 from tautorder.verify import SUITE_NAMES
 
 _settings = settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -51,23 +51,36 @@ def test_fast_path_reads_every_well_formed_argv(pair: tuple[list[str], list[str]
     assert _call(reordered) == _call(canonical), reordered
 
 
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_each_row_declares_its_arguments_in_the_one_shape(command: str) -> None:
+    # (help, arguments, compute); arguments maps each name but --format, positionals
+    # first, to (default, kind): kind is a tuple of str choices, int, or bool for a
+    # flag, which is an option and off by default
+    help_text, arguments, compute = _COMMANDS[command]
+    assert isinstance(help_text, str) and isinstance(arguments, dict) and callable(compute)
+    assert "--format" not in arguments
+    options = [arg for arg in arguments if arg[0] == "-"]
+    assert list(arguments)[len(arguments) - len(options):] == options, "positionals first"
+    for arg, (default, kind) in arguments.items():
+        assert arg.startswith("--") or arg[0] != "-", arg  # the grammar reads "--" names only
+        if kind is bool:
+            assert arg.startswith("--") and default is False, arg
+        elif kind is not int:
+            assert isinstance(kind, tuple) and kind, arg
+            assert all(isinstance(choice, str) for choice in kind), arg
+
+
 def _argparse_namespace(argv: list[str]) -> "dict | None":
-    # an independent reading of the command and option tables; None for help or a usage error
+    # an independent reading of the command table; None for help or a usage error
     import argparse
     parser = argparse.ArgumentParser(prog="tautorder")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, positionals, _) in _COMMANDS.items():
+    for name in _COMMANDS:
         p = sub.add_parser(name)
-        for arg in positionals:
-            p.add_argument(arg, type=int)
-        for arg, (only, default, kind) in _OPTIONS.items():
-            if only not in (None, name):
-                continue
+        for arg, (default, kind) in _arguments(name).items():
             if kind is bool:
                 p.add_argument(arg, action="store_true", default=default)
-            elif arg[0] != "-":
-                p.add_argument(arg, choices=kind)
-            else:
+            else:  # argparse requires a positional, so it never reads a positional's default
                 keywords = dict(type=int) if kind is int else dict(choices=kind)
                 p.add_argument(arg, default=default, **keywords)
     sink = io.StringIO()

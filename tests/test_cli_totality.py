@@ -33,7 +33,10 @@ def _optional(flag: str, values: st.SearchStrategy) -> st.SearchStrategy:
 @st.composite
 def _argv(draw) -> list[str]:
     command = draw(st.sampled_from(sorted(_COMMANDS)))
-    argv = [command] + [draw(_small) for _ in _COMMANDS[command][1]]
+    # an integer for each integer positional; the suite and the options are drawn below
+    arguments = _COMMANDS[command][1].items()
+    integers = [arg for arg, (_, kind) in arguments if kind is int and arg[0] != "-"]
+    argv = [command] + [draw(_small) for _ in integers]
     if command == "ng":
         argv += draw(st.one_of(st.just([]), st.just(["--oracle"])))
     elif command == "verify":

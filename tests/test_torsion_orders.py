@@ -294,6 +294,9 @@ def test_every_g_function_refuses_a_non_integer_g(name: str, g: object) -> None:
         (lambda: chern_symbolics.GradedPolynomial(("x",), (1,), 2, 5), "terms must be iterable, not int"),
         (lambda: chern_symbolics.GradedPolynomial(("x",), 1, 2, {}), "weights must be iterable, not int"),
         (lambda: chern_symbolics.GradedPolynomial(1, (1,), 2, {}), "names must be iterable, not int"),
+        # a name is printed as it stands, so it must be a str
+        (lambda: chern_symbolics.GradedPolynomial((1, 2), (1, 1), 2, {}),
+         "name must be a str, not int"),
         # and terms that are iterable but not a map of exponent tuples to coefficients
         (lambda: chern_symbolics.GradedPolynomial(("x",), (1,), 2, [1, 2]),
          "terms must map exponent tuples to coefficients"),
@@ -318,6 +321,13 @@ def test_non_integer_arguments_are_refused(call, message: str) -> None:
         # x*x would read as one variable
         (lambda: chern_symbolics.GradedPolynomial(("x", "x"), (1, 1), 2, {(1, 1): 1, (2, 0): 3}),
          "names must be distinct"),
+        # and an identifier: "" would print a term as a constant, "2" as a factor, "x-1" as two
+        (lambda: chern_symbolics.GradedPolynomial(("",), (1,), 2, {(1,): 3}),
+         "name must be an identifier; got ''"),
+        (lambda: chern_symbolics.GradedPolynomial(("2",), (1,), 2, {(1,): 3}),
+         "name must be an identifier; got '2'"),
+        (lambda: chern_symbolics.GradedPolynomial(("x", "x-1"), (1, 1), 2, {(1, 1): 2}),
+         "name must be an identifier; got 'x-1'"),
         (lambda: chern_symbolics.symmetric_reduce(
             chern_symbolics.GradedPolynomial(("c1",), (2,), 2, {(1,): 1})),
          "symmetric reduction expects weight-1 root variables"),
