@@ -6,13 +6,12 @@ a rank-g bundle into line elements), and g "class" variables c1..cg (or l1..lg)
 of weights 1..g.  Every product truncates at the ring's fixed total weighted
 degree, zero coefficients are pruned, and equality is equality of term maps.
 
-Every polynomial here has one sparse form: truncation + 1 homogeneous
-components, component d a dict from the packed monomials of weighted degree d
-to their coefficients.  A monomial v1^a1 ... vn^an packs to
-sum_i a_i radix^(i-1) with radix = truncation + 1, v1 the least significant
-digit.  No exponent within the truncation exceeds it, so multiplying monomials
-is adding their packed forms, and `_mul_into` and `_add_into` do every
-product and sum.
+Every polynomial here has one sparse form: a dict from packed monomials to
+their nonzero coefficients, sized by its terms, not by its truncation.  A
+monomial v1^a1 ... vn^an packs to sum_i a_i radix^(i-1) with radix =
+truncation + 1, v1 the least significant digit.  No exponent within the
+truncation exceeds it, so multiplying monomials is adding their packed forms,
+and `_mul_into` and `_add_into` do every product and sum.
 
 The root ring keeps what bench/'s class-ring pool calls: GradedPolynomial,
 chern_character, todd_class and symmetric_reduce.  GradedPolynomial is a
@@ -122,14 +121,14 @@ class GradedPolynomial(_Record):
     freely mixed, never a bool), and weights, exponents and the truncation are
     ints; any other type, names, weights or terms that are not iterable, or
     terms that do not map exponent tuples to coefficients, is refused with
-    TypeError.  The private `_comps[d]` holds the packed monomials of degree d;
+    TypeError.  The private `_packed` maps packed monomials to coefficients;
     `terms` is the same data by exponent tuples, fresh on each read.
     """
 
     names: tuple[str, ...]
     weights: tuple[int, ...]
     truncation: int
-    _comps: list
+    _packed: dict
 
     def __init__(self, names, weights, truncation, terms):
         for name, value in (("names", names), ("weights", weights), ("terms", terms)):
@@ -151,7 +150,7 @@ class GradedPolynomial(_Record):
             terms = [(tuple(mon), coeff) for mon, coeff in dict(terms).items()]
         except (TypeError, ValueError):
             raise TypeError("terms must map exponent tuples to coefficients") from None
-        comps = [{} for _ in range(truncation + 1)]
+        packed = {}
         for mon, coeff in terms:
             if len(mon) != len(names):
                 raise ValueError("exponent vector length mismatch")
@@ -159,16 +158,15 @@ class GradedPolynomial(_Record):
                 _check_nonnegative("exponent", e)
             if not _is_rational(coeff):
                 raise TypeError(f"coefficients must be int or Fraction, not {type(coeff).__name__}")
-            degree = sum(e * w for e, w in zip(mon, weights))
-            if coeff != 0 and degree <= truncation:
-                comps[degree][_pack(mon, truncation + 1)] = coeff
-        super().__init__(names, weights, truncation, comps)
+            if coeff != 0 and sum(e * w for e, w in zip(mon, weights)) <= truncation:
+                packed[_pack(mon, truncation + 1)] = coeff
+        super().__init__(names, weights, truncation, packed)
 
     @property
     def terms(self) -> dict:
         """{exponent tuple: coefficient}, as a fresh dict the caller may keep."""
         n, radix = len(self.names), self.truncation + 1
-        return {_unpack(mon, n, radix): c for comp in self._comps for mon, c in comp.items()}
+        return {_unpack(mon, n, radix): c for mon, c in self._packed.items()}
 
     __hash__ = None
 
@@ -177,9 +175,8 @@ class GradedPolynomial(_Record):
     def render(self) -> str:
         """Canonical text form: terms by degree, exponents descending within one,
         exact coefficients, written by exact_arith's one term writer."""
-        n, radix = len(self.names), self.truncation + 1
-        return _render_terms(self.names, [term for comp in self._comps for term in sorted(
-            ((_unpack(m, n, radix), c) for m, c in comp.items()), reverse=True)])
+        return _render_terms(self.names, sorted(self.terms.items(), reverse=True, key=lambda term: (
+            -sum(map(int.__mul__, term[0], self.weights)), term[0])))
 
     __str__ = render
 
@@ -222,20 +219,25 @@ class SymmetricReduction(_Record):
 def symmetric_reduce(poly: GradedPolynomial) -> SymmetricReduction:
     """Rewrite a symmetric polynomial in the roots as a polynomial in c1..cg.
 
-    Classical leading-term elimination, one homogeneous component at a time,
-    so truncation never interferes.  Packed monomials compare x_g first, and
-    the greatest monomial x1^a1 ... xg^ag of a symmetric polynomial has
-    a1 <= ... <= ag; prod_j e_j^{a_{g-j+1} - a_{g-j}} (a_0 = 0) has that same
-    leading monomial with coefficient 1.  A falling exponent shows that the
-    input is not symmetric, and raises ValueError.
+    Classical leading-term elimination on each homogeneous component (the
+    packed monomials of one digit sum), so truncation never interferes.  Packed
+    monomials compare x_g first, and the greatest monomial x1^a1 ... xg^ag of a
+    symmetric polynomial has a1 <= ... <= ag; prod_j e_j^{a_{g-j+1} - a_{g-j}}
+    (a_0 = 0) has that same leading monomial with coefficient 1.  A falling
+    exponent shows that the input is not symmetric, and raises ValueError.
     """
     from fractions import Fraction
     g = len(poly.names)
     if poly.weights != (1,) * g:
         raise ValueError("symmetric reduction expects weight-1 root variables")
-    radix = poly.truncation + 1
-    out = [{} for _ in poly._comps]
-    for degree, bucket in enumerate(poly._comps):
+    radix, buckets, out = poly.truncation + 1, {}, {}
+    for mon, c in poly._packed.items():
+        degree, rest = 0, mon
+        while rest:
+            rest, digit = divmod(rest, radix)
+            degree += digit
+        buckets.setdefault(degree, {})[mon] = c
+    for bucket in buckets.values():
         # the elimination is linear, so it runs on den * bucket, all ints
         den = lcm(*(c.denominator for c in bucket.values()))
         comp = {mon: c.numerator * (den // c.denominator) for mon, c in bucket.items()}
@@ -247,7 +249,7 @@ def symmetric_reduce(poly: GradedPolynomial) -> SymmetricReduction:
             exps = tuple(a[g - j + 1] - a[g - j] for j in range(1, g + 1))
             coeff = comp[lead]
             _add_into(comp, _elementary_monomial(g, exps, radix), -coeff)
-            out[degree][_pack(exps, radix)] = Fraction(coeff, den) if den > 1 else coeff
+            out[_pack(exps, radix)] = Fraction(coeff, den) if den > 1 else coeff
     output = GradedPolynomial._raw(_names("c", g), tuple(range(1, g + 1)), poly.truncation, out)
     return SymmetricReduction(poly, output)
 
@@ -261,9 +263,8 @@ def chern_character(g: int, depth: int) -> GradedPolynomial:
     _check_positive("g", g)
     _check_nonnegative("depth", depth)
     radix = depth + 1
-    comps = [{0: g}] + [{k * radix**i: Fraction(1, factorial(k)) for i in range(g)}
-                        for k in range(1, radix)]
-    return GradedPolynomial._raw(_names("x", g), (1,) * g, depth, comps)
+    packed = {k * radix**i: Fraction(1, factorial(k)) for k in range(1, radix) for i in range(g)}
+    return GradedPolynomial._raw(_names("x", g), (1,) * g, depth, {0: g} | packed)
 
 
 def todd_class(g: int, depth: int, dual: bool = True) -> GradedPolynomial:
@@ -291,8 +292,8 @@ def todd_class(g: int, depth: int, dual: bool = True) -> GradedPolynomial:
                 if base[k]:
                     shift, b = k * step, base[k]
                     comps[n].update({mon + shift: c * b for mon, c in comps[n - k].items()})
-    return GradedPolynomial._raw(_names("x", g), (1,) * g, depth, [
-        {mon: Fraction(c, den**n) for mon, c in comp.items()} for n, comp in enumerate(comps)])
+    return GradedPolynomial._raw(_names("x", g), (1,) * g, depth, {
+        mon: Fraction(c, den**n) for n, comp in enumerate(comps) for mon, c in comp.items()})
 
 
 def lambda_star_class(g: int, depth: int) -> GradedPolynomial:
@@ -308,15 +309,14 @@ def lambda_star_class(g: int, depth: int) -> GradedPolynomial:
     # n! ch_n = (-1)^g c_g q[n - g] / g!, exactly, and zero below degree g: q[m]
     # = g! (m + g)! e_g(z)_m is g! times a sum of multinomials (m + g)!/prod_j
     # (n_j + 1)! on root monomials.  k! L_k = (-1)^{k-1} (k-1)! (k! ch_k).
-    radix = depth + 1
-    c_g, div = radix ** (g - 1), (-1) ** g * factorial(g)
-    q = _lambda_quotient(g, _power_sums(g, depth - g, radix))
+    c_g, div = (depth + 1) ** (g - 1), (-1) ** g * factorial(g)
+    q = _lambda_quotient(g, _power_sums(g, depth - g, depth + 1))
     total = _exp_scaled([{} for _ in range(g)] + [
         {mon + c_g: (-1) ** (k - 1) * factorial(k - 1) * c for mon, c in comp.items()}
         for k, comp in enumerate((_divided(comp, div) for comp in q), start=g)])
     # dividing by n! is exact, as the total class of a virtual bundle is integral
-    return GradedPolynomial._raw(_names("c", g), tuple(range(1, g + 1)), depth, [
-        _divided(comp, factorial(n)) for n, comp in enumerate(total)])
+    return GradedPolynomial._raw(_names("c", g), tuple(range(1, g + 1)), depth, {
+        mon: c for n, comp in enumerate(total) for mon, c in _divided(comp, factorial(n)).items()})
 
 
 def _divided(comp: dict, div: int) -> dict:
@@ -473,12 +473,11 @@ def fundamental_relations(g: int, max_degree: int) -> list[GradedPolynomial]:
     if not 1 <= max_degree <= 2 * g:
         raise ValueError("max_degree must lie in 1..2g")
     # degree d is sum_{i+j=d} (-1)^j l_i l_j with l_0 = 1, on packed monomials
-    radix = 2 * g + 1
-    ls = [0] + [radix ** (i - 1) for i in range(1, g + 1)]
+    ls = [0] + [(2 * g + 1) ** (i - 1) for i in range(1, g + 1)]
     out = []
     for d in range(1, max_degree + 1):
-        comps = [{} for _ in range(radix)]
+        packed: dict = {}
         for j in range(max(0, d - g), min(d, g) + 1):
-            _add_into(comps[d], {ls[d - j] + ls[j]: 1}, (-1) ** j)
-        out.append(GradedPolynomial._raw(_names("l", g), tuple(range(1, g + 1)), 2 * g, comps))
+            _add_into(packed, {ls[d - j] + ls[j]: 1}, (-1) ** j)
+        out.append(GradedPolynomial._raw(_names("l", g), tuple(range(1, g + 1)), 2 * g, packed))
     return out

@@ -267,8 +267,8 @@ def run(argv=None, out=None) -> int:
             if limit:
                 sys.set_int_max_str_digits(limit)
         out.flush()
-    except (ValueError, TypeError, ArithmeticError) as exc:
-        print(f"tautorder: error: {exc}", file=sys.stderr)
+    except (ValueError, TypeError, ArithmeticError, MemoryError) as exc:
+        print(f"tautorder: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     return 2 if command == "verify" and result["failed"] else 0
 

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import ast
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 from itertools import accumulate, combinations, product
 from math import comb, factorial, perm
@@ -204,6 +206,25 @@ def test_round_trip_through_terms() -> None:
               *fundamental_relations(3, 6)]
     for p in polys:
         assert GradedPolynomial(p.names, p.weights, p.truncation, p.terms) == p
+        # one unordered map: neither equality nor print order follows insertion order
+        rebuilt = GradedPolynomial(
+            p.names, p.weights, p.truncation, dict(reversed(list(p.terms.items()))))
+        assert rebuilt == p and rebuilt.render() == p.render()
+
+
+def test_a_record_costs_its_terms_not_its_truncation() -> None:
+    # one term under truncation 10**6: no allocation per degree up to the truncation
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        x = GradedPolynomial(("x",), (1,), 10**6, {(1,): 1})
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    print(f"built in {elapsed * 1e3:.3f} ms, tracemalloc peak {peak / 1024:.1f} KiB")
+    assert peak < 64 * 1024
+    assert x.terms == {(1,): 1} and x.render() == "x"
 
 
 def test_immutability_and_unhashability() -> None:
@@ -262,11 +283,14 @@ def test_symmetric_reduce_round_trip() -> None:
 
 def _symmetric_reduce_by_fractions(poly: GradedPolynomial) -> GradedPolynomial:
     # the elimination on each component as given, Fraction coefficients and
-    # all: the route before denominators were cleared, kept as an oracle
+    # all: the route before denominators were cleared, kept as an oracle.  It
+    # reads the public terms, grouped by degree with sum(), not the packed map.
     g, radix = len(poly.names), poly.truncation + 1
-    out = [{} for _ in poly._comps]
-    for degree, bucket in enumerate(poly._comps):
-        comp = dict(bucket)
+    comps: dict = {}
+    for mon, c in poly.terms.items():
+        comps.setdefault(sum(mon), {})[chern._pack(mon, radix)] = c
+    out = {}
+    for comp in comps.values():
         while comp:
             lead = max(comp)
             a = (0,) + chern._unpack(lead, g, radix)
@@ -275,7 +299,7 @@ def _symmetric_reduce_by_fractions(poly: GradedPolynomial) -> GradedPolynomial:
             exps = tuple(a[g - j + 1] - a[g - j] for j in range(1, g + 1))
             coeff = comp[lead]
             chern._add_into(comp, chern._elementary_monomial(g, exps, radix), -coeff)
-            out[degree][chern._pack(exps, radix)] = coeff
+            out[chern._pack(exps, radix)] = coeff
     return GradedPolynomial._raw(
         tuple(f"c{i}" for i in range(1, g + 1)), tuple(range(1, g + 1)), poly.truncation, out)
 

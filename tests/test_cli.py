@@ -135,6 +135,22 @@ def test_domain_errors_exit_one_with_message(capsys: pytest.CaptureFixture) -> N
         assert err.startswith("tautorder: error: ") and err.count("\n") == 1 and err.endswith("\n"), argv
 
 
+def test_memory_error_exits_one_with_one_line(
+    monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture
+) -> None:
+    # a huge index asks _tangent_numbers for a list of m/2 ints; its MemoryError has
+    # an empty message, so the line names the error instead
+    import tautorder.bernoulli_zeta as bernoulli_zeta
+
+    def refuse(n: int) -> list[int]:
+        raise MemoryError
+
+    monkeypatch.setattr(bernoulli_zeta, "_tangent_numbers", refuse)
+    for argv in (["bernoulli", "1000000000000"], ["zeta", "500000000000"]):
+        assert _run(argv) == (1, ""), argv
+        assert capsys.readouterr().err == "tautorder: error: MemoryError\n", argv
+
+
 def test_oracle_route_reports_parameters() -> None:
     code, text = _run(["ng", "2", "--oracle", "--format", "json"])
     assert code == 0

@@ -6,7 +6,8 @@ alone.  The modules a cold call does not need are imported inside the functions
 that use them, and argparse, json and csv not at all: the command line has one
 parser and writes its json and csv itself.  Products go through exact_arith._product, so math.prod
 is not imported, and polynomial terms through exact_arith._render_terms, so no
-other module writes a power x^{e}."""
+other module writes a power x^{e}.  The packed term map of GradedPolynomial is
+read in chern_symbolics alone."""
 from __future__ import annotations
 
 import ast
@@ -121,3 +122,14 @@ def test_only_exact_arith_writes_a_power_in_an_f_string() -> None:
                 for part, after in zip(node.values, node.values[1:]))
     )
     assert writers == ["exact_arith.py"]
+
+
+def test_only_chern_symbolics_reads_the_packed_term_map() -> None:
+    # GradedPolynomial._packed is a private format; every other module reads .terms
+    readers = sorted({
+        path.name
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "_packed"
+    })
+    assert readers == ["chern_symbolics.py"]
