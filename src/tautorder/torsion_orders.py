@@ -9,6 +9,9 @@ divides n_g.
 
 `ng_local(g)` walks the divisors of 2g, read off `factorize(2g)`; the
 tables n_1..n_g behind the reports come from one sieve pass, `_ng_values(g)`.
+`boundary_coefficient(g)`, the coefficient of the generalized 12 lambda_1 = delta,
+is read off zeta_neg alone; its numerator is n_g/2, which `verify grr-chain`
+checks against `ng_local`.
 
 The independent oracle computes the same number as a stabilized running gcd of
 p^{2g} - 1 over primes p > 2g+1.  The two routes share only the prime sieve
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 from math import factorial, gcd
 
-from .bernoulli_zeta import bernoulli, proportionality, zeta_neg
+from .bernoulli_zeta import proportionality, zeta_neg
 from .exact_arith import (
     PrimeLocalOrder,
     _Record,
@@ -41,11 +44,9 @@ __all__ = [
     "ng_local",
     "ng_oracle",
     "product_identity_check",
-    "product_identity_tail_is_trivial",
     "denominator_corollary_check",
     "torsion_report",
     "boundary_coefficient",
-    "grr_chain_check",
 ]
 
 # Frozen anchor values for the first four indices, published independently of
@@ -120,24 +121,14 @@ class ProductIdentityReport(_Record):
 def product_identity_check(g: int) -> ProductIdentityReport:
     """prod_{i<=g} n_i against prod_p p^(p-adic valuation of [2gp/(p-1)]!).
 
-    The right side runs over p <= 2g+1; larger primes contribute factor 1.
+    The right side runs over p <= 2g+1: a larger p has [2gp/(p-1)] = 2g < p, so
+    its factor p^0 is 1.
     """
     _check_positive("g", g)
     lhs = _product(_ng_values(g))
     primes = primes_upto(2 * g + 1)
     rhs = _product(p ** factorial_p_valuation((2 * g * p) // (p - 1), p) for p in primes)
     return ProductIdentityReport(g, lhs, rhs, lhs == rhs)
-
-
-def product_identity_tail_is_trivial(g: int) -> bool:
-    """Factors for 2g+1 < p <= 4g+4 are all 1 (truncating at 2g+1 loses nothing)."""
-    _check_positive("g", g)
-    for p in primes_upto(4 * g + 4):
-        if p <= 2 * g + 1:
-            continue
-        if factorial_p_valuation((2 * g * p) // (p - 1), p) != 0:
-            return False
-    return True
 
 
 def denominator_corollary_check(g: int) -> bool:
@@ -176,20 +167,14 @@ def torsion_report(g: int) -> TorsionReport:
 
 
 def boundary_coefficient(g: int) -> Fraction:
-    """(-1)^g / zeta_neg(g), always positive; an integer for small g.
+    """(-1)^g / zeta_neg(g) = (-1)^{g+1} * 2g/B_{2g}, always positive.
 
-    Equals (-1)^{g+1} * 2g/B_{2g}.  Integrality fails once the numerator of
-    B_{2g} stops dividing 2g (first at g = 6, numerator 691), so the exact
-    rational is returned as-is.
+    Its numerator is n_g/2 for every g: n_g is the denominator of B_{2g}/4g, and
+    the numerator of B_{2g} is odd.  The numerator of B_{2g} survives in the
+    denominator (691 at g = 6), so the exact rational is returned as-is.
     """
     value = (-1) ** g / zeta_neg(g)
     if value <= 0:
         raise ArithmeticError("sign bookkeeping broken")
     return value
 
-
-def grr_chain_check(g: int) -> bool:
-    """|B_{2g} * (2g-1) * (2g-2)! / (2g)!| agrees with |zeta_neg(g)|."""
-    _check_positive("g", g)
-    lhs = abs(bernoulli(2 * g) * (2 * g - 1) * factorial(2 * g - 2) / factorial(2 * g))
-    return lhs == abs(zeta_neg(g))

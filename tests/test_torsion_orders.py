@@ -17,11 +17,9 @@ from tautorder.torsion_orders import (
     _ng_values,
     boundary_coefficient,
     denominator_corollary_check,
-    grr_chain_check,
     ng_local,
     ng_oracle,
     product_identity_check,
-    product_identity_tail_is_trivial,
     torsion_report,
 )
 from tautorder.verify import run_suite
@@ -213,7 +211,7 @@ _VALID_ARGUMENTS = {"truncation": 3, "depth": 3, "max_degree": 1, "n": 6, "p": 5
 
 
 def test_g_function_list_is_complete() -> None:
-    assert len(G_FUNCTIONS) == 19 and "product_identity_tail_is_trivial" in G_FUNCTIONS
+    assert len(G_FUNCTIONS) == 17 and "product_identity_check" in G_FUNCTIONS
     assert {"lambda_star_class", "koblitz_coefficient", "proportionality"} <= set(G_FUNCTIONS)
 
 
@@ -388,11 +386,6 @@ def test_product_identity_spot_values() -> None:
     assert product_identity_check(3).lhs == 5760 * 504
 
 
-def test_product_identity_tail_contributes_nothing() -> None:
-    for g in range(1, 13):
-        assert product_identity_tail_is_trivial(g)
-
-
 def test_denominator_divides_running_product() -> None:
     for g in range(1, 13):
         assert denominator_corollary_check(g)
@@ -460,8 +453,11 @@ def test_boundary_coefficient_meets_half_ng_where_integral() -> None:
 
 
 def test_grr_chain_identity() -> None:
-    for g in range(1, 11):
-        assert grr_chain_check(g)
+    # the numerator of (-1)^g/zeta(1-2g) is n_g/2 for every g, as n_g is the
+    # denominator of B_2g/4g and B_2g has an odd numerator
+    for g in range(1, 61):
+        assert boundary_coefficient(g).numerator == ng_oracle(g) // 2
+    assert all(r.ok for r in run_suite("grr-chain", 30))
 
 
 def test_lambda_lower_bound_is_half_ng() -> None:
