@@ -27,15 +27,14 @@ in tests/root_ring_oracle.py on a plain term map.
 The identities for a rank-g bundle E run in the class ring on one pipeline.
 Newton's identities give the power sums p_m.  Since 1 - e^x = -x z with
 z = (e^x - 1)/x, ch(lambda_{-1} E) = (-1)^g c_g e_g(z_1, ..., z_g), and
-_lambda_quotient builds e_g(z) = sum_r e_r(w), w = z - 1, from p by Newton's
-identities with associated Stirling numbers, reading no Bernoulli number.
-Degree n of ch is c_g times degree n - g of e_g(z), and ch is empty below
-degree g, so both identities read p and e_g(z) only through degree depth - g.
-One exp recurrence makes a multiplicative class of a log series.
-lambda_star_class is exp(sum_k (-1)^{k-1} (k-1)! ch_k), the total class of
-sum_i (-1)^i [Lambda^i E], with payload -(g-1)! c_g in degree g (the opposite
-sign convention would flip it): it shifts e_g(z) by the packed c_g and divides
-once by (-1)^g g!.
+_lambda_quotient builds e_g(z), the multiplicative class of (e^t - 1)/t, from p
+by its log-derivative recurrence, with its own B_k, not `bernoulli`'s.  Degree n
+of ch is c_g times degree n - g of e_g(z), and ch is empty below degree g, so
+both identities read p and e_g(z) only through degree depth - g.  One exp
+recurrence makes a multiplicative class of a log series: lambda_star_class is
+exp(sum_k (-1)^{k-1} (k-1)! ch_k), the total class of sum_i (-1)^i [Lambda^i E],
+with payload -(g-1)! c_g in degree g (the opposite sign convention would flip
+it): it shifts e_g(z) by the packed c_g and divides once by (-1)^g g!.
 borel_serre_check tests ch(lambda_{-1} E) Td(E) = (-1)^g c_g, where
 Td = exp(sum_k s_k p_k) and sum_k s_k t^k = log(t/(e^t - 1)); with c_g
 divided out, it needs Td too only through degree depth - g.
@@ -48,13 +47,13 @@ k! s_k = -B_k/k of its log.
 
 symmetric_reduce, todd_class and borel_serre_check run on ints.  The first two
 clear denominators once (each component's lcm; t -> D t) and divide once at the
-end; borel_serre_check scales degree n + g by M^n (n + g)! g! / ((-1)^g c_g),
-compares g!^2 in degree g, and reads e_g(z) before its one division by g!.
+end.  _lambda_quotient keeps g! (m + g)! e_g(z)_m and divides each degree once,
+exactly; borel_serre_check scales degree n + g by M^n (n + g)! g! / ((-1)^g c_g).
 """
 from __future__ import annotations
 
 from itertools import combinations
-from math import comb, factorial, lcm, perm
+from math import comb, factorial, lcm
 
 from .bernoulli_zeta import bernoulli
 from .exact_arith import (
@@ -227,6 +226,8 @@ def symmetric_reduce(poly: GradedPolynomial) -> SymmetricReduction:
     exponent shows that the input is not symmetric, and raises ValueError.
     """
     from fractions import Fraction
+    if not isinstance(poly, GradedPolynomial):
+        raise TypeError(f"poly must be a GradedPolynomial, not {type(poly).__name__}")
     g = len(poly.names)
     if poly.weights != (1,) * g:
         raise ValueError("symmetric reduction expects weight-1 root variables")
@@ -356,54 +357,29 @@ def _power_sums(g: int, depth: int, radix: "int | None" = None) -> list[dict]:
     return p
 
 
-def _associated_stirling(rows: int, size: int) -> list[list[int]]:
-    # u[k][n] = k! S2(n, k) for k <= rows, n <= size, with S2 the associated
-    # Stirling numbers (blocks of two or more): n! times the degree-n part of
-    # (e^x - 1 - x)^k, whose derivative is k ((e^x - 1 - x)^k + x (e^x - 1 - x)^{k-1}).
-    # u[k][n] is 0 for n < 2k.
-    u = [[1] + [0] * size]
-    for k in range(1, rows + 1):
-        row = [0] * (size + 1)
-        for n in range(2 * k, size + 1):
-            row[n] = k * (row[n - 1] + (n - 1) * u[k - 1][n - 2])
-        u.append(row)
-    return u
+def _log_derivative_scaled(top: int) -> tuple[int, list[int]]:
+    # (D, [D r_k for k <= top]), D = lcm(1..top + 1), r_k = k! b_k with sum_k b_k t^k =
+    # t Q'/Q = t/(1 - e^{-t}) - 1 for Q(t) = (e^t - 1)/t: r_k = B_k (B_1 = +1/2, r_0 = 0)
+    # by the classical sum_{k<=n} C(n + 1, k) r_k = n.  D clears each (von Staudt-Clausen).
+    d, r = lcm(*range(1, top + 2)), [0]
+    for n in range(1, top + 1):
+        r.append((n * d - sum(comb(n + 1, k) * r[k] for k in range(1, n))) // (n + 1))
+    return d, r
 
 
 def _lambda_quotient(g: int, p: list[dict]) -> list[dict]:
-    # q[m] = g! (m + g)! e_g(z)_m for m = 0..top, with p = p_0..p_top (p_0 is
-    # not read) and z_j = (e^{x_j} - 1)/x_j: as 1 - e^x = -x z,
-    # ch(lambda_{-1} E) = (-1)^g c_g e_g(z), and degree n reads q[n - g].  With
-    # w_j = z_j - 1 = (e^{x_j} - 1 - x_j)/x_j, e_g(z) = sum_{r<=g} e_r(w), and
-    # e_r(w) starts in degree r.  The degree-d part of P_k(w) = sum_j w_j^k is
-    # u[k][d + k] / (d + k)! p_d, zero unless d >= k.  Newton's
-    # r e_r = sum_k (-1)^{k-1} e_{r-k} P_k, times (r - 1)! (m + r)!, runs on the
-    # triangle m >= r of G_r[m] = r! (m + r)! e_r(w)_m with the factors
-    # (r - 1)!/(r - k)! and C(m + r, d + k); q[m] sums (g!/r!) ((m + g)!/(m + r)!)
-    # G_r[m].  Nothing is divided, so no wrong entry floors away.
-    top = len(p) - 1
-    rows = min(g, top)
-    u = _associated_stirling(rows, top + rows)
-    grid = [[{0: 1}] + [{} for _ in range(top)]]
-    for r in range(1, rows + 1):
-        g_r = [{} for _ in range(r)]
-        for m in range(r, top + 1):
-            acc: dict = {}
-            for d in range(1, m + 1):
-                combo: dict = {}
-                for k in range(max(1, r - m + d), min(r, d) + 1):
-                    if grid[r - k][m - d]:
-                        scale = perm(r - 1, k - 1) * comb(m + r, d + k) * u[k][d + k]
-                        _add_into(combo, grid[r - k][m - d], scale if k % 2 else -scale)
-                _mul_into(acc, combo, p[d], 1)
-            g_r.append(acc)
-        grid.append(g_r)
-    q = []
-    for m in range(top + 1):
-        acc = {}
-        for r in range(min(g, m) + 1):
-            _add_into(acc, grid[r][m], perm(g, g - r) * perm(m + g, g - r))
-        q.append(acc)
+    # q[m] = g! (m + g)! e_g(z)_m for m = 0..top from p = p_0..p_top (p_0 unread),
+    # z_j = Q(x_j); degree n of ch(lambda_{-1} E) reads q[n - g].  As e_g(z) =
+    # prod_j Q(x_j), n E_n = sum_k b_k p_k E_{n-k}: times g! (n + g)!,
+    # n q[n] = sum_k r_k C(n + g, k) p_k q[n - k], each division by n D checked.
+    d, r = _log_derivative_scaled(len(p) - 1)
+    q = [{0: factorial(g) ** 2}] if p else []
+    for n in range(1, len(p)):
+        acc: dict = {}
+        for k in range(1, n + 1):
+            if r[k]:
+                _mul_into(acc, p[k], q[n - k], r[k] * comb(n + g, k))
+        q.append(_divided(acc, n * d))
     return q
 
 
@@ -440,11 +416,14 @@ def borel_serre_check(g: int, depth: int) -> bool:
     """
     _check_positive("g", g)
     _check_nonnegative("depth", depth)
-    # ch is (-1)^g c_g q / g!, so degree n + g of the identity, times
-    # (-1)^g g! M^n (n + g)! / c_g, reads sum_j C(n + g, j + g) M^j q[j] td[n - j]
-    # = g!^2 [n = 0]: it runs in degrees n <= depth - g, on q undivided
+    # ch is (-1)^g c_g q / g!, so degree n + g of the identity, times (-1)^g g! M^n
+    # (n + g)! / c_g, reads sum_j C(n + g, j + g) M^j q[j] td[n - j] = g!^2 [n = 0]
     p = _power_sums(g, depth - g)
-    q, (m, td) = _lambda_quotient(g, p), _todd_scaled(p)
+    try:
+        q = _lambda_quotient(g, p)
+    except ArithmeticError:  # a Chern side that does not divide fails the identity
+        return False
+    m, td = _todd_scaled(p)
     for n in range(depth - g + 1):
         acc: dict = {}
         for j in range(n + 1):

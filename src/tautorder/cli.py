@@ -89,7 +89,7 @@ def _arguments(command: str) -> dict:
 def _help(command: str) -> str:
     """The module docstring, then the usage and help lines of `command`, else of all."""
     lines = [__doc__] if __doc__ else []  # python -OO drops the docstring
-    for name in [command] if command in _COMMANDS else _COMMANDS:
+    for name in [c for c in _COMMANDS if c == command] or _COMMANDS:
         words = [f"usage: tautorder {name}"]
         for arg, (_, kind) in _arguments(name).items():
             value = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else "N"
@@ -102,7 +102,9 @@ def _help(command: str) -> str:
 def _fast_parse(argv) -> dict:
     """The one argv grammar: a command, then its arguments in any order, options by
     exact name, integers as ASCII digits with an optional leading "-".  Any other argv
-    raises a one-line ValueError that names the token at fault."""
+    raises a one-line ValueError, or TypeError for a token not a str, naming the token."""
+    if wrong := [token for token in argv if not isinstance(token, str)]:
+        raise TypeError(f"argument {wrong[0]!r} must be a str, not {type(wrong[0]).__name__}")
     if not argv or argv[0] not in _COMMANDS:
         raise ValueError(f"unknown command {argv[0]!r}" if argv else "no command given")
     command, tokens, arguments = argv[0], iter(argv[1:]), _arguments(argv[0])

@@ -175,6 +175,8 @@ def run_suite(name: str, max_g: "int | None" = None) -> list[CheckResult]:
 
     An override below 1 is refused: it would select no case and pass vacuously.
     """
+    if not isinstance(name, str):
+        raise TypeError(f"name must be a str, not {type(name).__name__}")
     if max_g is not None:
         _check_positive("max_g", max_g)
     if name == "all":

@@ -6,7 +6,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 from itertools import accumulate, combinations, product
-from math import comb, factorial, perm
+from math import comb, factorial, lcm, perm
 from pathlib import Path
 
 import pytest
@@ -37,6 +37,7 @@ from tautorder.chern_symbolics import (
     _add_into,
     _exp_scaled,
     _lambda_quotient,
+    _log_derivative_scaled,
     _mul_into,
     _power_sums,
     _todd_scaled,
@@ -786,10 +787,11 @@ def _lambda_quotient_on_the_square(g: int, p: list[dict]) -> list[dict]:
 
 
 def test_lambda_quotient_matches_the_square_route() -> None:
-    for g in range(1, 9):
-        for top in range(2 * g + 2):
-            p = _power_sums(g, top, top + g + 1)
-            assert _lambda_quotient(g, p) == _lambda_quotient_on_the_square(g, p), (g, top)
+    # and the deep truncations, where D = lcm(1..top + 1) is largest
+    cases = [(g, top) for g in range(1, 9) for top in range(2 * g + 2)]
+    for g, top in cases + [(1, 40), (2, 30), (3, 24)]:
+        p = _power_sums(g, top, top + g + 1)
+        assert _lambda_quotient(g, p) == _lambda_quotient_on_the_square(g, p), (g, top)
 
 
 def _term_operations(monkeypatch, route, g: int, top: int) -> int:
@@ -815,12 +817,12 @@ def _term_operations(monkeypatch, route, g: int, top: int) -> int:
     return count[0]
 
 
-def test_lambda_quotient_does_at_most_half_the_square_routes_work(monkeypatch) -> None:
+def test_lambda_quotient_does_at_most_a_tenth_of_the_square_routes_work(monkeypatch) -> None:
     # a count of term operations, not a timing: 28,587 on the square at
-    # g = 10, top = 10, and 9,174 on the triangle r <= m
+    # g = 10, top = 10, and 588 by the log-derivative recurrence
     fast = _term_operations(monkeypatch, _lambda_quotient, 10, 10)
     slow = _term_operations(monkeypatch, _lambda_quotient_on_the_square, 10, 10)
-    assert 0 < fast <= slow // 2, (fast, slow)
+    assert 0 < fast <= slow // 10, (fast, slow)
 
 
 def _lambda_character_by_newton_on_w(g: int, p: list[dict]) -> list[dict]:
@@ -873,37 +875,36 @@ def test_borel_serre_at_the_edges_of_the_truncated_todd_class() -> None:
             assert borel_serre_check(g, depth), (g, depth)
 
 
-def test_mutated_stirling_entry_is_rejected_by_borel_serre(monkeypatch) -> None:
-    # the route reads u[k][n] for 2k <= n <= depth - g + k: the degree-d part of
-    # P_k(w) is u[k][d + k] / (d + k)! p_d with d >= k, and e_g(z) is built only
-    # through degree depth - g
-    original = chern._associated_stirling
-    for g in range(2, 7):
-        for k in range(1, g + 1):
-            for n in range(2 * k, g + k + 1):
+def test_moved_log_derivative_scalar_is_rejected_by_borel_serre(monkeypatch) -> None:
+    # borel_serre_check(g, 2g) builds e_g(z) through degree g, so it reads D r_k
+    # for k <= g; D r_k moved by 1 or by D (r_k by 1/D or by 1) must fail each
+    original = _log_derivative_scaled
+    for k in range(1, 7):
+        for sign, of_d in product((1, -1), (False, True)):
 
-                def mutated(rows: int, size: int, k=k, n=n) -> list[list[int]]:
-                    table = original(rows, size)
-                    table[k][n] += 1
-                    return table
+            def mutated(top: int, k=k, sign=sign, of_d=of_d) -> tuple[int, list[int]]:
+                d, r = original(top)
+                r[k] += sign * (d if of_d else 1)
+                return d, r
 
-                monkeypatch.setattr(chern, "_associated_stirling", mutated)
-                assert not borel_serre_check(g, 2 * g), (g, k, n)
+            monkeypatch.setattr(chern, "_log_derivative_scaled", mutated)
+            for g in range(k, 7):
+                assert not borel_serre_check(g, 2 * g), (g, k, sign, of_d)
 
 
-def test_associated_stirling_table_counts_set_partitions() -> None:
-    # k! S2(n, k) is the number of ordered partitions of n things into k blocks
-    # of two or more, counted here by the block of each thing
-    u = chern._associated_stirling(4, 8)
-    for k in range(5):
-        for n in range(9):
-            ordered = sum(1 for blocks in product(range(k), repeat=n)
-                          if all(blocks.count(b) >= 2 for b in range(k)))
-            assert u[k][n] == ordered, (k, n)
+def test_log_derivative_scalars_are_the_bernoulli_numbers() -> None:
+    # r_k = B_k with B_1 = +1/2, by the classical recurrence; checked against
+    # bernoulli, which the route reads nowhere, through k = 60
+    d, r = _log_derivative_scaled(60)
+    assert d == lcm(*range(1, 62)) and r[0] == 0
+    assert Fraction(r[1], d) == Fraction(1, 2)
+    for k in range(2, 61):
+        assert Fraction(r[k], d) == bernoulli(k), k
 
 
 def test_lambda_character_reads_no_bernoulli_number(monkeypatch) -> None:
-    # so borel_serre_check sets Stirling/Newton against Bernoulli/exp, and its
+    # so borel_serre_check sets the classical Bernoulli recurrence and a
+    # log-derivative recurrence against the tangent numbers and exp, and its
     # left side is not Td^{-1} restated
     want = {g: _lambda_character(g, _power_sums(g, 2 * g)) for g in range(1, 7)}
 

@@ -155,6 +155,8 @@ _SUITES = ", ".join(SUITE_NAMES)
     (["verify", "no-such-suite"], f"suite must be one of {_SUITES}; got 'no-such-suite'"),
     # a value the library refuses, in the library's words
     (["bernoulli", "-1"], "m must be nonnegative"),
+    # a token that is not a str, as a caller of run may pass
+    (["ng", 3], "argument 3 must be a str, not int"),
     # past Python's int-to-str digit limit, 4300 by default
     pytest.param(["ng", "9" * 5000], "g must have at most 4300 digits; got 5000",
                  id="['ng', 5000 nines]"),
@@ -187,7 +189,10 @@ def _help_for(commands) -> str:
     return (cli.__doc__ + "\n" if cli.__doc__ else "") + "".join(lines)
 
 
-@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["frobnicate", "-h"], ["3", "--help"]])
+# a first token that is not a str, even an unhashable one, reads as no command
+@pytest.mark.parametrize("argv", [
+    ["-h"], ["--help"], ["frobnicate", "-h"], ["3", "--help"], [3, "-h"], [[1], "--help"],
+])
 def test_help_lists_every_command(argv: list[str]) -> None:
     assert list(_USAGE) == list(_COMMANDS)
     assert _call(argv) == (0, _help_for(_COMMANDS), "")

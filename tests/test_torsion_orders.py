@@ -281,6 +281,9 @@ def test_every_g_function_refuses_a_non_integer_g(name: str, g: object) -> None:
         (lambda: ng_local(True), "g must be an int, not bool"),
         (lambda: is_prime(True), "n must be an int, not bool"),
         (lambda: run_suite("newton", True), "max_g must be an int, not bool"),
+        # an entry point refuses a wrong-typed argument by its name
+        (lambda: run_suite([1]), "name must be a str, not list"),
+        (lambda: chern_symbolics.symmetric_reduce(5), "poly must be a GradedPolynomial, not int"),
         (lambda: bernoulli(False), "m must be an int, not bool"),
         (lambda: finite_field_checks.ModPPolynomial(5, [True]), "coefficient must be an int, not bool"),
         (lambda: chern_symbolics.GradedPolynomial(("x",), (True,), 2, {}),

@@ -61,9 +61,9 @@ MUTANTS = {
         "the exp recurrence off by one in degree 1: c1 gains 1",
     ),
     "borel-serre": (
-        "tautorder.chern_symbolics._associated_stirling",
-        _at(2, lambda row: [c + (n == 4) for n, c in enumerate(row)]),
-        "one associated Stirling number off by one: u[2][4] = 2! S2(4, 2) + 1",
+        "tautorder.chern_symbolics._log_derivative_scaled",
+        _at(1, lambda r: [c + (k == 4) for k, c in enumerate(r)]),
+        "one scalar of the log-derivative recurrence off by one: D B_4 + 1",
     ),
     "newton": (
         "tautorder.chern_symbolics._power_sums",
