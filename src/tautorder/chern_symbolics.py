@@ -28,9 +28,10 @@ The identities for a rank-g bundle E run in the class ring on one pipeline.
 Newton's identities give the power sums p_m.  Since 1 - e^x = -x z with
 z = (e^x - 1)/x, ch(lambda_{-1} E) = (-1)^g c_g e_g(z_1, ..., z_g), and
 _lambda_quotient builds e_g(z), the multiplicative class of (e^t - 1)/t, from p
-by its log-derivative recurrence, with its own B_k, not `bernoulli`'s.  Degree n
-of ch is c_g times degree n - g of e_g(z), and ch is empty below degree g, so
-both identities read p and e_g(z) only through degree depth - g.  One exp
+by its log-derivative recurrence, with its own B_k, not `bernoulli`'s (verify's
+von-staudt suite reads them as its second route to each B_m).  Degree n of ch is
+c_g times degree n - g of e_g(z), and ch is empty below degree g, so both
+identities read p and e_g(z) only through degree depth - g.  One exp
 recurrence makes a multiplicative class of a log series: lambda_star_class is
 exp(sum_k (-1)^{k-1} (k-1)! ch_k), the total class of sum_i (-1)^i [Lambda^i E],
 with payload -(g-1)! c_g in degree g (the opposite sign convention would flip
@@ -57,8 +58,8 @@ from math import comb, factorial, lcm
 
 from .bernoulli_zeta import bernoulli
 from .exact_arith import (
-    _Record, _check_int, _check_iterable, _check_nonnegative, _check_positive, _is_rational,
-    _render_terms,
+    _Record, _check_bool, _check_int, _check_iterable, _check_nonnegative, _check_positive,
+    _is_rational, _render_terms,
 )
 
 __all__ = [
@@ -276,6 +277,7 @@ def todd_class(g: int, depth: int, dual: bool = True) -> GradedPolynomial:
     from fractions import Fraction
     _check_positive("g", g)
     _check_nonnegative("depth", depth)
+    _check_bool("dual", dual)
     base = [bernoulli(k) / factorial(k) for k in range(depth + 1)]
     if not dual:
         base = [(-c if k % 2 else c) for k, c in enumerate(base)]

@@ -75,11 +75,16 @@ def _miller_rabin(n: int) -> bool:
     return True
 
 
-# The package's input rules, raised from here alone: the type rule, three
-# single-value rules that call it first, and the rule for a record's iterables.
+# The package's input rules, raised from here alone: the int and bool type rules,
+# three single-value rules that call the first, and the rule for a record's iterables.
 def _check_int(name: str, value: int) -> None:
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"{name} must be an int, not {type(value).__name__}")
+
+
+def _check_bool(name: str, value: bool) -> None:
+    if not isinstance(value, bool):
+        raise TypeError(f"{name} must be a bool, not {type(value).__name__}")
 
 
 def _check_positive(name: str, value: int) -> None:

@@ -14,9 +14,7 @@ from math import factorial
 
 from .bernoulli_zeta import bernoulli, von_staudt_denominator
 from .chern_symbolics import (
-    borel_serre_check,
-    fundamental_relations,
-    lambda_star_class,
+    _log_derivative_scaled, borel_serre_check, fundamental_relations, lambda_star_class,
     newton_special_case,
 )
 from .exact_arith import _Record, _check_positive
@@ -122,12 +120,17 @@ def _integrality(suite: str, bound: int):
 
 
 def _von_staudt(suite: str, bound: int):
-    def check(m: int) -> tuple[bool, str]:
-        expected = von_staudt_denominator(m)
-        got = bernoulli(m).denominator
-        return got == expected, f"denominator {got}, prime product {expected}"
-
+    from fractions import Fraction
     top = min(_VON_STAUDT_TOP, 2 * bound)
+    d, r = _log_derivative_scaled(top)
+
+    def check(m: int) -> tuple[bool, str]:
+        b, expected = bernoulli(m), von_staudt_denominator(m)
+        detail = f"denominator {b.denominator}, prime product {expected}"
+        if b.numerator * d == r[m] * b.denominator:
+            return b.denominator == expected, detail
+        return False, f"{detail}; B_m {b}, recurrence {Fraction(r[m], d)}"
+
     return [(f"{suite} m={m}", check, (m,)) for m in range(2, top + 1, 2)]
 
 

@@ -17,12 +17,14 @@ import tautorder
 # each pair computes one headline value two ways: n_g (the local rule and the gcd
 # oracle), the exterior-power identity (its Chern side and its Todd side), the
 # denominator of B_m (the exact Bernoulli number and the von Staudt-Clausen rule),
-# and n_g/2 (the numerator of (-1)^g/zeta(1-2g) and the local rule)
+# n_g/2 (the numerator of (-1)^g/zeta(1-2g) and the local rule), and B_m whole
+# (the tangent numbers and the classical sum_{k<=n} C(n + 1, k) B_k = n)
 PAIRS = [
     ("ng_local", "ng_oracle"),
     ("_lambda_quotient", "_todd_scaled"),
     ("bernoulli", "von_staudt_denominator"),
     ("boundary_coefficient", "ng_local"),
+    ("bernoulli", "_log_derivative_scaled"),
 ]
 ALLOWED = {
     "_check_int": "the input rules, raised before either route computes",

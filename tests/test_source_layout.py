@@ -1,8 +1,8 @@
 """No line of the package source is longer than 100 characters, so the
 line count of src/ cannot fall just by packing lines together; and the package
 reads no environment variable, so a call's answer depends on its arguments alone.
-The input rules, the int type rule among them, are raised from exact_arith
-alone.  The modules a cold call does not need are imported inside the functions
+The input rules, the int and bool type rules among them, are raised from
+exact_arith alone.  The modules a cold call does not need are imported inside the functions
 that use them, and argparse, json and csv not at all: the command line has one
 parser and writes its json and csv itself.  Products go through exact_arith._product, so math.prod
 is not imported, and polynomial terms through exact_arith._render_terms, so no
@@ -40,11 +40,12 @@ def test_no_source_reads_the_environment() -> None:
 
 
 def test_each_refusal_is_raised_in_one_place() -> None:
-    # "... must be an int, not ...", "... must be positive", "... must be nonnegative"
-    # and "... is not prime" come from the exact_arith helpers alone
+    # "... must be an int, not ...", "... must be a bool, not ...", "... must be
+    # positive", "... must be nonnegative" and "... is not prime" come from the
+    # exact_arith helpers alone
     refusal = re.compile(
-        r'raise (?:Type|Value)Error\((f?"[^"]*'
-        r'(?:must be an int, not [^"]*|must be positive|must be nonnegative|is not prime)")'
+        r'raise (?:Type|Value)Error\((f?"[^"]*(?:must be an int, not [^"]*|'
+        r'must be a bool, not [^"]*|must be positive|must be nonnegative|is not prime)")'
     )
     raised = sorted(
         (path.name, match[1])
@@ -52,6 +53,7 @@ def test_each_refusal_is_raised_in_one_place() -> None:
         for match in refusal.finditer(path.read_text(encoding="utf-8"))
     )
     assert raised == [
+        ("exact_arith.py", 'f"{name} must be a bool, not {type(value).__name__}"'),
         ("exact_arith.py", 'f"{name} must be an int, not {type(value).__name__}"'),
         ("exact_arith.py", 'f"{name} must be nonnegative"'),
         ("exact_arith.py", 'f"{name} must be positive"'),

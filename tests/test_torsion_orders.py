@@ -281,6 +281,10 @@ def test_every_g_function_refuses_a_non_integer_g(name: str, g: object) -> None:
         (lambda: ng_local(True), "g must be an int, not bool"),
         (lambda: is_prime(True), "n must be an int, not bool"),
         (lambda: run_suite("newton", True), "max_g must be an int, not bool"),
+        # and a flag must be a bool: "no" and None would pick a convention by truth value
+        (lambda: chern_symbolics.todd_class(1, 2, dual="no"), "dual must be a bool, not str"),
+        (lambda: chern_symbolics.todd_class(1, 2, dual=0), "dual must be a bool, not int"),
+        (lambda: chern_symbolics.todd_class(1, 2, dual=None), "dual must be a bool, not NoneType"),
         # an entry point refuses a wrong-typed argument by its name
         (lambda: run_suite([1]), "name must be a str, not list"),
         (lambda: chern_symbolics.symmetric_reduce(5), "poly must be a GradedPolynomial, not int"),

@@ -1,8 +1,10 @@
-"""Suite-level guards on verify.run_suite: no suite passes vacuously."""
+"""Suite-level guards on verify.run_suite: no suite passes vacuously, and a
+suite builds what its cases share once."""
 from __future__ import annotations
 
 import pytest
 
+from tautorder import verify
 from tautorder.chern_symbolics import GradedPolynomial
 from tautorder.verify import SUITE_NAMES, run_suite
 
@@ -36,3 +38,13 @@ def test_chern_lemma_compares_with_literal_terms(monkeypatch) -> None:
     for suite in ("chern-lemma", "fundamental-relations"):
         results = run_suite(suite, 8)
         assert len(results) == 8 and all(r.ok for r in results), suite
+
+
+@pytest.mark.parametrize("max_g, top", [(None, 60), (3, 6)])
+def test_von_staudt_runs_the_recurrence_once(max_g, top: int, monkeypatch) -> None:
+    # the recurrence costs O(top^2); one run serves every case of the suite
+    calls = []
+    original = verify._log_derivative_scaled
+    monkeypatch.setattr(verify, "_log_derivative_scaled", lambda t: calls.append(t) or original(t))
+    results = run_suite("von-staudt", max_g)
+    assert calls == [top] and len(results) == top // 2 and all(r.ok for r in results)

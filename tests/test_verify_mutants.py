@@ -8,9 +8,7 @@ the name in every tautorder module that binds it and runs `tautorder verify
 <suite>` at its default bound, alone: a fault can abort another suite (the
 sieve that calls 9 prime makes product-lemma exit 1 with `9 is not prime`).
 
-A mutant shows that a row can fail, not that it is right.  ESCAPES lists the
-faults no suite can see yet; each must still pass `verify all`, so an entry
-that some suite learns to catch is stale and fails.
+A mutant shows that a row can fail, not that it is right.
 """
 from __future__ import annotations
 
@@ -45,12 +43,6 @@ _PROPORTIONALITY_G5 = (
     "tautorder.bernoulli_zeta.proportionality",
     _when(lambda g: g == 5, _sevenfold_denominator),
     "a stray prime factor: |proportionality| at g = 5 divided by 7",
-)
-_SIEVE_CALLS_9_PRIME = (
-    "tautorder.exact_arith._sieve",
-    lambda sieve: (sieve[0], sorted(sieve[1] + [9])),
-    "the one prime source calls the square 9 prime, as a sieve that starts crossing "
-    "out one step past n*n would",
 )
 
 # suite -> (dotted name, mutant(original) -> replacement, reason)
@@ -97,20 +89,18 @@ MUTANTS = {
         _when(lambda l, k, m: m % l**k == 0, lambda t: -t),
         "Tr(1) negated: the trace of zeta^m where l^k divides m has the wrong sign",
     ),
-    "von-staudt": _SIEVE_CALLS_9_PRIME,
-    "oracle-agreement": _SIEVE_CALLS_9_PRIME,
-}
-
-# (dotted name, mutant, reason) for faults that every suite still passes
-ESCAPES = [
-    (
+    "von-staudt": (
         "tautorder.bernoulli_zeta.bernoulli",
         _when(lambda m: m == 12, lambda b: Fraction(-697, 2730)),
-        "a numerator fault that keeps the denominator: no suite reads a Bernoulli "
-        "numerator against a second route until the modular-forms or the zeta-value "
-        "route lands",
+        "a numerator fault that keeps the denominator: B_12 = -697/2730",
     ),
-]
+    "oracle-agreement": (
+        "tautorder.exact_arith._sieve",
+        lambda sieve: (sieve[0], sorted(sieve[1] + [9])),
+        "the one prime source calls the square 9 prime, as a sieve that starts crossing "
+        "out one step past n*n would",
+    ),
+}
 
 
 def _install(monkeypatch, dotted: str, mutant) -> None:
@@ -138,10 +128,10 @@ def test_registered_mutant_fails_its_suite(suite: str, monkeypatch) -> None:
     assert failed and code == 2, f"{suite} exits {code}, {len(failed)} FAIL rows, under {dotted}"
 
 
-@pytest.mark.parametrize("dotted, mutant, reason", ESCAPES, ids=[e[0] for e in ESCAPES])
-def test_recorded_escape_still_passes_every_suite(
-    dotted: str, mutant, reason: str, monkeypatch
-) -> None:
-    _install(monkeypatch, dotted, mutant)
-    code, failed = _verify("all")
-    assert (code, failed) == (0, []), f"stale escape, now caught by {failed}: {reason}"
+def test_von_staudt_reports_a_sign_fault_as_a_fail_row(monkeypatch) -> None:
+    # a flipped sign keeps the denominator too; the row names both values
+    negated = _when(lambda m: m == 10, lambda b: -b)
+    _install(monkeypatch, "tautorder.bernoulli_zeta.bernoulli", negated)
+    assert _verify("von-staudt") == (2, [
+        "FAIL von-staudt m=10 (denominator 66, prime product 66; B_m -5/66, recurrence 5/66)"
+    ])
