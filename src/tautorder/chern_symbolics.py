@@ -19,10 +19,10 @@ result record with no arithmetic: todd_class writes its terms down one root at
 a time, as each coefficient is a product of coefficients of one series, and
 fundamental_relations writes each degree down as a sum of l_i l_j.  Its text
 form comes from exact_arith's term writer, as ModPPolynomial's does.
-symmetric_reduce subtracts e-monomials e_1^a_1 ... e_g^a_g, read from one
-cached table of packed homogeneous components.  The ring operators,
-root_variables and substitute_elementary, the inverse of symmetric_reduce, live
-in tests/root_ring_oracle.py on a plain term map.
+symmetric_reduce subtracts e-monomials e_1^a_1 ... e_g^a_g, each cut to its
+sorted monomials a1 <= ... <= ag (the only ones that can lead) in one cached
+table.  The ring operators, root_variables and substitute_elementary (the
+inverse of symmetric_reduce) live in tests/root_ring_oracle.py on term maps.
 
 The identities for a rank-g bundle E run in the class ring on one pipeline.
 Newton's identities give the power sums p_m.  Since 1 - e^x = -x z with
@@ -47,9 +47,10 @@ read `bernoulli` directly: todd_class the series B_k/k!, _todd_scaled the
 k! s_k = -B_k/k of its log.
 
 symmetric_reduce, todd_class and borel_serre_check run on ints.  The first two
-clear denominators once (each component's lcm; t -> D t) and divide once at the
-end.  _lambda_quotient keeps g! (m + g)! e_g(z)_m and divides each degree once,
-exactly; borel_serre_check scales degree n + g by M^n (n + g)! g! / ((-1)^g c_g).
+clear denominators once (each component's lcm; t -> D t) and divide at the end,
+todd_class once per distinct coefficient of a degree.  _lambda_quotient keeps
+g! (m + g)! e_g(z)_m and divides each degree once, exactly; borel_serre_check
+scales degree n + g by M^n (n + g)! g! / ((-1)^g c_g).
 """
 from __future__ import annotations
 
@@ -187,16 +188,27 @@ class GradedPolynomial(_Record):
 # -- symmetric function machinery ------------------------------------------
 
 
-_elementary: dict = {}  # (g, exps, radix) -> _elementary_monomial's entry; it only grows
+# (g, exps, radix) -> a table entry, (g, degree, radix) -> a list; both only grow
+_sorted_elementary, _sorted_monomials = {}, {}
 
 
-def _elementary_monomial(g: int, exps: tuple, radix: int) -> dict:
-    # the packed component of e_1^a_1 ... e_g^a_g in x1..xg, exps the a_i, one
-    # factor at a time in a loop: a recursion on the entry with one factor fewer
-    # nests sum_i a_i calls, past the interpreter's limit by x1^500.  Callers
-    # only read the entry.
-    if (g, exps, radix) in _elementary:
-        return _elementary[g, exps, radix]
+def _sorted_of_degree(g: int, degree: int, radix: int) -> list[int]:
+    # the packed a1 <= ... <= ag of digit sum `degree`: its partitions into <= g parts
+    if (g, degree, radix) not in _sorted_monomials:
+        rows = [((0,), degree)]  # (0, a1..ai), the rest r to split into parts >= ai
+        for parts in range(g, 1, -1):
+            rows = [(a + (k,), r - k) for a, r in rows for k in range(a[-1], r // parts + 1)]
+        _sorted_monomials[g, degree, radix] = [_pack(a[1:] + (r,), radix) for a, r in rows]
+    return _sorted_monomials[g, degree, radix]
+
+
+def _sorted_elementary_monomial(g: int, exps: tuple, radix: int) -> dict:
+    # the packed e_1^a_1 ... e_g^a_g in x1..xg, exps the a_i, on its sorted
+    # monomials only, the ones symmetric_reduce reads.  One factor at a time in a
+    # loop: a recursion on the entry with one factor fewer nests sum_i a_i calls,
+    # past the interpreter's limit by x1^500.  Callers only read the entry.
+    if (g, exps, radix) in _sorted_elementary:
+        return _sorted_elementary[g, exps, radix]
     out = {0: 1}
     for i, a in enumerate(exps, start=1):
         if not a:
@@ -206,7 +218,8 @@ def _elementary_monomial(g: int, exps: tuple, radix: int) -> dict:
             acc: dict = {}
             _mul_into(acc, out, e_i, 1)
             out = acc
-    return _elementary.setdefault((g, exps, radix), out)
+    keep = _sorted_of_degree(g, sum(i * a for i, a in enumerate(exps, start=1)), radix)
+    return _sorted_elementary.setdefault((g, exps, radix), {m: out[m] for m in keep if m in out})
 
 
 class SymmetricReduction(_Record):
@@ -223,8 +236,9 @@ def symmetric_reduce(poly: GradedPolynomial) -> SymmetricReduction:
     packed monomials of one digit sum), so truncation never interferes.  Packed
     monomials compare x_g first, and the greatest monomial x1^a1 ... xg^ag of a
     symmetric polynomial has a1 <= ... <= ag; prod_j e_j^{a_{g-j+1} - a_{g-j}}
-    (a_0 = 0) has that same leading monomial with coefficient 1.  A falling
-    exponent shows that the input is not symmetric, and raises ValueError.
+    (a_0 = 0) has that same leading monomial with coefficient 1.  Only sorted
+    monomials lead, so the elimination runs on them alone.  A term whose coefficient
+    a swap of two adjacent roots (these generate S_g) changes raises ValueError.
     """
     from fractions import Fraction
     if not isinstance(poly, GradedPolynomial):
@@ -234,23 +248,23 @@ def symmetric_reduce(poly: GradedPolynomial) -> SymmetricReduction:
         raise ValueError("symmetric reduction expects weight-1 root variables")
     radix, buckets, out = poly.truncation + 1, {}, {}
     for mon, c in poly._packed.items():
-        degree, rest = 0, mon
-        while rest:
-            rest, digit = divmod(rest, radix)
-            degree += digit
-        buckets.setdefault(degree, {})[mon] = c
-    for bucket in buckets.values():
+        a = _unpack(mon, g, radix)
+        buckets.setdefault(sum(a), []).append((mon, a, c))
+    for degree, terms in buckets.items():
         # the elimination is linear, so it runs on den * bucket, all ints
-        den = lcm(*(c.denominator for c in bucket.values()))
-        comp = {mon: c.numerator * (den // c.denominator) for mon, c in bucket.items()}
+        den = lcm(*(c.denominator for _, _, c in terms))
+        comp = {mon: c.numerator * (den // c.denominator) for mon, _, c in terms}
+        # swapping the digits a, b of roots i + 1, i + 2 adds (a - b)(radix - 1) radix^i
+        if any(comp.get(mon + (a[i] - a[i + 1]) * (radix - 1) * radix**i) != comp[mon]
+               for mon, a, _ in terms for i in range(g - 1)):
+            raise ValueError("polynomial is not symmetric in the roots")
+        comp = {mon: comp[mon] for mon in _sorted_of_degree(g, degree, radix) if mon in comp}
         while comp:
             lead = max(comp)
             a = (0,) + _unpack(lead, g, radix)
-            if any(a[i] > a[i + 1] for i in range(1, g)):
-                raise ValueError("polynomial is not symmetric in the roots")
             exps = tuple(a[g - j + 1] - a[g - j] for j in range(1, g + 1))
             coeff = comp[lead]
-            _add_into(comp, _elementary_monomial(g, exps, radix), -coeff)
+            _add_into(comp, _sorted_elementary_monomial(g, exps, radix), -coeff)
             out[_pack(exps, radix)] = Fraction(coeff, den) if den > 1 else coeff
     output = GradedPolynomial._raw(_names("c", g), tuple(range(1, g + 1)), poly.truncation, out)
     return SymmetricReduction(poly, output)
@@ -295,8 +309,9 @@ def todd_class(g: int, depth: int, dual: bool = True) -> GradedPolynomial:
                 if base[k]:
                     shift, b = k * step, base[k]
                     comps[n].update({mon + shift: c * b for mon, c in comps[n - k].items()})
+    fracs = [{c: Fraction(c, den**n) for c in set(comp.values())} for n, comp in enumerate(comps)]
     return GradedPolynomial._raw(_names("x", g), (1,) * g, depth, {
-        mon: Fraction(c, den**n) for n, comp in enumerate(comps) for mon, c in comp.items()})
+        mon: fracs[n][c] for n, comp in enumerate(comps) for mon, c in comp.items()})
 
 
 def lambda_star_class(g: int, depth: int) -> GradedPolynomial:

@@ -5,7 +5,7 @@ import random
 import time
 import tracemalloc
 from fractions import Fraction
-from itertools import accumulate, combinations, product
+from itertools import accumulate, combinations, combinations_with_replacement, product
 from math import comb, factorial, lcm, perm
 from pathlib import Path
 
@@ -250,15 +250,35 @@ def test_render_goldens() -> None:
     assert xs[0].constant(0).polynomial().render() == "0"
 
 
+def _nondecreasing(mon: tuple) -> bool:
+    return all(a <= b for a, b in zip(mon, mon[1:]))
+
+
 def test_elementary_symmetric_degenerate_cases() -> None:
-    # the table's empty product is 1 and its e_g is the one monomial x1...xg
-    assert chern._elementary_monomial(3, (0, 0, 0), 5) == {0: 1}
-    assert chern._elementary_monomial(3, (0, 0, 1), 5) == {chern._pack((1, 1, 1), 5): 1}
+    # the table's empty product is 1 and its e_g the one monomial x1...xg; of
+    # e_1 = x1 + x2 + x3 it keeps x3, and of e_1^2 the x3^2 and 2*x2*x3
+    pack = chern._pack
+    assert chern._sorted_elementary_monomial(3, (0, 0, 0), 5) == {0: 1}
+    assert chern._sorted_elementary_monomial(3, (0, 0, 1), 5) == {pack((1, 1, 1), 5): 1}
+    assert chern._sorted_elementary_monomial(3, (1, 0, 0), 5) == {pack((0, 0, 1), 5): 1}
+    assert chern._sorted_elementary_monomial(3, (2, 0, 0), 5) == {
+        pack((0, 0, 2), 5): 1, pack((0, 1, 1), 5): 2}
+
+
+def test_sorted_monomials_are_the_partitions_of_the_degree() -> None:
+    # each nondecreasing exponent vector of the degree, once, against a plain filter
+    for g in range(1, 7):
+        for degree in range(11):
+            radix = degree + 2
+            want = {chern._pack(mon, radix) for mon in combinations_with_replacement(
+                range(degree + 1), g) if sum(mon) == degree}
+            got = chern._sorted_of_degree(g, degree, radix)
+            assert len(got) == len(set(got)) and set(got) == want, (g, degree)
 
 
 def test_elementary_monomial_table_matches_the_oracle_products() -> None:
     # every e-monomial e_1^a_1 ... e_g^a_g of weighted degree <= 8 in g <= 5 roots,
-    # against the GradedPolynomial product of the oracle's e_i
+    # against the oracle's product of its e_i on the nondecreasing exponents
     depth = 8
     for g in range(1, 6):
         es = [elementary_symmetric(g, i, depth) for i in range(1, g + 1)]
@@ -268,8 +288,9 @@ def test_elementary_monomial_table_matches_the_oracle_products() -> None:
             want = es[0].constant(1)
             for e, a in zip(es, exps):
                 want = want * e**a
-            table = chern._elementary_monomial(g, exps, depth + 1)
-            assert {chern._unpack(mon, g, depth + 1): c for mon, c in table.items()} == want.terms
+            table = chern._sorted_elementary_monomial(g, exps, depth + 1)
+            assert {chern._unpack(mon, g, depth + 1): c for mon, c in table.items()} == {
+                mon: c for mon, c in want.terms.items() if _nondecreasing(mon)}
 
 
 def test_symmetric_reduce_round_trip() -> None:
@@ -282,27 +303,36 @@ def test_symmetric_reduce_round_trip() -> None:
             assert reduction.output == q
 
 
-def _symmetric_reduce_by_fractions(poly: GradedPolynomial) -> GradedPolynomial:
-    # the elimination on each component as given, Fraction coefficients and
-    # all: the route before denominators were cleared, kept as an oracle.  It
-    # reads the public terms, grouped by degree with sum(), not the packed map.
-    g, radix = len(poly.names), poly.truncation + 1
+def _symmetric_reduce_by_fractions(poly: GradedPolynomial, work: list = None) -> GradedPolynomial:
+    # the full elimination on each component as given, every monomial and
+    # Fraction coefficients: the route before denominators were cleared and rows
+    # cut to sorted monomials, kept as an oracle.  It reads the public terms and
+    # multiplies the oracle's e_i, so it shares no table with symmetric_reduce.
+    # `work`, a list, gets the number of terms each subtraction reads.
+    g, depth = len(poly.names), poly.truncation
+    es = [elementary_symmetric(g, i, depth) for i in range(1, g + 1)]
     comps: dict = {}
     for mon, c in poly.terms.items():
-        comps.setdefault(sum(mon), {})[chern._pack(mon, radix)] = c
+        comps.setdefault(sum(mon), {})[mon] = c
     out = {}
-    for comp in comps.values():
-        while comp:
-            lead = max(comp)
-            a = (0,) + chern._unpack(lead, g, radix)
-            if any(a[i] > a[i + 1] for i in range(1, g)):
+    for terms in comps.values():
+        comp = RingElement(poly.names, poly.weights, depth, terms)
+        while comp.terms:
+            lead = max(comp.terms, key=lambda mon: mon[::-1])  # x_g first, as packed
+            if not _nondecreasing(lead):
                 raise ValueError("polynomial is not symmetric in the roots")
+            a = (0,) + lead
             exps = tuple(a[g - j + 1] - a[g - j] for j in range(1, g + 1))
-            coeff = comp[lead]
-            chern._add_into(comp, chern._elementary_monomial(g, exps, radix), -coeff)
-            out[chern._pack(exps, radix)] = coeff
-    return GradedPolynomial._raw(
-        tuple(f"c{i}" for i in range(1, g + 1)), tuple(range(1, g + 1)), poly.truncation, out)
+            row = es[0].constant(1)
+            for e, k in zip(es, exps):
+                for _ in range(k):
+                    row = row * e
+            if work is not None:
+                work.append(len(row.terms))
+            out[exps] = coeff = comp.terms[lead]
+            comp = comp - coeff * row
+    return GradedPolynomial(
+        tuple(f"c{i}" for i in range(1, g + 1)), tuple(range(1, g + 1)), depth, out)
 
 
 def _assert_same(got: GradedPolynomial, want: GradedPolynomial) -> None:
@@ -370,6 +400,67 @@ def test_symmetric_reduce_rejects_asymmetric_input() -> None:
     for poly in (xs[0], xs[0] * xs[1] ** 2, xs[0] ** 2 * xs[1]):
         with pytest.raises(ValueError, match="not symmetric"):
             symmetric_reduce(poly.polynomial())
+
+
+def test_symmetric_reduce_rejects_asymmetry_off_the_sorted_monomials() -> None:
+    # every sorted monomial carries its symmetric coefficient, so the elimination
+    # alone would pass; one permuted monomial of a lower degree is off or missing
+    c1, c2, c3 = class_variables(3, 6)
+    terms = substitute_elementary(2 + c1 + Fraction(1, 3) * c2 + c1**2 * c3).terms
+    assert terms[1, 1, 0] == terms[0, 1, 1] == Fraction(1, 3)
+    for change in ({(1, 1, 0): Fraction(2, 3)}, {(1, 0, 0): 0}, {(1, 0, 1): 5}):
+        poly = GradedPolynomial(("x1", "x2", "x3"), (1, 1, 1), 6, terms | change)
+        with pytest.raises(ValueError, match="polynomial is not symmetric in the roots"):
+            symmetric_reduce(poly)
+
+
+def test_symmetric_reduce_rejects_any_single_changed_term() -> None:
+    # a term moved by some permutation, raised by one or set to 0, breaks the
+    # symmetry; a term that no permutation moves, x1^k...xg^k = c_g^k, keeps it
+    rng = random.Random(55139)
+    for g in range(2, 6):
+        cs = class_variables(g, 5)
+        for _ in range(5):
+            q = _random_poly(rng, cs)
+            roots = substitute_elementary(q)
+            assert symmetric_reduce(roots.polynomial()).output == q
+            for mon, c in roots.terms.items():
+                for new in (c + 1, 0):
+                    poly = GradedPolynomial(roots.names, roots.weights, 5, roots.terms | {mon: new})
+                    if len(set(mon)) == 1:
+                        want = q + (new - c) * cs[-1] ** mon[0]
+                        assert symmetric_reduce(poly).output == want, (g, mon)
+                    else:
+                        with pytest.raises(ValueError, match="not symmetric"):
+                            symmetric_reduce(poly)
+
+
+def test_symmetric_reduce_in_one_root_takes_every_polynomial() -> None:
+    # with g = 1 every monomial is sorted, no swap exists, and x1^k is c1^k
+    rng = random.Random(55140)
+    for _ in range(20):
+        terms = {(k,): Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                 for k in rng.sample(range(9), 4)}
+        out = symmetric_reduce(GradedPolynomial(("x1",), (1,), 8, terms)).output
+        assert (out.names, out.terms) == (("c1",), {mon: c for mon, c in terms.items() if c})
+
+
+def test_symmetric_reduce_does_at_most_a_tenth_of_the_full_eliminations_work(monkeypatch) -> None:
+    # a count of the terms _add_into reads in a warm call, not a timing: the full
+    # rows read 4,550 at g = 6, the rows cut to sorted monomials 118
+    ch = chern_character(6, 6)
+    symmetric_reduce(ch)  # fills the table
+    count, add_into = [0], chern._add_into
+
+    def counting_add(acc: dict, comp: dict, scale) -> None:
+        count[0] += len(comp)
+        add_into(acc, comp, scale)
+
+    monkeypatch.setattr(chern, "_add_into", counting_add)
+    symmetric_reduce(ch)
+    work: list = []
+    _symmetric_reduce_by_fractions(ch, work)
+    assert 0 < count[0] <= sum(work) // 10, (count[0], sum(work))
 
 
 # rendered before the polynomials changed their internal representation
@@ -462,10 +553,10 @@ def _todd_class_by_fractions(g: int, depth: int, dual: bool) -> GradedPolynomial
 
 
 def test_todd_class_matches_the_fraction_product() -> None:
-    for g in range(1, 6):
-        for depth in range(9):
-            for dual in (True, False):
-                _assert_same(todd_class(g, depth, dual), _todd_class_by_fractions(g, depth, dual))
+    # through (4, 8) and (6, 6), the class-ring pool's largest sizes
+    for g, depth in [(g, depth) for g in range(1, 6) for depth in range(9)] + [(6, 6)]:
+        for dual in (True, False):
+            _assert_same(todd_class(g, depth, dual), _todd_class_by_fractions(g, depth, dual))
 
 
 def test_todd_class_is_product_over_roots() -> None:
