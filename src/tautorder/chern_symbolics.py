@@ -19,10 +19,10 @@ result record with no arithmetic: todd_class writes its terms down one root at
 a time, as each coefficient is a product of coefficients of one series, and
 fundamental_relations writes each degree down as a sum of l_i l_j.  Its text
 form comes from exact_arith's term writer, as ModPPolynomial's does.
-symmetric_reduce subtracts e-monomials e_1^a_1 ... e_g^a_g, each cut to its
-sorted monomials a1 <= ... <= ag (the only ones that can lead) in one cached
-table.  The ring operators, root_variables and substitute_elementary (the
-inverse of symmetric_reduce) live in tests/root_ring_oracle.py on term maps.
+symmetric_reduce passes once down each degree's sorted monomials a1 <= ... <= ag
+(the only ones that can lead) on a cached plan, subtracting cached e-monomials.
+The ring operators, root_variables and substitute_elementary (the inverse of
+symmetric_reduce) live in tests/root_ring_oracle.py on term maps.
 
 The identities for a rank-g bundle E run in the class ring on one pipeline.
 Newton's identities give the power sums p_m.  Since 1 - e^x = -x z with
@@ -192,13 +192,17 @@ class GradedPolynomial(_Record):
 _sorted_elementary, _sorted_monomials = {}, {}
 
 
-def _sorted_of_degree(g: int, degree: int, radix: int) -> list[int]:
-    # the packed a1 <= ... <= ag of digit sum `degree`: its partitions into <= g parts
+def _sorted_of_degree(g: int, degree: int, radix: int) -> list[tuple]:
+    # one degree's elimination plan, leads descending: a row (lead, packed exps, exps) per
+    # packed a1 <= ... <= ag of digit sum `degree` (its partitions into <= g parts)
     if (g, degree, radix) not in _sorted_monomials:
         rows = [((0,), degree)]  # (0, a1..ai), the rest r to split into parts >= ai
         for parts in range(g, 1, -1):
             rows = [(a + (k,), r - k) for a, r in rows for k in range(a[-1], r // parts + 1)]
-        _sorted_monomials[g, degree, radix] = [_pack(a[1:] + (r,), radix) for a, r in rows]
+        rows = [(a[1:] + (r,), (r - a[-1],) + tuple(a[i] - a[i - 1] for i in range(g - 1, 0, -1)))
+                for a, r in rows]
+        _sorted_monomials[g, degree, radix] = sorted(
+            ((_pack(a, radix), _pack(exps, radix), exps) for a, exps in rows), reverse=True)
     return _sorted_monomials[g, degree, radix]
 
 
@@ -219,7 +223,8 @@ def _sorted_elementary_monomial(g: int, exps: tuple, radix: int) -> dict:
             _mul_into(acc, out, e_i, 1)
             out = acc
     keep = _sorted_of_degree(g, sum(i * a for i, a in enumerate(exps, start=1)), radix)
-    return _sorted_elementary.setdefault((g, exps, radix), {m: out[m] for m in keep if m in out})
+    return _sorted_elementary.setdefault((g, exps, radix), {
+        m: out[m] for m, _, _ in keep if m in out})
 
 
 class SymmetricReduction(_Record):
@@ -236,9 +241,10 @@ def symmetric_reduce(poly: GradedPolynomial) -> SymmetricReduction:
     packed monomials of one digit sum), so truncation never interferes.  Packed
     monomials compare x_g first, and the greatest monomial x1^a1 ... xg^ag of a
     symmetric polynomial has a1 <= ... <= ag; prod_j e_j^{a_{g-j+1} - a_{g-j}}
-    (a_0 = 0) has that same leading monomial with coefficient 1.  Only sorted
-    monomials lead, so the elimination runs on them alone.  A term whose coefficient
-    a swap of two adjacent roots (these generate S_g) changes raises ValueError.
+    (a_0 = 0) leads with that monomial and coefficient 1, its other sorted ones
+    smaller, so one descending pass over the sorted monomials (a cached plan)
+    finds every lead.  A term whose coefficient a swap of two adjacent roots
+    (these generate S_g) changes raises ValueError.
     """
     from fractions import Fraction
     if not isinstance(poly, GradedPolynomial):
@@ -248,24 +254,26 @@ def symmetric_reduce(poly: GradedPolynomial) -> SymmetricReduction:
         raise ValueError("symmetric reduction expects weight-1 root variables")
     radix, buckets, out = poly.truncation + 1, {}, {}
     for mon, c in poly._packed.items():
-        a = _unpack(mon, g, radix)
-        buckets.setdefault(sum(a), []).append((mon, a, c))
+        # mon is its digit sum mod radix - 1, and the sum lies in 1..radix - 1 if mon
+        buckets.setdefault((mon - 1) % (radix - 1) + 1 if mon else 0, []).append((mon, c))
     for degree, terms in buckets.items():
         # the elimination is linear, so it runs on den * bucket, all ints
-        den = lcm(*(c.denominator for _, _, c in terms))
-        comp = {mon: c.numerator * (den // c.denominator) for mon, _, c in terms}
-        # swapping the digits a, b of roots i + 1, i + 2 adds (a - b)(radix - 1) radix^i
-        if any(comp.get(mon + (a[i] - a[i + 1]) * (radix - 1) * radix**i) != comp[mon]
-               for mon, a, _ in terms for i in range(g - 1)):
-            raise ValueError("polynomial is not symmetric in the roots")
-        comp = {mon: comp[mon] for mon in _sorted_of_degree(g, degree, radix) if mon in comp}
-        while comp:
-            lead = max(comp)
-            a = (0,) + _unpack(lead, g, radix)
-            exps = tuple(a[g - j + 1] - a[g - j] for j in range(1, g + 1))
-            coeff = comp[lead]
-            _add_into(comp, _sorted_elementary_monomial(g, exps, radix), -coeff)
-            out[_pack(exps, radix)] = Fraction(coeff, den) if den > 1 else coeff
+        den = lcm(*(c.denominator for _, c in terms))
+        comp = {mon: c.numerator * (den // c.denominator) for mon, c in terms}
+        for mon, c in comp.items():
+            # swapping the digits a, b of roots i + 1, i + 2 adds (a - b)(radix - 1) radix^i
+            rest, a = divmod(mon, radix)
+            step = radix - 1
+            for _ in range(g - 1):
+                rest, b = divmod(rest, radix)
+                if a != b and comp.get(mon + (a - b) * step) != c:
+                    raise ValueError("polynomial is not symmetric in the roots")
+                a, step = b, step * radix
+        for lead, key, exps in _sorted_of_degree(g, degree, radix):
+            coeff = comp.get(lead)
+            if coeff:
+                _add_into(comp, _sorted_elementary_monomial(g, exps, radix), -coeff)
+                out[key] = Fraction(coeff, den) if den > 1 else coeff
     output = GradedPolynomial._raw(_names("c", g), tuple(range(1, g + 1)), poly.truncation, out)
     return SymmetricReduction(poly, output)
 
@@ -470,10 +478,12 @@ def fundamental_relations(g: int, max_degree: int) -> list[GradedPolynomial]:
         raise ValueError("max_degree must lie in 1..2g")
     # degree d is sum_{i+j=d} (-1)^j l_i l_j with l_0 = 1, on packed monomials
     ls = [0] + [(2 * g + 1) ** (i - 1) for i in range(1, g + 1)]
-    out = []
+    names, weights, out = _names("l", g), tuple(range(1, g + 1)), []
     for d in range(1, max_degree + 1):
         packed: dict = {}
         for j in range(max(0, d - g), min(d, g) + 1):
-            _add_into(packed, {ls[d - j] + ls[j]: 1}, (-1) ** j)
-        out.append(GradedPolynomial._raw(_names("l", g), tuple(range(1, g + 1)), 2 * g, packed))
+            mon = ls[d - j] + ls[j]  # met at most twice, at j and d - j, so pruned last
+            packed[mon] = packed.get(mon, 0) + (-1 if j % 2 else 1)
+        out.append(GradedPolynomial._raw(names, weights, 2 * g, {
+            mon: c for mon, c in packed.items() if c}))
     return out

@@ -272,8 +272,26 @@ def test_sorted_monomials_are_the_partitions_of_the_degree() -> None:
             radix = degree + 2
             want = {chern._pack(mon, radix) for mon in combinations_with_replacement(
                 range(degree + 1), g) if sum(mon) == degree}
-            got = chern._sorted_of_degree(g, degree, radix)
+            got = [lead for lead, _, _ in chern._sorted_of_degree(g, degree, radix)]
             assert len(got) == len(set(got)) and set(got) == want, (g, degree)
+
+
+def test_each_degrees_plan_is_strictly_descending_and_names_the_leading_e_monomial() -> None:
+    # a row is (lead, packed exps, exps): leads fall strictly, and the oracle's
+    # prod_j e_j^exps_j has the row's lead as its greatest monomial, coefficient 1
+    for g in range(1, 6):
+        es = [elementary_symmetric(g, i, 8) for i in range(1, g + 1)]
+        for degree in range(9):
+            rows = chern._sorted_of_degree(g, degree, 9)
+            leads = [lead for lead, _, _ in rows]
+            assert leads == sorted(set(leads), reverse=True), (g, degree)
+            for lead, key, exps in rows:
+                assert key == chern._pack(exps, 9)
+                product_ = es[0].constant(1)
+                for e, a in zip(es, exps):
+                    product_ = product_ * e**a
+                top = max(product_.terms, key=lambda mon: mon[::-1])  # x_g first, as packed
+                assert (chern._pack(top, 9), product_.terms[top]) == (lead, 1), (g, exps)
 
 
 def test_elementary_monomial_table_matches_the_oracle_products() -> None:
@@ -345,6 +363,39 @@ def test_symmetric_reduce_matches_the_fraction_elimination() -> None:
         for depth in range(1, 9):
             ch = chern_character(g, depth)
             _assert_same(symmetric_reduce(ch).output, _symmetric_reduce_by_fractions(ch))
+
+
+def _power_sum(g: int, k: int) -> GradedPolynomial:
+    # x1^k + ... + xg^k, truncated at degree k, as the class-ring pool builds it
+    names = tuple(f"x{i}" for i in range(1, g + 1))
+    return GradedPolynomial(names, (1,) * g, k, {
+        tuple(k if j == i else 0 for j in range(g)): 1 for i in range(g)})
+
+
+def test_symmetric_reduce_of_power_sums_matches_the_fraction_elimination() -> None:
+    # every lead of p_k but x_g^k starts at zero and arises only by subtraction
+    for g in range(1, 7):
+        for k in range(9):
+            p = _power_sum(g, k)
+            _assert_same(symmetric_reduce(p).output, _symmetric_reduce_by_fractions(p))
+
+
+@pytest.mark.parametrize("poly", [chern_character(4, 8), chern_character(6, 6), _power_sum(4, 8)],
+                         ids=["ch(4, 8)", "ch(6, 6)", "p8 in 4 roots"])
+def test_symmetric_reduce_writes_each_degree_by_descending_lead(poly: GradedPolynomial) -> None:
+    # degrees in the order the input first meets them (ascending here), and within
+    # one the e-monomials by their leading root monomial, x_g first, descending:
+    # e_1^a_1 ... e_g^a_g leads with x_i^(a_{g-i+1} + ... + a_g) for i = 1..g
+    out = symmetric_reduce(poly).output
+    g, radix = len(out.names), out.truncation + 1
+
+    def lead(exps: tuple) -> int:
+        return chern._pack(tuple(accumulate(reversed(exps))), radix)
+
+    keys = [chern._unpack(key, g, radix) for key in out._packed]
+    assert len(keys) > 1
+    assert keys == sorted(keys, key=lambda exps: (
+        sum(i * a for i, a in enumerate(exps, start=1)), -lead(exps)))
 
 
 def test_symmetric_reduce_clears_mixed_denominators() -> None:

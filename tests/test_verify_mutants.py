@@ -20,6 +20,7 @@ from importlib import import_module
 import pytest
 
 from tautorder.bernoulli_zeta import ProportionalityResult
+from tautorder.chern_symbolics import GradedPolynomial
 from tautorder.cli import run
 from tautorder.verify import _SUITES
 
@@ -63,9 +64,10 @@ MUTANTS = {
         "a sign slip in Newton's identities: p_3 negated",
     ),
     "fundamental-relations": (
-        "tautorder.chern_symbolics._add_into",
-        lambda f: lambda acc, comp, scale: f(acc, comp, abs(scale)),
-        "the sign of the dual dropped: (1 + l)(1 + l) in place of (1 + l)(1 - l)",
+        "tautorder.chern_symbolics.fundamental_relations",
+        lambda f: lambda *a: [GradedPolynomial(r.names, r.weights, r.truncation, {
+            mon: abs(c) for mon, c in r.terms.items()}) for r in f(*a)],
+        "the dual's signs dropped on the terms that survive: -l1^2 + 2*l2 read as l1^2 + 2*l2",
     ),
     "product-lemma": (
         "tautorder.exact_arith.factorial_p_valuation",
