@@ -37,12 +37,12 @@ __all__ = [
 # Monotone cache: entries are appended, never changed, so a returned value can
 # never be invalidated by later growth.  The lock only serializes extension.
 # It starts empty, so an import loads no `fractions`: the first miss adds B_0.
-_cache: list[Fraction] = []
+_cache: list = []  # of Fractions
 _cache_lock = allocate_lock()
 
 
-def bernoulli(m: int) -> Fraction:
-    """B_m from the tangent numbers, cached monotonically.
+def bernoulli(m: int):
+    """B_m, a Fraction, from the tangent numbers, cached monotonically.
 
     A miss fills the cache up to max(m, twice its top index), so a sequential
     fill costs a constant factor over one call at its last index.
@@ -83,7 +83,7 @@ class BernoulliTable(_Record):
     """Frozen view of B_0, B_1, and the even-index values up to max_index."""
 
     max_index: int
-    values: dict[int, Fraction]
+    values: dict[int, object]  # Fractions
 
 
 def bernoulli_table(max_index: int) -> BernoulliTable:
@@ -101,16 +101,16 @@ def von_staudt_denominator(m: int) -> int:
     return _product(p for p in primes_upto(m + 1) if m % (p - 1) == 0)
 
 
-def zeta_neg(g: int) -> Fraction:
-    """zeta(1-2g) = -B_{2g}/2g, exact."""
+def zeta_neg(g: int):
+    """zeta(1-2g) = -B_{2g}/2g, an exact Fraction."""
     _check_positive("g", g)
     return -bernoulli(2 * g) / (2 * g)
 
 
 class ProportionalityResult(_Record):
     g: int
-    signed_value: Fraction
-    absolute_value: Fraction
+    signed_value: object  # a Fraction
+    absolute_value: object  # a Fraction
     denominator: int
 
 

@@ -142,9 +142,43 @@ def _fast_parse(argv) -> dict:
 def _decimal(n: int, digits: dict) -> str:
     # int-to-str is quadratic, and a result can repeat a magnitude (prop's signed and
     # absolute values): `digits` keeps each magnitude's decimal string for one call
-    if abs(n) not in digits:
-        digits[abs(n)] = str(abs(n))
-    return "-" * (n < 0) + digits[abs(n)]
+    m = abs(n)
+    if m not in digits:
+        digits[m] = str(m) if m.bit_length() <= _SPLIT_BITS else _split_decimal(m)
+    return "-" * (n < 0) + digits[m]
+
+
+# past this many bits the split conversion beats str in a cold call, import of decimal
+# included (BENCH_41.json)
+_SPLIT_BITS = 90_000
+
+
+def _split_decimal(n: int) -> str:
+    """str(n) for n >= 0 in subquadratic time, by the method of CPython 3.12's
+    _pylong.int_to_decimal_string: n splits at 2^h, h half its bits, and the halves,
+    converted alone, recombine as lo + hi * 2^h in Decimal, whose large products
+    libmpdec takes by number-theoretic transform.  Inexact is trapped at the largest
+    precision, so every step is exact or raises: no value is ever rounded."""
+    import decimal
+    powers: dict = {}
+
+    def power(w: int):  # 2^w, memoized: the halves at one level share their widths
+        if w not in powers:
+            h = w >> 1
+            powers[w] = decimal.Decimal(2) ** w if w <= 1024 else power(h) * power(w - h)
+        return powers[w]
+
+    def convert(n: int, w: int):
+        if w <= 1024:
+            return decimal.Decimal(n)
+        h = w >> 1
+        hi = n >> h
+        return convert(n - (hi << h), h) + convert(hi, w - h) * power(h)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = decimal.MAX_PREC, decimal.MAX_EMAX, decimal.MIN_EMIN
+        ctx.traps[decimal.Inexact] = True
+        return str(convert(n, n.bit_length()))
 
 
 def _payload(value, digits: dict):

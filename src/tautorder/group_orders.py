@@ -45,7 +45,7 @@ def sp_order(g: int, n: int) -> SpOrderResult:
 class DegreeIntegralityReport(_Record):
     g: int
     n: int
-    degree: Fraction
+    degree: object  # a Fraction
     integral: bool
 
 

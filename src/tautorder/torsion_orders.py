@@ -7,8 +7,12 @@ divide 2g, which confines candidates to p <= 2g+1); the prime 2 contributes
 2^k where k is the largest exponent with 2^{k-2} dividing 2g, so 8 always
 divides n_g.
 
-`ng_local(g)` walks the divisors of 2g, read off `factorize(2g)`; the
-tables n_1..n_g behind the reports come from one sieve pass, `_ng_values(g)`.
+`ng_local(g)` walks the divisors of 2g, read off `factorize(2g)`.  The tables
+n_1..n_g behind the reports are slices of one process-wide list, built by one pass
+over the primes and grown like the prime sieve: a miss rebuilds it under a lock to
+max(g, twice its top) and publishes it whole, so a cold call builds exactly g and a
+repeat call only slices.  Each reader gets a fresh slice, `_ng_values(g)`, so no
+caller can change the table.
 `boundary_coefficient(g)`, the coefficient of the generalized 12 lambda_1 = delta,
 is read off zeta_neg alone; its numerator is n_g/2, which `verify grr-chain`
 checks against `ng_local`.
@@ -21,6 +25,7 @@ fault: a sieve that reports 9 as prime fails `verify oracle-agreement`.
 """
 from __future__ import annotations
 
+from _thread import allocate_lock
 from math import factorial, gcd
 
 from .bernoulli_zeta import proportionality, zeta_neg
@@ -81,18 +86,35 @@ def ng_local(g: int) -> NgDecomposition:
     return NgDecomposition(g, tuple(factors))
 
 
+# [n_1, ..., n_top]; replaced whole and never shrunk, so a reader never sees a
+# half-built table, and handed out only as slices, so no caller can change it.
+# The lock only serializes growth, as for exact_arith._sieve.
+_ng_table: list[int] = []
+_ng_lock = allocate_lock()
+
+
 def _ng_values(g: int) -> list[int]:
-    """[n_1, ..., n_g]: (p-1) | 2i exactly when h = (p-1)/2 divides i, and then the
-    odd prime p contributes p^(1 + v_p(i/h)), one factor p at each multiple of
-    h, h p, h p^2, ...  The 2-part of n_i is 2^(v_2(2i) + 2)."""
-    values = [1 << ((i & -i).bit_length() + 2) for i in range(1, g + 1)]
-    for p in primes_upto(2 * g + 1)[1:]:
-        step = (p - 1) // 2
-        while step <= g:
-            for i in range(step - 1, g, step):
-                values[i] *= p
-            step *= p
-    return values
+    """[n_1, ..., n_g] as a fresh list the caller may keep, sliced off the table.
+
+    A miss rebuilds the table to max(g, twice its top), so a cold call builds exactly g.
+    The build: (p-1) | 2i exactly when h = (p-1)/2 divides i, and then the odd prime p
+    contributes p^(1 + v_p(i/h)), one factor p at each multiple of h, h p, h p^2, ...
+    The 2-part of n_i is 2^(v_2(2i) + 2)."""
+    global _ng_table
+    if g > len(_ng_table):
+        with _ng_lock:
+            top = len(_ng_table)
+            if g > top:
+                top = max(g, 2 * top)
+                values = [1 << ((i & -i).bit_length() + 2) for i in range(1, top + 1)]
+                for p in primes_upto(2 * top + 1)[1:]:
+                    step = (p - 1) // 2
+                    while step <= top:
+                        for i in range(step - 1, top, step):
+                            values[i] *= p
+                        step *= p
+                _ng_table = values
+    return _ng_table[:g]
 
 
 def ng_oracle(g: int) -> int:
@@ -166,7 +188,7 @@ def torsion_report(g: int) -> TorsionReport:
     )
 
 
-def boundary_coefficient(g: int) -> Fraction:
+def boundary_coefficient(g: int):
     """(-1)^g / zeta_neg(g) = (-1)^{g+1} * 2g/B_{2g}, always positive.
 
     Its numerator is n_g/2 for every g: n_g is the denominator of B_{2g}/4g, and

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -13,7 +14,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tautorder.cli import _csv, _json, run
+from tautorder import cli
+from tautorder.cli import _csv, _decimal, _json, run
 from tautorder.torsion_orders import NG_CROSS_CHECK
 from tautorder.verify import run_suite
 
@@ -225,6 +227,34 @@ def test_sp_order_beyond_the_int_str_digit_limit() -> None:
         sys.set_int_max_str_digits(limit)
 
 
+def _decimal_cases() -> list[int]:
+    # random magnitudes on both sides of the split threshold, a few far past it, both
+    # signs, and the powers of ten and their predecessors whose bit lengths straddle it
+    rng = random.Random(41)
+    top = cli._SPLIT_BITS
+    assert 10_000 <= top <= 1_000_000  # the cases below grow with it
+    bits = [top + d for d in (-64, -1, 0, 1, 2, 3, 64, 1000)] + [2 * top + 1]
+    bits += [rng.randrange(top // 2, 3 * top // 2) for _ in range(8)]
+    values = [rng.getrandbits(b) | 1 << (b - 1) for b in bits]
+    k = top * 3 // 10  # 10^k has about 3.32 k bits
+    values += [10**e - d for e in range(k - 2, k + 3) for d in (0, 1)]
+    assert min(values).bit_length() <= top < max(values).bit_length()
+    return [-v if i % 2 else v for i, v in enumerate(values)]  # both signs on each side
+
+
+def test_decimal_equals_str_across_the_split_threshold() -> None:
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for n in _decimal_cases():
+            digits: dict = {}
+            text, expected = _decimal(n, digits), str(n)
+            assert type(text) is str and text == expected
+            assert digits == {abs(n): expected.lstrip("-")}  # the magnitude's, memoized
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_verify_max_g_below_one_is_a_usage_error(capsys: pytest.CaptureFixture) -> None:
     for bound in ("-3", "0"):
         for suite in ("chern-lemma", "von-staudt", "all"):
@@ -416,13 +446,17 @@ def test_cold_import_loads_only_what_a_call_uses() -> None:
         "    assert tautorder.cli.run(argv, out=io.StringIO()) == 0\n"
         "for argv in ([], ['ng'], ['ng', '+3'], ['ng', '3', '--form', 'json']):\n"
         "    assert tautorder.cli.run(argv, out=io.StringIO()) == 1\n"
+        "for argv in (['bounds', '300'], ['sp-order', '4', '1000']):  # ints up to 7813 bits\n"
+        "    assert tautorder.cli.run(argv, out=io.StringIO()) == 0\n"
+        "print(' '.join(sorted(sys.modules)))\n"
+        "assert tautorder.cli.run(['sp-order', '50', '1000003'], out=io.StringIO()) == 0\n"
         "print(' '.join(sorted(sys.modules)))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", probe], env=dict(os.environ, PYTHONPATH=src),
         capture_output=True, text=True, timeout=60, check=True,
     )
-    imported, after_calls = (set(line.split()) for line in proc.stdout.splitlines())
+    imported, after_calls, after_split = (set(line.split()) for line in proc.stdout.splitlines())
     # every engine module stays in the import, so a tracer installed after it sees them all
     engine = {f"tautorder.{path.stem}" for path in Path(src, "tautorder").glob("*.py")}
     engine.discard("tautorder.__init__")
@@ -432,3 +466,7 @@ def test_cold_import_loads_only_what_a_call_uses() -> None:
     lazy = {"fractions", "decimal", "numbers", "argparse", "gettext", "re"}
     assert imported.isdisjoint(unused | lazy), sorted(imported & (unused | lazy))
     assert after_calls.isdisjoint(unused | lazy), sorted(after_calls & (unused | lazy))
+    # only an integer past cli._SPLIT_BITS (here 100655 bits) loads decimal, which brings
+    # numbers and collections; still no fractions, re or argparse
+    assert "decimal" in after_split and "fractions" not in after_split
+    assert after_split.isdisjoint(unused - {"collections"} | {"argparse", "gettext", "re"})

@@ -5,7 +5,6 @@ import importlib
 import pkgutil
 import types
 import typing
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -50,14 +49,21 @@ def test_version_matches_pyproject() -> None:
 
 
 def test_every_public_annotation_resolves() -> None:
-    # an annotation naming something its module does not import raises NameError here;
-    # Fraction is the one exception, as the modules import it only where they build one
+    # an annotation naming something its module does not import raises NameError here,
+    # with no name lent from outside: the modules import fractions only where they build
+    # a Fraction, so a Fraction field is annotated object and a Fraction result not at all
     for name in SUBMODULES:
         module = importlib.import_module(f"tautorder.{name}")
+        typing.get_type_hints(module)
         for attr in module.__all__:
             obj = getattr(module, attr)
             if callable(obj):
-                typing.get_type_hints(obj, localns={"Fraction": Fraction})
+                typing.get_type_hints(obj)
+            if isinstance(obj, type):
+                for member in vars(obj).values():
+                    member = getattr(member, "fget", getattr(member, "__func__", member))
+                    if callable(member):
+                        typing.get_type_hints(member)
 
 
 def _uses(node: ast.AST, enclosing: frozenset = frozenset()):

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import inspect
 import random
+import sys
+import threading
 import time
 from fractions import Fraction
 from math import factorial, gcd, prod
@@ -144,6 +146,79 @@ def test_ng_values_against_ng_local() -> None:
     # the per-g divisor walk is the oracle for the one-pass table
     assert _ng_values(3000) == [ng_local(i).value for i in range(1, 3001)]
     assert _ng_values(1) == [24] and _ng_values(0) == []
+
+
+TABLE_TOP = 600
+TABLE = [ng_local(i).value for i in range(1, TABLE_TOP + 1)]  # the divisor walk, per g
+
+
+@pytest.fixture
+def empty_ng_table(monkeypatch: pytest.MonkeyPatch) -> None:
+    # growth replaces the table whole, so the tests read it off the module each time
+    monkeypatch.setattr(torsion_orders, "_ng_table", [])
+
+
+def test_a_cold_table_call_fills_exactly_to_g(empty_ng_table) -> None:
+    assert _ng_values(250) == TABLE[:250]
+    assert len(torsion_orders._ng_table) == 250
+    torsion_orders._ng_table.clear()
+    torsion_report(300)  # a reader fills it the same way
+    assert torsion_orders._ng_table == TABLE[:300]
+
+
+def test_a_table_miss_grows_to_twice_the_top(empty_ng_table) -> None:
+    _ng_values(250)
+    table = torsion_orders._ng_table
+    assert _ng_values(100) == TABLE[:100]
+    assert torsion_orders._ng_table is table  # a hit only slices
+    _ng_values(251)
+    assert len(torsion_orders._ng_table) == 500
+    _ng_values(1200)
+    assert len(torsion_orders._ng_table) == 1200  # past twice the top: exactly g
+    assert torsion_orders._ng_table[:TABLE_TOP] == TABLE
+
+
+def test_each_table_call_returns_a_fresh_list(empty_ng_table) -> None:
+    first = _ng_values(TABLE_TOP)
+    table = torsion_orders._ng_table
+    assert first is not table and first is not _ng_values(TABLE_TOP)
+    first[0] = 0
+    first.append(1)
+    del first[5:9]
+    assert torsion_orders._ng_table is table and table == TABLE
+    assert _ng_values(TABLE_TOP) == TABLE
+
+
+def test_table_concurrent_misses_get_correct_values(empty_ng_table) -> None:
+    sizes = [600, 7, 120, 1, 250, 64, 599, 2]
+    results: dict[int, list[int]] = {}
+    start = threading.Barrier(len(sizes))
+
+    def ask(g: int) -> None:
+        start.wait(timeout=10)
+        results[g] = _ng_values(g)
+
+    threads = [threading.Thread(target=ask, args=(g,)) for g in sizes]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == {g: TABLE[:g] for g in sizes}
+    assert torsion_orders._ng_table[:TABLE_TOP] == TABLE  # never shrunk by a late, smaller rebuild
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_table_in_a_shuffled_call_order(empty_ng_table, seed: int) -> None:
+    order = list(range(1, TABLE_TOP + 1))
+    random.Random(seed).shuffle(order)
+    for g in order:
+        assert _ng_values(g) == TABLE[:g]
 
 
 def test_ng_values_are_the_image_of_j_denominators() -> None:
