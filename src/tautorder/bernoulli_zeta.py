@@ -6,6 +6,8 @@ tan x = sum_k T_k x^(2k-1)/(2k-1)!, by B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)
 Brent and Harvey's in-place recurrence ("Fast computation of Bernoulli, Tangent
 and Secant numbers", 2011) gives T_1..T_n in O(n^2) multiplications of an
 integer by a small int, so no `Fraction` is formed before the last division.
+The values live in one `exact_arith._Grown` table, each growth appended to the
+values already handed out, so B_m is the same object on every call.
 
 Conventions: B_1 = -1/2; all odd Bernoulli numbers beyond B_1 vanish.
 zeta_neg(g) means the value of the zeta function at 1-2g, computed exactly as
@@ -20,9 +22,7 @@ downstream consumes the absolute value.
 """
 from __future__ import annotations
 
-from _thread import allocate_lock
-
-from .exact_arith import _Record, _check_nonnegative, _check_positive, _product, primes_upto
+from .exact_arith import _Grown, _Record, _check_nonnegative, _check_positive, _product, primes_upto
 
 __all__ = [
     "BernoulliTable",
@@ -34,38 +34,34 @@ __all__ = [
     "von_staudt_denominator",
 ]
 
-# Monotone cache: entries are appended, never changed, so a returned value can
-# never be invalidated by later growth.  The lock only serializes extension.
-# It starts empty, so an import loads no `fractions`: the first miss adds B_0.
-_cache: list = []  # of Fractions
-_cache_lock = allocate_lock()
-
 
 def bernoulli(m: int):
-    """B_m, a Fraction, from the tangent numbers, cached monotonically.
-
-    A miss fills the cache up to max(m, twice its top index), so a sequential
-    fill costs a constant factor over one call at its last index.
-    """
+    """B_m, a Fraction, from the tangent numbers, read off one grow-only table."""
     _check_nonnegative("m", m)
-    if m < len(_cache):
-        return _cache[m]
-    with _cache_lock:
-        top = len(_cache) - 1
-        if m > top:
-            from fractions import Fraction
-            hi = max(m, 2 * top)
-            tangent = _tangent_numbers(hi // 2)
-            for n in range(top + 1, hi + 1):
-                if n == 0:
-                    _cache.append(Fraction(1))
-                elif n % 2:
-                    _cache.append(Fraction(-1, 2) if n == 1 else Fraction(0))
-                else:
-                    four_k = 1 << n
-                    value = Fraction(n * tangent[n // 2], four_k * (four_k - 1))
-                    _cache.append(value if n % 4 else -value)  # sign (-1)^(k-1), n = 2k
-    return _cache[m]
+    top, values = _cache.table
+    if m > top:
+        values = _cache.read(m)[1]
+    return values[m]
+
+
+def _extend_bernoulli(top: int, old: list) -> list:
+    """old + [B_len(old), ..., B_top], keeping the values already handed out."""
+    from fractions import Fraction
+    tangent = _tangent_numbers(top // 2)
+    values = old[:]
+    for n in range(len(old), top + 1):
+        if n == 0:
+            values.append(Fraction(1))
+        elif n % 2:
+            values.append(Fraction(-1, 2) if n == 1 else Fraction(0))
+        else:
+            four_k = 1 << n
+            value = Fraction(n * tangent[n // 2], four_k * (four_k - 1))
+            values.append(value if n % 4 else -value)  # sign (-1)^(k-1), n = 2k
+    return values
+
+
+_cache = _Grown(_extend_bernoulli)
 
 
 def _tangent_numbers(n: int) -> list[int]:

@@ -6,10 +6,9 @@ below refuse any integer parameter that is not an int, and only a function
 that builds a `Fraction` imports `fractions`.  `is_prime` trial-divides by the
 sieve's primes up to 1000, which alone decides every n below 997^2, and runs
 deterministic Miller-Rabin with the twelve prime bases 2..37 beyond that.
-`primes_upto` and `primes_above` read one process-wide sieve of Eratosthenes
-that grows by doubling and never shrinks, so the torsion tables, which ask for
-primes up to 2g+1 once per table, and the gcd oracle sieve once instead of
-testing every candidate.
+`primes_upto` and `primes_above` read one process-wide sieve of Eratosthenes, a
+`_Grown` table like the n_i table and the Bernoulli numbers, so the torsion tables,
+which ask for primes up to 2g+1 once per table, and the gcd oracle sieve once.
 
 `factorize`, for both `ng_local` and `sp_order`, splits cofactors past 1000 by Pollard's
 rho in Brent's form (BIT 1975; BIT 1980): about n^(1/4) steps, 3*10^4 for two primes near 10^9.
@@ -195,48 +194,62 @@ def factorial_p_valuation(m: int, p: int) -> int:
     return total
 
 
-def primes_above(bound: int, count: int) -> list[int]:
-    """First `count` primes strictly greater than `bound`, ascending, read from
-    the shared sieve, which doubles until it holds that many."""
-    _check_int("bound", bound)
-    _check_nonnegative("count", count)
-    limit, primes = _sieve
-    while True:
-        start = bisect_right(primes, bound)
-        if len(primes) - start >= count:
-            return primes[start : start + count]
-        limit, primes = _grow_sieve(max(2 * limit, bound + 1))
+class _Grown:
+    """A process-wide table that only grows: the one cache policy of the package.
+
+    `read(need)` returns a published pair (size, values) whose values cover every index
+    up to size >= need; an empty table has size -1.  A miss takes this table's own lock,
+    reads again, and publishes (size, build(size, old values)) as one tuple, with size =
+    max(need, 2 * old size): a reader never sees a half-built table, a cold read builds
+    exactly `need`, and growing reads cost a constant factor over one read at the last
+    size.  Readers never change the values.  The lock is per table, as a build may read
+    another table (the n_i build reads the primes).
+    """
+
+    def __init__(self, build) -> None:
+        self.build = build
+        self.table = (-1, [])
+        self._lock = allocate_lock()  # what threading.Lock is, without importing threading
+
+    def read(self, need: int) -> tuple[int, list]:
+        if need > self.table[0]:
+            with self._lock:
+                size, values = self.table
+                if need > size:
+                    size = max(need, 2 * size)
+                    self.table = (size, self.build(size, values))
+        return self.table
 
 
-# (limit, every prime <= limit); replaced whole, so a reader never sees a
-# half-built sieve.  The lock only serializes growth.
-_sieve: tuple[int, list[int]] = (1, [])
-_sieve_lock = allocate_lock()  # what threading.Lock is, without importing threading
+def _sieve(limit: int, _old) -> list[int]:
+    """Every prime p <= limit, by Eratosthenes."""
+    flags = bytearray([1]) * (limit + 1)
+    flags[:2] = b"\0\0"
+    for n in range(2, isqrt(limit) + 1):
+        if flags[n]:
+            flags[n * n :: n] = bytes(len(range(n * n, limit + 1, n)))
+    return list(compress(range(limit + 1), flags))
 
 
-def _grow_sieve(bound: int) -> tuple[int, list[int]]:
-    global _sieve
-    with _sieve_lock:
-        limit = _sieve[0]
-        if bound > limit:
-            while limit < bound:
-                limit *= 2
-            flags = bytearray([1]) * (limit + 1)
-            flags[:2] = b"\0\0"
-            for n in range(2, isqrt(limit) + 1):
-                if flags[n]:
-                    flags[n * n :: n] = bytes(len(range(n * n, limit + 1, n)))
-            _sieve = (limit, list(compress(range(limit + 1), flags)))
-        return _sieve
+_primes = _Grown(_sieve)
 
 
 def primes_upto(bound: int) -> list[int]:
     """All primes p <= bound, ascending, as a fresh list the caller may keep."""
     _check_int("bound", bound)
-    limit, primes = _sieve
-    if bound > limit:
-        _, primes = _grow_sieve(bound)
+    primes = _primes.read(bound)[1]
     return primes[: bisect_right(primes, bound)]
+
+
+def primes_above(bound: int, count: int) -> list[int]:
+    """First `count` primes strictly greater than `bound`, ascending.  A short sieve is first
+    read to count * log2(bound) past the bound, 1.44 times the span of `count` primes."""
+    _check_int("bound", bound)
+    _check_nonnegative("count", count)
+    size, primes = _primes.table
+    while len(primes) - (start := bisect_right(primes, bound)) < count:
+        size, primes = _primes.read(max(bound + count * bound.bit_length(), size + 1))
+    return primes[start : start + count]
 
 
 _SMALL_PRIMES = tuple(primes_upto(1000))  # is_prime's trial divisors, read once

@@ -8,11 +8,9 @@ divide 2g, which confines candidates to p <= 2g+1); the prime 2 contributes
 divides n_g.
 
 `ng_local(g)` walks the divisors of 2g, read off `factorize(2g)`.  The tables
-n_1..n_g behind the reports are slices of one process-wide list, built by one pass
-over the primes and grown like the prime sieve: a miss rebuilds it under a lock to
-max(g, twice its top) and publishes it whole, so a cold call builds exactly g and a
-repeat call only slices.  Each reader gets a fresh slice, `_ng_values(g)`, so no
-caller can change the table.
+n_1..n_g behind the reports are fresh slices, `_ng_values(g)`, of one process-wide
+list built by one pass over the primes, an `exact_arith._Grown` table: no caller can
+change it, and a repeat call only slices.
 `boundary_coefficient(g)`, the coefficient of the generalized 12 lambda_1 = delta,
 is read off zeta_neg alone; its numerator is n_g/2, which `verify grr-chain`
 checks against `ng_local`.
@@ -20,17 +18,18 @@ checks against `ng_local`.
 The independent oracle computes the same number as a stabilized running gcd of
 p^{2g} - 1 over primes p > 2g+1.  The two routes share only the prime sieve
 (`factorize` and `is_prime` read it here, `primes_above` there) and the input
-checks.  The sieve is the package's one prime source, and sharing it hides no
-fault: a sieve that reports 9 as prime fails `verify oracle-agreement`.
+checks (and `_Grown`, which holds tables and computes nothing).  The sieve is the
+package's one prime source, and sharing it hides no fault: a sieve that reports 9
+as prime fails `verify oracle-agreement`.
 """
 from __future__ import annotations
 
-from _thread import allocate_lock
 from math import factorial, gcd
 
 from .bernoulli_zeta import proportionality, zeta_neg
 from .exact_arith import (
     PrimeLocalOrder,
+    _Grown,
     _Record,
     _check_positive,
     _product,
@@ -86,35 +85,26 @@ def ng_local(g: int) -> NgDecomposition:
     return NgDecomposition(g, tuple(factors))
 
 
-# [n_1, ..., n_top]; replaced whole and never shrunk, so a reader never sees a
-# half-built table, and handed out only as slices, so no caller can change it.
-# The lock only serializes growth, as for exact_arith._sieve.
-_ng_table: list[int] = []
-_ng_lock = allocate_lock()
+def _ng_sweep(top: int, _old) -> list[int]:
+    """[n_1, ..., n_top] in one pass over the odd primes p <= 2 top + 1: (p-1) | 2i exactly
+    when h = (p-1)/2 divides i, and then p contributes p^(1 + v_p(i/h)), one factor p at
+    each multiple of h, h p, h p^2, ...  The 2-part of n_i is 2^(v_2(2i) + 2)."""
+    values = [1 << ((i & -i).bit_length() + 2) for i in range(1, top + 1)]
+    for p in primes_upto(2 * top + 1)[1:]:
+        step = (p - 1) // 2
+        while step <= top:
+            for i in range(step - 1, top, step):
+                values[i] *= p
+            step *= p
+    return values
+
+
+_ng_table = _Grown(_ng_sweep)
 
 
 def _ng_values(g: int) -> list[int]:
-    """[n_1, ..., n_g] as a fresh list the caller may keep, sliced off the table.
-
-    A miss rebuilds the table to max(g, twice its top), so a cold call builds exactly g.
-    The build: (p-1) | 2i exactly when h = (p-1)/2 divides i, and then the odd prime p
-    contributes p^(1 + v_p(i/h)), one factor p at each multiple of h, h p, h p^2, ...
-    The 2-part of n_i is 2^(v_2(2i) + 2)."""
-    global _ng_table
-    if g > len(_ng_table):
-        with _ng_lock:
-            top = len(_ng_table)
-            if g > top:
-                top = max(g, 2 * top)
-                values = [1 << ((i & -i).bit_length() + 2) for i in range(1, top + 1)]
-                for p in primes_upto(2 * top + 1)[1:]:
-                    step = (p - 1) // 2
-                    while step <= top:
-                        for i in range(step - 1, top, step):
-                            values[i] *= p
-                        step *= p
-                _ng_table = values
-    return _ng_table[:g]
+    """[n_1, ..., n_g] as a fresh list the caller may keep, sliced off the table."""
+    return _ng_table.read(g)[1][:g]
 
 
 def ng_oracle(g: int) -> int:

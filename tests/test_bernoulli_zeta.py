@@ -9,7 +9,7 @@ from math import comb, factorial
 
 import pytest
 
-from tautorder import bernoulli_zeta
+from tautorder import bernoulli_zeta, exact_arith
 from tautorder.bernoulli_zeta import (
     bernoulli,
     bernoulli_table,
@@ -60,8 +60,8 @@ ORACLE = _bernoulli_convolution(ORACLE_TOP)
 
 
 @pytest.fixture
-def empty_cache(monkeypatch: pytest.MonkeyPatch) -> list[Fraction]:
-    cache = [Fraction(1)]
+def empty_cache(monkeypatch: pytest.MonkeyPatch) -> exact_arith._Grown:
+    cache = exact_arith._Grown(bernoulli_zeta._extend_bernoulli)
     monkeypatch.setattr(bernoulli_zeta, "_cache", cache)
     return cache
 
@@ -69,22 +69,22 @@ def empty_cache(monkeypatch: pytest.MonkeyPatch) -> list[Fraction]:
 def test_bernoulli_against_convolution_oracle(empty_cache) -> None:
     # a sequential fill from an empty cache, then one cold call from an empty cache
     assert [bernoulli(m) for m in range(ORACLE_TOP + 1)] == ORACLE
-    assert len(empty_cache) == 513  # grown by doubling: 2, 4, 8, ..., 512
-    del empty_cache[1:]
+    assert empty_cache.table[0] == 512  # grown by doubling: 0, 1, 2, 4, ..., 512
+    empty_cache.table = (-1, [])
     assert bernoulli(ORACLE_TOP) == ORACLE[-1]
-    assert empty_cache == ORACLE  # one cold call fills exactly to its index
+    assert empty_cache.table == (ORACLE_TOP, ORACLE)  # one cold call fills exactly to its index
 
 
 def test_bernoulli_cache_hands_out_the_same_objects(empty_cache) -> None:
     bernoulli(250)
-    assert len(empty_cache) == 251
+    assert empty_cache.table[0] == 250
     before = [bernoulli(m) for m in range(251)]
     bernoulli(251)
-    assert len(empty_cache) == 501  # a miss grows to twice the top index
+    assert empty_cache.table[0] == 500  # a miss grows to twice the top index
     bernoulli(600)
-    assert len(empty_cache) == 1001
+    assert empty_cache.table[0] == 1000
     assert all(bernoulli(m) is value for m, value in enumerate(before))
-    assert empty_cache[: ORACLE_TOP + 1] == ORACLE
+    assert empty_cache.table[1][: ORACLE_TOP + 1] == ORACLE
 
 
 def test_bernoulli_concurrent_misses_get_oracle_values(empty_cache) -> None:
@@ -108,7 +108,7 @@ def test_bernoulli_concurrent_misses_get_oracle_values(empty_cache) -> None:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert results == {m: ORACLE[m] for m in indices}
-    assert empty_cache[: ORACLE_TOP + 1] == ORACLE
+    assert empty_cache.table[1][: ORACLE_TOP + 1] == ORACLE
 
 
 def test_bernoulli_against_independent_algorithm() -> None:
@@ -191,7 +191,7 @@ def test_a_cold_cache_seeds_b0_without_fractions_loaded() -> None:
     probe = (
         "import sys\n"
         "from tautorder.bernoulli_zeta import _cache, bernoulli, proportionality\n"
-        "assert 'fractions' not in sys.modules and _cache == []\n"
+        "assert 'fractions' not in sys.modules and _cache.table == (-1, [])\n"
         "print(repr([bernoulli(0), bernoulli(1), proportionality(1).signed_value]))\n"
     )
     proc = subprocess.run(

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import operator
 import random
+import sys
+import threading
 from fractions import Fraction
 from functools import reduce
 from math import factorial
@@ -49,47 +51,49 @@ def test_primes_upto_matches_sieve() -> None:
 
 
 @pytest.fixture
-def fresh_sieve(monkeypatch: pytest.MonkeyPatch) -> None:
-    # start from the empty cache, so growth happens inside the test
-    monkeypatch.setattr(exact_arith, "_sieve", (1, []))
+def fresh_sieve(monkeypatch: pytest.MonkeyPatch) -> exact_arith._Grown:
+    # start from an empty table, so growth happens inside the test
+    table = exact_arith._Grown(exact_arith._sieve)
+    monkeypatch.setattr(exact_arith, "_primes", table)
+    return table
 
 
-def test_is_prime_does_not_read_the_live_sieve(fresh_sieve: None) -> None:
+def test_is_prime_does_not_read_the_live_sieve(fresh_sieve) -> None:
     # its trial divisors are taken from the sieve once, at import
     assert [n for n in range(-3, 3001) if is_prime(n)] == _sieve(3000)
     assert is_prime(1000003) and not is_prime(997 * 1009)  # both reach Miller-Rabin
-    assert exact_arith._sieve == (1, [])  # never grown by is_prime
+    assert fresh_sieve.table == (-1, [])  # never grown by is_prime
 
 
-def test_primes_upto_every_bound_ascending(fresh_sieve: None) -> None:
+def test_primes_upto_every_bound_ascending(fresh_sieve) -> None:
     expected = _sieve(5000)
     for bound in range(0, 5001):
         assert primes_upto(bound) == [p for p in expected if p <= bound]
 
 
-def test_primes_upto_every_bound_descending(fresh_sieve: None) -> None:
+def test_primes_upto_every_bound_descending(fresh_sieve) -> None:
     expected = _sieve(5000)
     for bound in range(5000, -1, -1):
         assert primes_upto(bound) == [p for p in expected if p <= bound]
-    assert exact_arith._sieve[0] >= 5000  # grown once, never shrunk
+    assert fresh_sieve.table[0] == 5000  # grown once, never shrunk
 
 
-def test_primes_upto_just_past_a_growth_edge(fresh_sieve: None) -> None:
+def test_primes_upto_just_past_a_growth_edge(fresh_sieve) -> None:
     assert primes_upto(64) == _sieve(64)
-    edge = exact_arith._sieve[0]
+    edge = fresh_sieve.table[0]
     for bound in (edge, edge + 1, edge + 2, 2 * edge, 2 * edge + 1):
         assert primes_upto(bound) == _sieve(bound)
-        assert exact_arith._sieve[0] >= bound
+        assert fresh_sieve.table[0] >= bound
     assert primes_upto(-5) == []
 
 
-def test_primes_upto_returns_a_fresh_list(fresh_sieve: None) -> None:
+def test_primes_upto_returns_a_fresh_list(fresh_sieve) -> None:
     first = primes_upto(100)
     first.append(4)
     first[0] = 9
     first.clear()
     assert primes_upto(100) == _sieve(100)
-    edge = exact_arith._sieve[0]
+    edge = fresh_sieve.table[0]
     whole = primes_upto(edge)  # the slice that spans the whole cache
     whole.extend([1, 2, 3])
     assert primes_upto(edge) == _sieve(edge)
@@ -115,8 +119,7 @@ def _primes_above_by_is_prime(bound: int, count: int) -> list[int]:
     return out
 
 
-def test_primes_above_against_candidate_loop(monkeypatch) -> None:
-    monkeypatch.setattr(exact_arith, "_sieve", (1, []))  # grow from empty
+def test_primes_above_against_candidate_loop(fresh_sieve) -> None:
     for bound in range(-2, 201):
         for count in (60, 0, 1, 2, 3, 17, 59):
             assert primes_above(bound, count) == _primes_above_by_is_prime(bound, count)
@@ -125,6 +128,88 @@ def test_primes_above_against_candidate_loop(monkeypatch) -> None:
             assert primes_above(bound, count) == _primes_above_by_is_prime(bound, count)
     with pytest.raises(ValueError, match="count must be nonnegative"):
         primes_above(10, -1)
+
+
+def test_primes_above_a_large_bound_sieves_once(fresh_sieve) -> None:
+    # the first read is sized for `count` primes, not just past the bound
+    sizes = []
+    build = fresh_sieve.build
+    fresh_sieve.build = lambda size, old: sizes.append(size) or build(size, old)
+    bound = 2_000_001
+    assert primes_above(bound, 100) == _primes_above_by_is_prime(bound, 100)
+    assert len(sizes) == 1 and bound < sizes[0] < 2 * bound
+
+
+def _recording_table():
+    calls = []
+
+    def build(size: int, old: list) -> list:
+        calls.append((size, old))
+        return old + [n * n for n in range(len(old), size + 1)]
+
+    return exact_arith._Grown(build), calls
+
+
+def test_grown_cold_read_builds_exactly_need() -> None:
+    table, calls = _recording_table()
+    assert table.table == (-1, [])  # empty: it covers no index
+    assert table.read(-1) == (-1, []) and calls == []
+    assert table.read(5) == (5, [0, 1, 4, 9, 16, 25])
+    assert calls == [(5, [])]
+
+
+def test_grown_miss_grows_to_need_or_twice_the_size() -> None:
+    table, calls = _recording_table()
+    table.read(5)
+    assert table.read(6)[0] == 10  # twice the size
+    assert table.read(25)[0] == 25  # past twice the size: exactly need
+    assert [size for size, _ in calls] == [5, 10, 25]
+    assert table.table[1] == [n * n for n in range(26)]
+
+
+def test_grown_hit_never_calls_the_build() -> None:
+    table, calls = _recording_table()
+    first = table.read(10)
+    for need in (-3, 0, 1, 9, 10):
+        assert table.read(need) is first
+    assert len(calls) == 1
+
+
+def test_grown_build_receives_the_old_values() -> None:
+    table, calls = _recording_table()
+    old = table.read(3)[1]
+    table.read(4)
+    assert calls[1][1] is old
+    assert table.table[1][:4] == old == [0, 1, 4, 9]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_grown_concurrent_misses_get_correct_tables(seed: int) -> None:
+    table, calls = _recording_table()
+    needs = random.Random(seed).sample(range(1, 3000), 16)
+    results = {}
+    start = threading.Barrier(len(needs))
+
+    def ask(need: int) -> None:
+        start.wait(timeout=10)
+        results[need] = table.read(need)
+
+    threads = [threading.Thread(target=ask, args=(need,)) for need in needs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for need, (size, values) in results.items():
+        assert size >= need and values == [n * n for n in range(size + 1)]
+    sizes = [size for size, _ in calls]
+    assert sizes == sorted(set(sizes))  # each build larger than the last: never shrunk
+    assert table.table[0] == sizes[-1] >= max(needs)
 
 
 def test_factorial_p_valuation_against_actual_factorials() -> None:

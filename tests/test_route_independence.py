@@ -33,9 +33,9 @@ ALLOWED = {
     "_mul_into": "the class ring's one product kernel; the two sides multiply different series",
     # a sieve that calls 9 prime fails verify oracle-agreement, so the shared sieve
     # cannot hide a fault in one n_g route behind the other
-    "_grow_sieve": "the one prime source",
+    "_primes": "the one prime source",
     "_sieve": "the one prime source",
-    "_sieve_lock": "the one prime source",
+    "_Grown": "the grow-only container of every cache; it computes no value",
 }
 
 

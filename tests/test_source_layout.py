@@ -7,7 +7,8 @@ that use them, and argparse, json and csv not at all: the command line has one
 parser and writes its json and csv itself.  Products go through exact_arith._product, so math.prod
 is not imported, and polynomial terms through exact_arith._render_terms, so no
 other module writes a power x^{e}.  The packed term map of GradedPolynomial is
-read in chern_symbolics alone."""
+read in chern_symbolics alone.  The process-wide tables are exact_arith._Grown
+tables, so only exact_arith imports _thread and no module rebinds a global."""
 from __future__ import annotations
 
 import ast
@@ -135,3 +136,18 @@ def test_only_chern_symbolics_reads_the_packed_term_map() -> None:
         if isinstance(node, ast.Attribute) and node.attr == "_packed"
     })
     assert readers == ["chern_symbolics.py"]
+
+
+def test_only_exact_arith_imports_thread_and_no_source_has_a_global() -> None:
+    # exact_arith._Grown holds the one lock of each process-wide table
+    tree = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+    importers = sorted({
+        name
+        for name, module in tree.items()
+        for node in ast.walk(module)
+        if (isinstance(node, ast.ImportFrom) and node.module == "_thread")
+        or (isinstance(node, ast.Import) and any(a.name == "_thread" for a in node.names))
+    })
+    assert importers == ["exact_arith.py"]
+    assert [name for name, module in tree.items() for node in ast.walk(module)
+            if isinstance(node, ast.Global)] == []

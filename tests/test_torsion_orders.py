@@ -130,11 +130,12 @@ def test_ng_local_against_the_sieve_scan() -> None:
 
 def test_ng_local_at_a_billion_builds_no_large_sieve(monkeypatch) -> None:
     g = 10**9
-    monkeypatch.setattr(exact_arith, "_sieve", (1, []))  # grow from empty
+    sieve = exact_arith._Grown(exact_arith._sieve)  # grow from empty
+    monkeypatch.setattr(exact_arith, "_primes", sieve)
     start = time.perf_counter()
     dec = ng_local(g)
     assert time.perf_counter() - start < 1
-    assert exact_arith._sieve[0] <= 1024  # factorize reads only the primes up to 1000
+    assert sieve.table[0] <= 1000  # factorize reads only the primes up to 1000
     assert [f.prime for f in dec.factors] == [
         2, 3, 5, 11, 17, 41, 101, 251, 257, 401, 641, 1601, 4001, 16001, 25601, 62501,
         160001, 62500001,
@@ -153,39 +154,41 @@ TABLE = [ng_local(i).value for i in range(1, TABLE_TOP + 1)]  # the divisor walk
 
 
 @pytest.fixture
-def empty_ng_table(monkeypatch: pytest.MonkeyPatch) -> None:
-    # growth replaces the table whole, so the tests read it off the module each time
-    monkeypatch.setattr(torsion_orders, "_ng_table", [])
+def empty_ng_table(monkeypatch: pytest.MonkeyPatch) -> exact_arith._Grown:
+    # growth replaces the published pair whole, so the tests read it off the table each time
+    table = exact_arith._Grown(torsion_orders._ng_sweep)
+    monkeypatch.setattr(torsion_orders, "_ng_table", table)
+    return table
 
 
 def test_a_cold_table_call_fills_exactly_to_g(empty_ng_table) -> None:
     assert _ng_values(250) == TABLE[:250]
-    assert len(torsion_orders._ng_table) == 250
-    torsion_orders._ng_table.clear()
+    assert empty_ng_table.table[0] == 250
+    empty_ng_table.table = (-1, [])
     torsion_report(300)  # a reader fills it the same way
-    assert torsion_orders._ng_table == TABLE[:300]
+    assert empty_ng_table.table == (300, TABLE[:300])
 
 
 def test_a_table_miss_grows_to_twice_the_top(empty_ng_table) -> None:
     _ng_values(250)
-    table = torsion_orders._ng_table
+    table = empty_ng_table.table
     assert _ng_values(100) == TABLE[:100]
-    assert torsion_orders._ng_table is table  # a hit only slices
+    assert empty_ng_table.table is table  # a hit only slices
     _ng_values(251)
-    assert len(torsion_orders._ng_table) == 500
+    assert empty_ng_table.table[0] == 500
     _ng_values(1200)
-    assert len(torsion_orders._ng_table) == 1200  # past twice the top: exactly g
-    assert torsion_orders._ng_table[:TABLE_TOP] == TABLE
+    assert empty_ng_table.table[0] == 1200  # past twice the top: exactly g
+    assert empty_ng_table.table[1][:TABLE_TOP] == TABLE
 
 
 def test_each_table_call_returns_a_fresh_list(empty_ng_table) -> None:
     first = _ng_values(TABLE_TOP)
-    table = torsion_orders._ng_table
+    table = empty_ng_table.table[1]
     assert first is not table and first is not _ng_values(TABLE_TOP)
     first[0] = 0
     first.append(1)
     del first[5:9]
-    assert torsion_orders._ng_table is table and table == TABLE
+    assert empty_ng_table.table[1] is table and table == TABLE
     assert _ng_values(TABLE_TOP) == TABLE
 
 
@@ -210,7 +213,7 @@ def test_table_concurrent_misses_get_correct_values(empty_ng_table) -> None:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert results == {g: TABLE[:g] for g in sizes}
-    assert torsion_orders._ng_table[:TABLE_TOP] == TABLE  # never shrunk by a late, smaller rebuild
+    assert empty_ng_table.table[1][:TABLE_TOP] == TABLE  # never shrunk by a late, smaller rebuild
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -236,7 +239,7 @@ def test_ng_oracle_reads_primes_from_the_sieve(monkeypatch) -> None:
     def refuse(n: int) -> bool:
         raise AssertionError(f"is_prime({n}) called")
 
-    monkeypatch.setattr(exact_arith, "_sieve", (1, []))
+    monkeypatch.setattr(exact_arith, "_primes", exact_arith._Grown(exact_arith._sieve))
     monkeypatch.setattr(exact_arith, "is_prime", refuse)
     monkeypatch.setattr(torsion_orders, "is_prime", refuse)
     assert ng_oracle(12) == expected

@@ -22,6 +22,7 @@ import pytest
 from tautorder.bernoulli_zeta import ProportionalityResult
 from tautorder.chern_symbolics import GradedPolynomial
 from tautorder.cli import run
+from tautorder.exact_arith import _Grown
 from tautorder.verify import _SUITES
 
 
@@ -97,8 +98,8 @@ MUTANTS = {
         "a numerator fault that keeps the denominator: B_12 = -697/2730",
     ),
     "oracle-agreement": (
-        "tautorder.exact_arith._sieve",
-        lambda sieve: (sieve[0], sorted(sieve[1] + [9])),
+        "tautorder.exact_arith._primes",
+        lambda primes: _Grown(lambda size, old: sorted(primes.build(size, old) + [9])),
         "the one prime source calls the square 9 prime, as a sieve that starts crossing "
         "out one step past n*n would",
     ),
